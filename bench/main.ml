@@ -21,7 +21,6 @@ module Log2 = Iocov_util.Log2
 module Prng = Iocov_util.Prng
 module Event = Iocov_trace.Event
 module Filter = Iocov_trace.Filter
-module Pool = Iocov_par.Pool
 module Replay = Iocov_par.Replay
 module Source = Iocov_pipe.Source
 module Stage = Iocov_pipe.Stage
@@ -50,7 +49,7 @@ let () =
       ("--only", Arg.String (fun s -> only := s :: !only),
        "run one experiment (bugstudy|fig2|table1|fig3|fig4|fig5|syscalls|differential|\
         tcd-ablation|partition-ablation|variant-ablation|remaining|ltp|reduction|fuzzer|\
-        perf|parallel|coverage|robustness|obs|format|serve|crash)");
+        perf|coverage|robustness|obs|format|serve|crash)");
       ("--format-bench", Arg.Unit (fun () -> only := "format" :: !only),
        "shorthand for --only format (the v3-compactness and scanner-equivalence gate; \
         exits non-zero on failure)");
@@ -471,12 +470,12 @@ let e10_fuzzer () =
      strictly more of the partitioned input space for the same budget —\n\
      the related-work critique of path-coverage fuzzers, measured."
 
-(* --- shared by E9/E11: synthetic traces, wall clocks, JSON output --- *)
+(* --- shared by E9/E12/E13: synthetic traces, wall clocks, JSON output --- *)
 
 (* A mixed synthetic trace shaped like a suite run: mostly data-path
    calls under the mount, a tail of out-of-mount noise the filter must
    reject, and a sprinkling of error outcomes.  Deterministic in the
-   seed, so every --jobs sweep replays the identical event list. *)
+   seed, so every run of a bench replays the identical event list. *)
 let synth_events n =
   let rng = Prng.create ~seed:(!seed + 101) in
   let rdonly = Open_flags.of_flags Open_flags.[ O_RDONLY ] in
@@ -618,7 +617,8 @@ let perf_benches () =
   (* fixed-offset write: repeated appends would grow the file without
      bound and measure extent-list growth instead of the steady state *)
   let write_call = Model.write ~variant:Model.Sys_pwrite64 ~offset:0 ~fd:3 ~count:4096 () in
-  let regex = Iocov_regex.Engine.compile_exn "^/mnt/test(/|$)" in
+  let pattern = "^/mnt/test(/|$)" in
+  let regex = Iocov_regex.Engine.compile_exn pattern in
   let sample_line =
     "[1622] pid=1000 comm=\"xfstests\" open(path=\"/mnt/test/a\", flags=O_RDONLY, \
      mode=0o0) -> ok:3 hint=\"/mnt/test/a\""
@@ -669,8 +669,7 @@ let perf_benches () =
     "The traced+IOCov write includes the full pipeline: VFS execution, event\n\
      construction, mount-point filtering, and coverage accumulation — the\n\
      'low-overhead tracing' requirement of Section 3.";
-  (* sequential replay throughput: the baseline the --jobs sweep of E11
-     is judged against — expressed as the declarative pipeline it is *)
+  (* replay throughput, expressed as the declarative pipeline it is *)
   let replay_n = 200_000 in
   let events = synth_events replay_n in
   let filter = Filter.mount_point "/mnt/test" in
@@ -684,7 +683,8 @@ let perf_benches () =
     (Ascii.si_count (int_of_float events_per_s))
     (Ascii.si_count product.Sink.kept);
   (* per-stage cost: each compiled batch transform in isolation over
-     the same trace, batched as the worker shards would see it *)
+     the same trace, batched as the replay engine sees it; the filter
+     row is the batched [Filter.keep_all] rate *)
   let batches =
     let rec go acc = function
       | [] -> List.rev acc
@@ -725,69 +725,8 @@ let perf_benches () =
       Printf.printf "  %-14s %.3fs (%s events/s)\n" name st_dt
         (Ascii.si_count (int_of_float rate)))
     stage_rows;
-  let body =
-    Printf.sprintf
-      "{\n  \"schema\": \"iocov-bench-pipeline/3\",\n  \"seed\": %d,\n  \"benches\": [\n%s\n  \
-       ],\n  \"sequential_replay\": { \"events\": %d, \"elapsed_s\": %.4f, \"events_per_s\": \
-       %.0f },\n  \"pipeline_stages\": [\n%s\n  ]\n}\n"
-      !seed
-      (String.concat ",\n"
-         (List.map
-            (fun (name, est) ->
-              Printf.sprintf "    { \"name\": \"%s\", \"ns_per_op\": %.1f }"
-                (json_escape name) est)
-            measured))
-      replay_n dt events_per_s
-      (String.concat ",\n"
-         (List.map
-            (fun (name, st_dt, rate) ->
-              Printf.sprintf
-                "    { \"stage\": \"%s\", \"elapsed_s\": %.4f, \"events_per_s\": %.0f }"
-                (json_escape name) st_dt rate)
-            stage_rows))
-  in
-  write_json "BENCH_pipeline.json" body
-
-(* --- E11: the parallel sharded pipeline --- *)
-
-let e11_parallel () =
-  heading "E11" "Parallel sharded replay: --jobs sweep, filter fast path";
-  let n = 1_000_000 in
-  Printf.printf "generating a %s-event synthetic trace...\n%!" (Ascii.si_count n);
-  let events = synth_events n in
-  let filter = Filter.mount_point "/mnt/test" in
-  Printf.printf "hardware: Domain.recommended_domain_count = %d\n%!"
-    (Domain.recommended_domain_count ());
-  let baseline_snap = ref "" in
-  let baseline_rate = ref 0.0 in
-  let sweep =
-    List.map
-      (fun jobs ->
-        let product, dt =
-          timed_wall (fun () ->
-              pipe_run
-                ~config:(Driver.config ~jobs ())
-                ~stages:[ Stage.filter filter ]
-                (Source.events events))
-        in
-        let snap = Snapshot.to_string product.Sink.coverage in
-        if jobs = 1 then begin
-          baseline_snap := snap;
-          baseline_rate := float_of_int n /. dt
-        end;
-        let identical = String.equal snap !baseline_snap in
-        let rate = float_of_int n /. dt in
-        Printf.printf
-          "  jobs=%d: %.2fs (%s events/s, %.2fx vs jobs=1), coverage %s\n%!" jobs dt
-          (Ascii.si_count (int_of_float rate))
-          (rate /. !baseline_rate)
-          (if identical then "identical" else "DIFFERS");
-        (jobs, dt, rate, identical, product.Sink.kept))
-      [ 1; 2; 4; 8 ]
-  in
   (* the filter fast path: literal-prefix pre-check vs the plain
      backtracking scan, over a path corpus shaped like the trace's *)
-  let regex = Iocov_regex.Engine.compile_exn "^/mnt/test(/|$)" in
   let corpus =
     Array.init 4096 (fun i ->
         if i mod 5 < 4 then Printf.sprintf "/mnt/test/d%d/f%d" (i mod 40) i
@@ -807,47 +746,31 @@ let e11_parallel () =
   let scan_ns = bench_ns (fun p -> Iocov_regex.Engine.search_scan regex p) in
   Printf.printf "filter search: fast path %.0f ns, plain scan %.0f ns (%.1fx)\n" fast_ns
     scan_ns (scan_ns /. fast_ns);
-  (* batched keep_all throughput on the worker-side batch size *)
-  let rec chunk acc = function
-    | [] -> List.rev acc
-    | events ->
-      let rec take k got rest =
-        if k = 0 then (List.rev got, rest)
-        else match rest with [] -> (List.rev got, []) | e :: tl -> take (k - 1) (e :: got) tl
-      in
-      let head, tail = take Replay.default_batch [] events in
-      chunk (head :: acc) tail
-  in
-  let batches = chunk [] events in
-  let (), keep_dt =
-    timed_wall (fun () -> List.iter (fun b -> ignore (Filter.keep_all filter b)) batches)
-  in
-  let keep_rate = float_of_int n /. keep_dt in
-  Printf.printf "Filter.keep_all: %s events/s in %d-event batches\n"
-    (Ascii.si_count (int_of_float keep_rate))
-    Replay.default_batch;
   let body =
     Printf.sprintf
-      "{\n  \"schema\": \"iocov-bench-parallel/1\",\n  \"seed\": %d,\n  \
-       \"recommended_domain_count\": %d,\n  \"trace_events\": %d,\n  \"replay\": [\n%s\n  \
-       ],\n  \"filter\": {\n    \"pattern\": \"%s\",\n    \"fast_path_ns_per_search\": %.1f,\n    \
-       \"scan_ns_per_search\": %.1f,\n    \"fast_path_speedup\": %.2f,\n    \
-       \"keep_all_events_per_s\": %.0f\n  }\n}\n"
+      "{\n  \"schema\": \"iocov-bench-pipeline/4\",\n  \"seed\": %d,\n  \"benches\": [\n%s\n  \
+       ],\n  \"sequential_replay\": { \"events\": %d, \"elapsed_s\": %.4f, \"events_per_s\": \
+       %.0f },\n  \"pipeline_stages\": [\n%s\n  ],\n  \"filter_search\": { \"pattern\": \"%s\", \
+       \"fast_path_ns_per_search\": %.1f, \"scan_ns_per_search\": %.1f, \
+       \"fast_path_speedup\": %.2f }\n}\n"
       !seed
-      (Domain.recommended_domain_count ())
-      n
       (String.concat ",\n"
          (List.map
-            (fun (jobs, dt, rate, identical, kept) ->
+            (fun (name, est) ->
+              Printf.sprintf "    { \"name\": \"%s\", \"ns_per_op\": %.1f }"
+                (json_escape name) est)
+            measured))
+      replay_n dt events_per_s
+      (String.concat ",\n"
+         (List.map
+            (fun (name, st_dt, rate) ->
               Printf.sprintf
-                "    { \"jobs\": %d, \"elapsed_s\": %.4f, \"events_per_s\": %.0f, \
-                 \"speedup_vs_jobs1\": %.3f, \"events_kept\": %d, \"coverage_identical\": %b }"
-                jobs dt rate (rate /. !baseline_rate) kept identical)
-            sweep))
-      (json_escape "^/mnt/test(/|$)")
-      fast_ns scan_ns (scan_ns /. fast_ns) keep_rate
+                "    { \"stage\": \"%s\", \"elapsed_s\": %.4f, \"events_per_s\": %.0f }"
+                (json_escape name) st_dt rate)
+            stage_rows))
+      (json_escape pattern) fast_ns scan_ns (scan_ns /. fast_ns)
   in
-  write_json "BENCH_parallel.json" body
+  write_json "BENCH_pipeline.json" body
 
 (* --- E12: coverage counter backends — compiled dense plan vs reference --- *)
 
@@ -894,38 +817,34 @@ let e12_coverage () =
     (Ascii.si_count (int_of_float ref_rate));
   Printf.printf "  speedup %.2fx, snapshots %s\n%!" speedup
     (if single_identical then "identical" else "DIFFER");
-  (* the same trace through the sharded pipeline, both backends *)
+  (* the same trace through the replay pipeline, both backends *)
   let filter = Filter.mount_point "/mnt/test" in
   let counters_name = function Replay.Dense -> "dense" | Replay.Reference -> "reference" in
   let baseline_snap = ref "" in
   let sweep =
-    List.concat_map
-      (fun jobs ->
-        List.map
-          (fun counters ->
-            let product, dt =
-              timed_wall (fun () ->
-                  pipe_run
-                    ~config:(Driver.config ~jobs ~counters ())
-                    ~stages:[ Stage.filter filter ]
-                    (Source.events events))
-            in
-            let snap = Snapshot.to_string product.Sink.coverage in
-            if !baseline_snap = "" then baseline_snap := snap;
-            let identical = String.equal snap !baseline_snap in
-            let rate = float_of_int n /. dt in
-            Printf.printf
-              "  jobs=%d %-9s: %.2fs (%s events/s), coverage %s\n%!" jobs
-              (counters_name counters) dt
-              (Ascii.si_count (int_of_float rate))
-              (if identical then "identical" else "DIFFERS");
-            (jobs, counters_name counters, dt, rate, identical))
-          [ Replay.Reference; Replay.Dense ])
-      [ 1; 2; 4 ]
+    List.map
+      (fun counters ->
+        let product, dt =
+          timed_wall (fun () ->
+              pipe_run
+                ~config:(Driver.config ~counters ())
+                ~stages:[ Stage.filter filter ]
+                (Source.events events))
+        in
+        let snap = Snapshot.to_string product.Sink.coverage in
+        if !baseline_snap = "" then baseline_snap := snap;
+        let identical = String.equal snap !baseline_snap in
+        let rate = float_of_int n /. dt in
+        Printf.printf "  pipeline %-9s: %.2fs (%s events/s), coverage %s\n%!"
+          (counters_name counters) dt
+          (Ascii.si_count (int_of_float rate))
+          (if identical then "identical" else "DIFFERS");
+        (counters_name counters, dt, rate, identical))
+      [ Replay.Reference; Replay.Dense ]
   in
   let body =
     Printf.sprintf
-      "{\n  \"schema\": \"iocov-bench-coverage/1\",\n  \"seed\": %d,\n  \"trace_events\": %d,\n  \
+      "{\n  \"schema\": \"iocov-bench-coverage/2\",\n  \"seed\": %d,\n  \"trace_events\": %d,\n  \
        \"tracked_observations\": %d,\n  \"plan_cells\": %d,\n  \"single_thread\": {\n    \
        \"dense\": { \"elapsed_s\": %.4f, \"observes_per_s\": %.0f },\n    \
        \"reference\": { \"elapsed_s\": %.4f, \"observes_per_s\": %.0f },\n    \
@@ -935,11 +854,11 @@ let e12_coverage () =
       single_identical
       (String.concat ",\n"
          (List.map
-            (fun (jobs, name, dt, rate, identical) ->
+            (fun (name, dt, rate, identical) ->
               Printf.sprintf
-                "    { \"jobs\": %d, \"counters\": \"%s\", \"elapsed_s\": %.4f, \
-                 \"events_per_s\": %.0f, \"coverage_identical\": %b }"
-                jobs name dt rate identical)
+                "    { \"counters\": \"%s\", \"elapsed_s\": %.4f, \"events_per_s\": %.0f, \
+                 \"coverage_identical\": %b }"
+                name dt rate identical)
             sweep))
   in
   write_json "BENCH_coverage.json" body
@@ -987,7 +906,7 @@ let e13_robustness () =
   let _, v1_dt = run v1_path in
   let _, strict_dt = run v2_path in
   let _, lenient_dt = run ~ingest:(Replay.Lenient Iocov_util.Anomaly.Unlimited) v2_path in
-  (* v3 on the fused single-core path (jobs=1, dense counters) *)
+  (* v3 on the fused path (dense counters) *)
   ignore (run v3_path) (* warm-up *);
   let _, v3_dt = run v3_path in
   let _, v3_lenient_dt =
@@ -1117,7 +1036,7 @@ let e13_robustness () =
     (Ascii.si_count (int_of_float (rate ckpt_dt)));
   Printf.printf "  v2 degraded:    %.3fs (%d flips, %d records skipped)\n" corrupt_dt
     corrupt skipped;
-  Printf.printf "  v3 fused:       %.3fs (%s events/s, strict, jobs=1)\n" v3_dt
+  Printf.printf "  v3 fused:       %.3fs (%s events/s, strict)\n" v3_dt
     (Ascii.si_count (int_of_float (rate v3_dt)));
   Printf.printf "  v3 lenient:     %.3fs (%s events/s, clean trace)\n" v3_lenient_dt
     (Ascii.si_count (int_of_float (rate v3_lenient_dt)));
@@ -1891,7 +1810,6 @@ let () =
   if wanted "reduction" then s3_reduction ();
   if wanted "fuzzer" then e10_fuzzer ();
   if !perf && wanted "perf" then perf_benches ();
-  if wanted "parallel" then e11_parallel ();
   if wanted "coverage" then e12_coverage ();
   if wanted "robustness" then e13_robustness ();
   if wanted "format" then format_bench ();

@@ -30,10 +30,6 @@ let arg_class_of_name name =
   | Some a -> a
   | None -> die "unknown tracked argument %S (e.g. open.flags, write.count)" name
 
-(* --jobs 1 keeps the inline path; anything else routes the event
-   stream through the sharded pipeline *)
-let jobs_opt jobs = if jobs = 1 then None else Some jobs
-
 let print_sections sections = List.iter (fun (_, text) -> print_endline text) sections
 
 (* --- the run ledger: one manifest record per completed run --- *)
@@ -44,8 +40,8 @@ let counters_name = function
 
 (* Root spans completed so far become the record's per-stage durations;
    a failed append is a warning, never a failed run. *)
-let ledger_append ~ledger ?seed ?tenant ?config ~subcommand ~label ~flags ~jobs
-    ~counters ~events ~kept ~lost ~wall_s coverage =
+let ledger_append ~ledger ?seed ?tenant ?config ~subcommand ~label ~flags ~counters
+    ~events ~kept ~lost ~wall_s coverage =
   match ledger with
   | None -> ()
   | Some dir ->
@@ -54,7 +50,7 @@ let ledger_append ~ledger ?seed ?tenant ?config ~subcommand ~label ~flags ~jobs
     in
     let r =
       Ledger.make ~time:(Obs.Clock.now ()) ?seed ?tenant ?config ~subcommand ~label
-        ~flags ~jobs ~counters:(counters_name counters) ~events ~kept ~lost ~wall_s
+        ~flags ~jobs:1 ~counters:(counters_name counters) ~events ~kept ~lost ~wall_s
         ~stages coverage
     in
     (match Ledger.append ~dir r with
@@ -99,12 +95,11 @@ let print_result (r : Runner.result) =
   print_endline (Report.untested_summary ~name:(Runner.suite_name r.Runner.suite) r.Runner.coverage)
 
 let suite_cmd =
-  let run obs suite seed scale faults jobs counters progress ledger points
-      config_diff =
+  let run obs suite seed scale faults counters progress ledger points config_diff =
     Opts.with_obs obs (fun () ->
         check_config_diff ~config_diff points;
         let rows =
-          Runner.run_lattice ~seed ~scale ~faults ?jobs:(jobs_opt jobs) ~counters
+          Runner.run_lattice ~seed ~scale ~faults ~counters
             ?progress:(Opts.progress_conf progress) ~points suite
         in
         let flags =
@@ -133,8 +128,8 @@ let suite_cmd =
         List.iter
           (fun (point, (r : Runner.result)) ->
             ledger_append ~ledger ~seed ~config:(ledger_config point)
-              ~subcommand:"suite" ~label:(Runner.suite_name suite) ~flags ~jobs
-              ~counters ~events:r.Runner.events_total ~kept:r.Runner.events_kept
+              ~subcommand:"suite" ~label:(Runner.suite_name suite) ~flags ~counters
+              ~events:r.Runner.events_total ~kept:r.Runner.events_kept
               ~lost:0 ~wall_s:r.Runner.elapsed_s r.Runner.coverage)
           rows)
   in
@@ -145,7 +140,7 @@ let suite_cmd =
     (Cmd.info "suite" ~doc:"Run one simulated tester under the tracer and report coverage.")
     Term.(
       const run $ Opts.obs_term $ suite_pos $ Opts.seed $ Opts.scale $ Opts.faults
-      $ Opts.jobs $ Opts.counters $ Opts.progress_term $ Opts.ledger_term
+      $ Opts.counters $ Opts.progress_term $ Opts.ledger_term
       $ Opts.configs_term $ Opts.config_diff)
 
 (* --- trace: run a suite and store the raw trace --- *)
@@ -191,8 +186,8 @@ let trace_cmd =
 (* --- analyze a stored trace --- *)
 
 let analyze_cmd =
-  let run obs file patterns mount save jobs counters ingest ckpt resume limit
-      progress ledger =
+  let run obs file patterns mount save counters ingest ckpt resume limit progress
+      ledger =
     Opts.with_obs obs @@ fun () ->
     let resume =
       match resume with
@@ -223,10 +218,8 @@ let analyze_cmd =
     let header =
       Sink.custom ~name:"header" (fun p ->
           Some
-            (Printf.sprintf "%s: %d records kept, %d filtered out%s" p.Sink.label
-               p.Sink.kept p.Sink.dropped
-               (if p.Sink.shards > 1 then Printf.sprintf " (%d shards)" p.Sink.shards
-                else "")))
+            (Printf.sprintf "%s: %d records kept, %d filtered out" p.Sink.label
+               p.Sink.kept p.Sink.dropped))
     in
     let sinks =
       [ header; Sink.completeness; Sink.summary; Sink.untested ]
@@ -237,7 +230,7 @@ let analyze_cmd =
     in
     let budget = match ingest with Replay.Lenient b -> Some b | _ -> None in
     let config =
-      Pipe.Driver.config ~jobs ~counters ~ingest ?limit ?resume
+      Pipe.Driver.config ~counters ~ingest ?limit ?resume
         ?progress:(Opts.progress_conf ?budget progress) ()
     in
     let t0 = Obs.Clock.now () in
@@ -255,7 +248,7 @@ let analyze_cmd =
         @ (match resume with Some (p, _) -> [ ("resume", p) ] | None -> [])
       in
       ledger_append ~ledger ~subcommand:"analyze" ~label:product.Sink.label ~flags
-        ~jobs ~counters ~events:product.Sink.events ~kept:product.Sink.kept
+        ~counters ~events:product.Sink.events ~kept:product.Sink.kept
         ~lost:(c.Anomaly.records_skipped + c.Anomaly.events_abandoned)
         ~wall_s:(Obs.Clock.now () -. t0) product.Sink.coverage
     | Error msg -> die "%s" msg
@@ -281,7 +274,7 @@ let analyze_cmd =
     Arg.(value & opt (some file) None
          & info [ "resume" ] ~docv:"CKPT"
              ~doc:"Continue a crashed replay from a checkpoint file; the final report is \
-                   byte-identical to an uninterrupted run's.  Works at any $(b,--jobs).")
+                   byte-identical to an uninterrupted run's.")
   in
   let limit_arg =
     Arg.(value & opt (some int) None
@@ -293,15 +286,15 @@ let analyze_cmd =
     (Cmd.info "analyze" ~doc:"Compute input/output coverage from a stored trace file.")
     Term.(
       const run $ Opts.obs_term $ file_pos $ patterns_arg $ mount_arg $ save_arg
-      $ Opts.jobs $ Opts.counters $ Opts.ingest_term $ Opts.checkpoint_term
+      $ Opts.counters $ Opts.ingest_term $ Opts.checkpoint_term
       $ resume_arg $ limit_arg $ Opts.progress_term $ Opts.ledger_term)
 
 (* --- compare: the paper's evaluation --- *)
 
 let compare_cmd =
-  let run obs seed scale jobs counters =
+  let run obs seed scale counters =
     Opts.with_obs obs @@ fun () ->
-    let cm, xf = Runner.run_both ~seed ~scale ?jobs:(jobs_opt jobs) ~counters () in
+    let cm, xf = Runner.run_both ~seed ~scale ~counters () in
     let name_a = "CrashMonkey" and name_b = "xfstests" in
     let cov_a = cm.Runner.coverage and cov_b = xf.Runner.coverage in
     print_endline (Report.figure2 ~name_a ~cov_a ~name_b ~cov_b);
@@ -315,15 +308,15 @@ let compare_cmd =
   Cmd.v
     (Cmd.info "compare"
        ~doc:"Run CrashMonkey and xfstests and print Figures 2-5 and Table 1.")
-    Term.(const run $ Opts.obs_term $ Opts.seed $ Opts.scale $ Opts.jobs $ Opts.counters)
+    Term.(const run $ Opts.obs_term $ Opts.seed $ Opts.scale $ Opts.counters)
 
 (* --- tcd --- *)
 
 let tcd_cmd =
-  let run obs seed scale jobs counters arg_name =
+  let run obs seed scale counters arg_name =
     Opts.with_obs obs @@ fun () ->
     let arg = arg_class_of_name arg_name in
-    let cm, xf = Runner.run_both ~seed ~scale ?jobs:(jobs_opt jobs) ~counters () in
+    let cm, xf = Runner.run_both ~seed ~scale ~counters () in
     let freqs cov =
       Array.of_list (List.map snd (Coverage.input_series cov arg))
     in
@@ -345,8 +338,7 @@ let tcd_cmd =
   Cmd.v
     (Cmd.info "tcd" ~doc:"Test Coverage Deviation sweep for one tracked argument.")
     Term.(
-      const run $ Opts.obs_term $ Opts.seed $ Opts.scale $ Opts.jobs $ Opts.counters
-      $ arg_name)
+      const run $ Opts.obs_term $ Opts.seed $ Opts.scale $ Opts.counters $ arg_name)
 
 (* --- adequacy: the under/over-testing classifier --- *)
 
@@ -505,8 +497,8 @@ let syz_cmd =
     with
     | Ok { product; sections } ->
       print_sections sections;
-      ledger_append ~ledger ~subcommand:"syz" ~label:file ~flags:[] ~jobs:1
-        ~counters ~events:product.Sink.events ~kept:product.Sink.kept ~lost:0
+      ledger_append ~ledger ~subcommand:"syz" ~label:file ~flags:[] ~counters
+        ~events:product.Sink.events ~kept:product.Sink.kept ~lost:0
         ~wall_s:(Obs.Clock.now () -. t0) product.Sink.coverage
     | Error msg -> Printf.eprintf "error: %s\n" msg
   in
@@ -519,14 +511,14 @@ let syz_cmd =
 (* --- metrics: run a suite, dump the self-observability registry --- *)
 
 let metrics_cmd =
-  let run obs suite seed scale faults jobs counters json out =
+  let run obs suite seed scale faults counters json out =
     Opts.with_obs obs @@ fun () ->
     (* Start from a clean registry so two invocations with the same
        seed/scale/faults produce identical counters (timings aside). *)
     Obs.Metrics.reset Obs.Metrics.default;
     Obs.Span.reset ();
     Obs.Log.reset_seq ();
-    let r = Runner.run ~seed ~scale ~faults ?jobs:(jobs_opt jobs) ~counters suite in
+    let r = Runner.run ~seed ~scale ~faults ~counters suite in
     Printf.printf "%s: %d workloads, %s traced records, %.2fs\n\n"
       (Runner.suite_name r.Runner.suite) r.Runner.workloads
       (Iocov_util.Ascii.si_count r.Runner.events_total)
@@ -568,7 +560,7 @@ let metrics_cmd =
              and histograms, plus the span-tree profile of the run.")
     Term.(
       const run $ Opts.obs_term $ suite_arg $ Opts.seed $ Opts.scale $ Opts.faults
-      $ Opts.jobs $ Opts.counters $ json_arg $ out_arg)
+      $ Opts.counters $ json_arg $ out_arg)
 
 (* --- runs: inspect the persistent run ledger --- *)
 
@@ -764,7 +756,7 @@ let serve_cmd =
             ?config:o.Serve_server.o_config ~subcommand:"serve"
             ~label:(match socket with Some s -> s | None -> "files")
             ~flags:[ ("mount", mount) ]
-            ~jobs:1 ~counters:Replay.Dense ~events:st.Serve_hub.st_events
+            ~counters:Replay.Dense ~events:st.Serve_hub.st_events
             ~kept:st.Serve_hub.st_kept ~lost:st.Serve_hub.st_lost
             ~wall_s:(Obs.Clock.now () -. t0)
             o.Serve_server.o_coverage)
@@ -908,8 +900,8 @@ let crash_cmd =
   let module Engine = Iocov_crash.Engine in
   let module Vc = Iocov_vfs.Config in
   let module Partition = Iocov_core.Partition in
-  let run obs workloads bound modes torn faults target theta save jobs counters
-      ledger points =
+  let run obs workloads bound modes torn faults target theta save counters ledger
+      points =
     Opts.with_obs obs @@ fun () ->
     let all_scenarios = Engine.scenarios @ Iocov_suites.Crashmonkey.crash_scenarios in
     let scenarios =
@@ -966,7 +958,7 @@ let crash_cmd =
             (Printf.sprintf "%s: %d workload records kept, %d outside the mount"
                p.Sink.label p.Sink.kept p.Sink.dropped))
     in
-    let config = Pipe.Driver.config ~jobs ~counters () in
+    let config = Pipe.Driver.config ~counters () in
     let t0 = Obs.Clock.now () in
     match
       Pipe.Driver.run ~config
@@ -1082,7 +1074,7 @@ let crash_cmd =
         match points with [ point ] -> Some (ledger_config point) | _ -> None
       in
       ledger_append ~ledger ?config ~subcommand:"crash" ~label:"crash-engine" ~flags
-        ~jobs ~counters ~events:product.Sink.events ~kept:product.Sink.kept ~lost:0
+        ~counters ~events:product.Sink.events ~kept:product.Sink.kept ~lost:0
         ~wall_s:(Obs.Clock.now () -. t0) coverage;
       (* unexpected violations are an engine bug; injected ones are the
          differential's success and exit clean *)
@@ -1130,10 +1122,10 @@ let crash_cmd =
          & info [ "save" ] ~docv:"FILE"
              ~doc:"Write the coverage (crash cells included) as a snapshot file.")
   in
-  let run obs workloads bound modes no_torn faults target theta save jobs counters
-      ledger points =
-    run obs workloads bound modes (not no_torn) faults target theta save jobs
-      counters ledger points
+  let run obs workloads bound modes no_torn faults target theta save counters ledger
+      points =
+    run obs workloads bound modes (not no_torn) faults target theta save counters ledger
+      points
   in
   Cmd.v
     (Cmd.info "crash"
@@ -1141,7 +1133,7 @@ let crash_cmd =
              and report post-crash outcome coverage.")
     Term.(
       const run $ Opts.obs_term $ workloads_arg $ bound_arg $ modes_arg $ no_torn_arg
-      $ Opts.faults $ target_arg $ theta_arg $ save_arg $ Opts.jobs $ Opts.counters
+      $ Opts.faults $ target_arg $ theta_arg $ save_arg $ Opts.counters
       $ Opts.ledger_term $ Opts.configs_term)
 
 let main =

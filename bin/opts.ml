@@ -1,7 +1,7 @@
 (* Shared command-line options.
 
    Every subcommand that runs a pipeline takes the same knobs — seed,
-   scale, jobs, counter backend, fault injection, lenient ingestion,
+   scale, counter backend, fault injection, lenient ingestion,
    checkpointing, log/metrics output.  They are defined once here so
    the flags parse, print, and document identically everywhere. *)
 
@@ -25,17 +25,6 @@ let scale =
         ~docv:"SCALE"
         ~doc:"Workload scale factor; 1.0 is a quick shape-complete run, larger values \
               approach the paper's absolute frequencies.")
-
-let jobs =
-  Arg.(
-    value
-    & opt int 1
-    & info [ "j"; "jobs" ]
-        ~docv:"N"
-        ~doc:"Analysis worker shards.  1 (the default) analyzes inline on the calling \
-              domain; $(docv) > 1 spawns that many worker domains; 0 picks \
-              $(b,Domain.recommended_domain_count).  Coverage results are byte-identical \
-              at any job count.")
 
 let counters_conv =
   let parse = function
@@ -157,7 +146,7 @@ let checkpoint =
   Arg.(value & opt (some string) None
        & info [ "checkpoint" ] ~docv:"FILE"
            ~doc:"Periodically write a resumable checkpoint (atomic) while replaying a \
-                 binary trace; requires $(b,--jobs) 1.")
+                 binary trace.")
 
 let checkpoint_every =
   Arg.(value & opt int 100_000
@@ -214,7 +203,7 @@ let obs_term =
       value
       & opt (some string) None
       & info [ "trace-out" ] ~docv:"FILE"
-          ~doc:"Record a flight-recorder timeline (span, pool, batch, checkpoint, and \
+          ~doc:"Record a flight-recorder timeline (span, batch, checkpoint, and \
                 resync events) and write it to $(docv) as Chrome trace-event JSON on \
                 exit — viewable in ui.perfetto.dev or chrome://tracing.")
   in

@@ -16,7 +16,6 @@ module Coverage = Iocov_core.Coverage
 module Snapshot = Iocov_core.Snapshot
 module Report = Iocov_core.Report
 module Ltp = Iocov_suites.Ltp
-module Pool = Iocov_par.Pool
 module Checkpoint = Iocov_par.Checkpoint
 module Replay = Iocov_par.Replay
 
@@ -60,10 +59,10 @@ let () =
   Binary_io.flush w;
   close_out oc;
 
-  (* 2. the clean reference: a strict parallel run.  Its event count is
-     the authoritative size of the trace. *)
+  (* 2. the clean reference: a strict run.  Its event count is the
+     authoritative size of the trace. *)
   let reference =
-    match Replay.analyze_file ~pool:(Pool.create ~jobs:2 ()) ~filter trace with
+    match Replay.analyze_file ~filter trace with
     | Ok o -> o
     | Error msg ->
       Printf.eprintf "clean strict run failed: %s\n" msg;
@@ -73,13 +72,13 @@ let () =
   Printf.printf "traced %d events to %s\n" total trace;
   expect "strict run is complete" (Anomaly.is_clean reference.Replay.completeness);
 
-  (* 3. checkpointed replay: stop halfway, resume at a different job
-     count, demand a byte-identical result *)
+  (* 3. checkpointed replay: stop halfway, resume on the reference
+     counter backend, demand a byte-identical result *)
   print_endline "interrupt and resume:";
   with_temp ".ckpt" (fun ckpt ->
       let half = total / 2 in
       (match
-         Replay.analyze_file ~pool:(Pool.create ~jobs:1 ())
+         Replay.analyze_file
            ~checkpoint:{ Replay.ckpt_path = ckpt; ckpt_every = max 1 (half / 4) }
            ~limit:half ~filter trace
        with
@@ -93,8 +92,7 @@ let () =
         exit 1
       | Ok ck -> (
         match
-          Replay.analyze_file ~pool:(Pool.create ~jobs:4 ()) ~resume:(ckpt, ck) ~filter
-            trace
+          Replay.analyze_file ~counters:Replay.Reference ~resume:(ckpt, ck) ~filter trace
         with
         | Ok o ->
           expect "resumed run saw every event" (o.Replay.events = total);
@@ -110,9 +108,8 @@ let () =
   let size = flip trace (7 + (total / 3 * 5)) in
   ignore (flip trace (size / 2));
   (match
-     Replay.analyze_file ~pool:(Pool.create ~jobs:2 ())
-       ~ingest:(Replay.Lenient (Anomaly.Max_fraction 0.01))
-       ~filter trace
+     Replay.analyze_file ~ingest:(Replay.Lenient (Anomaly.Max_fraction 0.01)) ~filter
+       trace
    with
   | Ok o ->
     let c = o.Replay.completeness in
@@ -127,7 +124,7 @@ let () =
     exit 1);
 
   (* 5. strict mode must refuse the damaged trace *)
-  (match Replay.analyze_file ~pool:(Pool.create ~jobs:2 ()) ~filter trace with
+  (match Replay.analyze_file ~filter trace with
   | Ok _ -> expect "strict run rejects the damaged trace" false
   | Error msg -> expect (Printf.sprintf "strict run rejects it (%s)" msg) true);
 

@@ -3,7 +3,7 @@
    report text, from the compiled-plan integer counters and from the
    reference hashed histograms.
 
-     dune exec examples/dense_counters.exe -- 0.1 2   # scale, jobs
+     dune exec examples/dense_counters.exe -- 0.1   # scale
 
    Exits 1 on any divergence, so this doubles as a smoke test (wired
    into dune runtest at a small scale). *)
@@ -16,11 +16,8 @@ module Ascii = Iocov_util.Ascii
 
 let () =
   let scale = if Array.length Sys.argv > 1 then float_of_string Sys.argv.(1) else 0.1 in
-  let jobs = if Array.length Sys.argv > 2 then int_of_string Sys.argv.(2) else 2 in
   let seed = 42 in
-  let run counters =
-    Runner.run ~seed ~scale ~jobs ~counters Runner.Xfstests
-  in
+  let run counters = Runner.run ~seed ~scale ~counters Runner.Xfstests in
   let dense = run Replay.Dense in
   Printf.printf "dense:     %s events (%s kept) in %.2fs\n"
     (Ascii.si_count dense.Runner.events_total)

@@ -39,7 +39,7 @@ let () =
   @@ fun () ->
   let progress_lines = ref [] in
   (* One recorded run: timeline on, snapshots every 500 events, and a
-     ledger record appended from the merged product. *)
+     ledger record appended from the run's product. *)
   let recorded_run () =
     let feed emit =
       ignore
@@ -55,7 +55,7 @@ let () =
     Trace_event.start ();
     let result =
       Driver.run
-        ~config:(Driver.config ~jobs:2 ~progress ())
+        ~config:(Driver.config ~progress ())
         ~stages:[ Stage.mount Ltp.mount ]
         ~sinks:[ Sink.summary ]
         (Source.live ~label:"LTP" feed)
@@ -70,7 +70,7 @@ let () =
     | Ok { Driver.product; _ } ->
       let r =
         Ledger.make ~seed:7 ~subcommand:"example" ~label:"LTP"
-          ~flags:[ ("scale", string_of_float scale) ] ~jobs:2 ~counters:"dense"
+          ~flags:[ ("scale", string_of_float scale) ] ~jobs:1 ~counters:"dense"
           ~events:product.Sink.events ~kept:product.Sink.kept ~lost:0 ~wall_s:0.0
           ~stages:[] product.Sink.coverage
       in

@@ -41,7 +41,7 @@ let () =
   in
   let pipeline =
     Driver.run
-      ~config:(Driver.config ~jobs:2 ())
+      ~config:(Driver.config ())
       ~stages:[ Stage.mount Ltp.mount; Stage.meter "ltp" ]
       ~sinks:
         [ Sink.summary; Sink.completeness;
@@ -55,8 +55,8 @@ let () =
     exit 1
   | Ok { Driver.product; sections } ->
     Printf.printf
-      "one pass over %d events (%d kept, %d shards) fed %d sinks:\n\n"
-      product.Sink.events product.Sink.kept product.Sink.shards
+      "one pass over %d events (%d kept) fed %d sinks:\n\n"
+      product.Sink.events product.Sink.kept
       (List.length sections + 1 (* gauges renders no section *));
     List.iter
       (fun (name, text) -> Printf.printf "--- %s ---\n%s\n" name text)

@@ -12,11 +12,10 @@ type t
 
 val create : ?metered:bool -> unit -> t
 (** [metered] (default [true]) controls whether observations feed the
-    global [iocov_coverage_*] counters.  The parallel pipeline creates
-    its per-worker shards with [~metered:false] — shards are private to
-    one domain, and their counts are credited in one batch via
-    {!meter_counts} after the merge, so totals match a sequential run
-    without per-event atomic traffic. *)
+    global [iocov_coverage_*] counters.  Accumulators that are merged
+    or converted later are created with [~metered:false] and their
+    counts credited in one batch via {!meter_counts}, so totals match
+    per-event metering without per-event atomic traffic. *)
 
 val observe : t -> Model.call -> Model.outcome -> unit
 (** Count one traced syscall. *)
@@ -28,18 +27,18 @@ val observe_input_only : t -> Model.call -> unit
     histograms are untouched. *)
 
 val merge_into : dst:t -> t -> unit
-(** Pointwise sum — coverage from parallel runs composes.  Commutative
-    and associative (property-tested), which is what makes sharded
-    accumulation order-independent: merging per-worker shards in any
-    order yields the same accumulator. *)
+(** Pointwise sum — coverage from separate runs composes (a resumed
+    prefix and its suffix, serve sessions into a tenant).  Commutative
+    and associative (property-tested): merging in any order yields the
+    same accumulator. *)
 
 val copy : t -> t
 
 val meter_counts : t -> unit
 (** Credit this accumulator's counts to the global [iocov_coverage_*]
     counters in one batch — exactly the increments per-event metering
-    would have made.  Called by the parallel pipeline after merging
-    unmetered shards. *)
+    would have made.  Called by the replay engine after converting its
+    unmetered dense accumulator. *)
 
 val publish_gauges : t -> unit
 (** Publish this accumulator's table sizes (input/output tables,
@@ -132,8 +131,8 @@ val crash_series :
     The replay hot-path accumulator: a flat [int array] indexed by
     {!Plan} cell IDs instead of hashed histograms.  [observe] is
     allocation-free integer arithmetic (exact open-flag {e sets} keep a
-    small int-keyed table — their key space is unbounded); shard merge
-    is pointwise array addition.  {!Dense.to_reference} converts
+    small int-keyed table — their key space is unbounded); merge is
+    pointwise array addition.  {!Dense.to_reference} converts
     losslessly to the reference {!t}, so reports, snapshots, TCD and
     adequacy analyses are unchanged downstream.  The reference
     accumulator remains the differential oracle: both paths must

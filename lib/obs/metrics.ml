@@ -1,10 +1,9 @@
 module Log2 = Iocov_util.Log2
 module H = Iocov_util.Histogram
 
-(* Counters and gauges are lock-free atomics so the parallel pipeline's
-   worker domains can meter through the same handles as the sequential
-   path; increments commute, so totals stay deterministic regardless of
-   scheduling. *)
+(* Counters and gauges are lock-free atomics so concurrent threads and
+   domains can meter through the same handles; increments commute, so
+   totals stay deterministic regardless of scheduling. *)
 module Counter = struct
   type t = { v : int Atomic.t }
 

@@ -14,11 +14,11 @@
     negligible next to coverage accumulation.
 
     Domain-safety: counters and gauges are atomics and may be driven
-    from any domain (the parallel pipeline's worker shards meter
-    through the same handles as the sequential path); histograms and
-    registration are mutex-protected.  Counter totals are sums of
-    commutative increments, so they stay deterministic under parallel
-    replay.
+    from any domain or thread (serve's connection threads meter through
+    the same handles as the offline path); histograms and registration
+    are mutex-protected.  Counter totals are sums of commutative
+    increments, so they stay deterministic however the work is
+    scheduled.
 
     Determinism: counter and gauge values are pure functions of the
     work driven through the pipeline (seed, scale, faults).  Only

@@ -10,10 +10,10 @@ type frame = {
   mutable f_children : node list;  (* reverse completion order *)
 }
 
-(* Each domain keeps its own open-span stack, so a worker shard can time
-   itself without seeing (or corrupting) the main pipeline's frames; a
-   worker's outermost span completes into the shared root list, which a
-   mutex guards together with the registry recording. *)
+(* Each domain keeps its own open-span stack, so a domain can time
+   itself without seeing (or corrupting) another's frames; an outermost
+   span completes into the shared root list, which a mutex guards
+   together with the registry recording. *)
 let stack_key : frame list ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref [])
 let stack () = Domain.DLS.get stack_key
 
@@ -79,10 +79,10 @@ let timed ?registry ~name f =
   in
   (result, node)
 
-(* Completion order is scheduler-dependent when shards close their root
-   spans concurrently, so export order sorts by (name, duration): two
-   runs of the same workload render the same span tree regardless of
-   which shard finished first. *)
+(* Completion order is scheduler-dependent when domains close their
+   root spans concurrently, so export order sorts by (name, duration):
+   two runs of the same workload render the same span tree regardless
+   of which domain finished first. *)
 let roots () =
   locked (fun () ->
       List.stable_sort

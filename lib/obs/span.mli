@@ -6,12 +6,12 @@
     completed span to its enclosing span — so a run builds a profile
     tree: runner at the root, suite phases beneath it.
 
-    The open-span stack is per-domain (a parallel worker shard times
-    itself without touching the main pipeline's frames); completed
-    top-level spans from every domain accumulate in the shared {!roots}
-    list until {!reset}.  {!roots} sorts by (name, duration), so the
-    exported span tree is stable even when parallel shards complete
-    their root spans in scheduler order.
+    The open-span stack is per-domain (a domain times itself without
+    touching another's frames); completed top-level spans from every
+    domain accumulate in the shared {!roots} list until {!reset}.
+    {!roots} sorts by (name, duration), so the exported span tree is
+    stable even when domains complete their root spans in scheduler
+    order.
 
     Every span completion is also forwarded to {!Trace_event} (category
     [span]) when the flight recorder is running. *)
@@ -32,7 +32,7 @@ val timed : ?registry:Metrics.t -> name:string -> (unit -> 'a) -> 'a * node
 
 val roots : unit -> node list
 (** Completed top-level spans, sorted by (name, duration) for
-    deterministic export at any [--jobs]. *)
+    deterministic export. *)
 
 val reset : unit -> unit
 (** Drop completed roots (open spans are unaffected). *)

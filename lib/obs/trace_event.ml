@@ -1,9 +1,9 @@
 (* The flight recorder: event capture into per-domain ring buffers,
    exported as Chrome trace-event JSON.
 
-   Each domain writes only its own ring, so recording a batch or a
-   retry from a worker shard costs one Atomic.get (the enabled check)
-   plus an array store — no contention with other shards.  The global
+   Each domain writes only its own ring, so recording an event costs
+   one Atomic.get (the enabled check) plus an array store — no
+   contention with other domains.  The global
    mutex guards only the ring *registry* (touched once per domain per
    recorder generation) and the export path (after the run). *)
 

@@ -1,15 +1,15 @@
 (** The flight recorder (DESIGN.md §14).
 
-    Captures span completions and driver/pool lifecycle events (shard
-    spawn, batch commit, retry, checkpoint write, resync after
-    corruption) into per-domain ring buffers, and exports the merged
+    Captures span completions and pipeline events (batch commit, batch
+    abandon, checkpoint write, resync after corruption) into per-domain
+    ring buffers, and exports the merged
     timeline as Chrome trace-event JSON — load the file in
     [ui.perfetto.dev] or [chrome://tracing].
 
     Recording is off by default and costs one atomic read when
     disabled.  When enabled, each domain appends to its own
     fixed-capacity ring (oldest events overwritten, the overwrite
-    count kept), so instrumentation never blocks a worker shard.
+    count kept), so instrumentation never blocks the pipeline.
     Timestamps come from {!Clock}, so a fake clock makes the exported
     timeline fully deterministic. *)
 

@@ -1,125 +1,6 @@
-module Metrics = Iocov_obs.Metrics
-module Trace_event = Iocov_obs.Trace_event
+type t = unit
 
-let m_domains =
-  Metrics.counter Metrics.default "iocov_par_domains_spawned_total"
-    ~help:"Worker domains spawned by the parallel pipeline."
-
-let m_jobs =
-  Metrics.gauge Metrics.default "iocov_par_jobs"
-    ~help:"Worker count of the most recently created pool."
-
-let m_task_retries =
-  Metrics.counter Metrics.default "iocov_par_task_retries_total"
-    ~help:"Supervised shard tasks retried after an exception."
-
-let m_task_failures =
-  Metrics.counter Metrics.default "iocov_par_task_failures_total"
-    ~help:"Supervised shard tasks that failed permanently."
-
-type t = { jobs : int }
-
-let default_jobs () = max 1 (Domain.recommended_domain_count ())
-
-let create ?jobs () =
-  let jobs =
-    match jobs with
-    | None -> default_jobs ()
-    | Some n when n <= 0 -> default_jobs ()
-    | Some n -> n
-  in
-  Metrics.Gauge.set m_jobs jobs;
-  { jobs }
-
-let jobs t = t.jobs
-
-(* A launched shard set.  Shard 0 of a single-job pool runs inline at
-   [join] time (no domain, no scheduling jitter — the --jobs 1 path is
-   the sequential path); otherwise every shard is a spawned domain. *)
-type 'a running =
-  | Inline of (unit -> 'a)
-  | Domains of 'a or_raise Domain.t array
-
-and 'a or_raise = Value of 'a | Raised of exn
-
-let launch t f =
-  if t.jobs = 1 then Inline (fun () -> f ~shard:0)
-  else
-    Domains
-      (Array.init t.jobs (fun shard ->
-           Metrics.Counter.incr m_domains;
-           Domain.spawn (fun () ->
-               let arg = [ ("shard", string_of_int shard) ] in
-               Trace_event.instant ~cat:"pool" ~args:arg "shard-spawn";
-               let r =
-                 match f ~shard with v -> Value v | exception exn -> Raised exn
-               in
-               Trace_event.instant ~cat:"pool" ~args:arg "shard-exit";
-               r)))
-
-let join r =
-  match r with
-  | Inline f -> [| f () |]
-  | Domains domains ->
-    (* join every shard before deciding the outcome — a raising shard
-       must not leave siblings running — then re-raise the first
-       failure by shard index (deterministic choice) *)
-    let results = Array.map Domain.join domains in
-    Array.map
-      (function Value v -> v | Raised exn -> raise exn)
-      results
-
-let run t f = join (launch t f)
-
-(* --- supervision --- *)
-
-exception Shard_killed of string
-
-type policy = { max_retries : int; backoff_unit : int }
-
-let default_policy = { max_retries = 2; backoff_unit = 256 }
-
-(* Deterministic bounded backoff: a pure spin through
-   [Domain.cpu_relax], doubling per attempt up to a cap.  No clock, no
-   sleep — this library has no unix dependency, and a deterministic
-   delay keeps supervised runs reproducible. *)
-let backoff policy ~attempt =
-  if policy.backoff_unit > 0 && attempt > 0 then begin
-    let spins = policy.backoff_unit * (1 lsl min (attempt - 1) 8) in
-    for _ = 1 to spins do
-      Domain.cpu_relax ()
-    done
-  end
-
-type 'a supervised = {
-  results : 'a option array;
-  retries : int;
-  failed : int;
-}
-
-let run_supervised ?(policy = default_policy) t f =
-  let retries = Atomic.make 0 in
-  let results =
-    run t (fun ~shard ->
-        let rec attempt n =
-          match f ~shard with
-          | v -> Some v
-          | exception Shard_killed _ ->
-            (* an explicit kill is terminal: no retry *)
-            Metrics.Counter.incr m_task_failures;
-            None
-          | exception _ when n < policy.max_retries ->
-            Atomic.incr retries;
-            Metrics.Counter.incr m_task_retries;
-            backoff policy ~attempt:(n + 1);
-            attempt (n + 1)
-          | exception _ ->
-            Metrics.Counter.incr m_task_failures;
-            None
-        in
-        attempt 0)
-  in
-  let failed =
-    Array.fold_left (fun acc r -> if r = None then acc + 1 else acc) 0 results
-  in
-  { results; retries = Atomic.get retries; failed }
+let create ?(jobs = 1) () =
+  if jobs <> 1 then
+    invalid_arg
+      (Printf.sprintf "Pool.create: jobs = %d, but the replay engine runs on one domain" jobs)

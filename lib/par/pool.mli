@@ -1,79 +1,10 @@
-(** A fixed-size domain pool.
+(** The handle {!Replay.session} still accepts as [?pool].
 
-    Sized from [Domain.recommended_domain_count] by default, overridden
-    by the CLI's [--jobs].  A pool is a worker-count policy plus
-    launch/join; the work itself is distributed by {!Replay} through a
-    bounded {!Chan}.
-
-    Counting convention: [jobs] is the number of {e analysis} shards.
-    The producer (trace decode or a live tracer) runs on the calling
-    domain, so a [--jobs 4] replay uses 4 worker domains plus the
-    caller. *)
+    The replay engine runs on the calling domain, so a pool carries
+    nothing: it exists only so that callers written against the former
+    worker pool keep building.  Only one job is accepted. *)
 
 type t
 
 val create : ?jobs:int -> unit -> t
-(** [jobs] ≤ 0 or omitted means [Domain.recommended_domain_count].
-    Sets the [iocov_par_jobs] gauge. *)
-
-val jobs : t -> int
-
-val default_jobs : unit -> int
-
-type 'a running
-
-val launch : t -> (shard:int -> 'a) -> 'a running
-(** Start one shard per job, numbered [0 .. jobs-1].  With [jobs = 1]
-    nothing is spawned: the single shard runs inline on the caller at
-    {!join} time — the [--jobs 1] path {e is} the sequential path.
-    Each spawned domain increments
-    [iocov_par_domains_spawned_total]. *)
-
-val join : 'a running -> 'a array
-(** Wait for every shard; results in shard order.  If shards raised,
-    every shard is still joined first, then the lowest-numbered shard's
-    exception is re-raised. *)
-
-val run : t -> (shard:int -> 'a) -> 'a array
-(** [launch] then [join] — for work that needs no concurrent
-    producer. *)
-
-(** {1 Supervision}
-
-    Plain {!run} propagates the first shard exception and loses every
-    other shard's work.  A supervised run retries a failing shard task
-    with deterministic bounded backoff, and degrades — a task that
-    still fails yields [None] while the survivors' results stand. *)
-
-exception Shard_killed of string
-(** A terminal shard failure: supervision does {e not} retry it.  The
-    fault-injection hooks ({!Replay}'s [chaos]) raise it to simulate a
-    worker death. *)
-
-type policy = {
-  max_retries : int;   (** retry attempts per task after the first try *)
-  backoff_unit : int;  (** base spin count; doubles per attempt, capped *)
-}
-
-val default_policy : policy
-(** 2 retries, 256-spin base. *)
-
-val backoff : policy -> attempt:int -> unit
-(** A deterministic bounded delay before retry [attempt] (1-based): a
-    pure [Domain.cpu_relax] spin, doubling per attempt up to a cap.  No
-    clock and no sleep — supervised runs stay reproducible and the
-    library keeps its no-unix dependency. *)
-
-type 'a supervised = {
-  results : 'a option array;
-      (** per shard; [None] = failed even after retries *)
-  retries : int;  (** total retry attempts across shards *)
-  failed : int;   (** shards whose task never succeeded *)
-}
-
-val run_supervised : ?policy:policy -> t -> (shard:int -> 'a) -> 'a supervised
-(** Like {!run}, but each shard task is retried up to
-    [policy.max_retries] times (with {!backoff} between attempts)
-    instead of poisoning the whole join.  {!Shard_killed} is terminal —
-    it fails the task immediately.  Increments
-    [iocov_par_task_retries_total] and [iocov_par_task_failures_total]. *)
+(** Raises [Invalid_argument] unless [jobs] is omitted or 1. *)

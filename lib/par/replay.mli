@@ -1,34 +1,28 @@
-(** Sharded parallel trace analysis — the execution strategy of the
-    streaming pipeline.
+(** Trace analysis — the execution engine of the streaming pipeline.
 
     This module is the {e engine}, not the front door: consumers build
     pipelines declaratively with [Iocov_pipe] (DESIGN.md §13) — one
-    {!Iocov_pipe.Driver} owns jobs, sharding, supervision,
-    checkpointing, and error budgets for live suite runs, trace replay,
-    and reporting alike — and that driver executes through the entry
-    points below.  Call them directly only when testing the engine
-    itself.
+    {!Iocov_pipe.Driver} owns checkpointing and error budgets for live
+    suite runs, trace replay, and reporting alike — and that driver
+    executes through the entry points below.  Call them directly only
+    when testing the engine itself.
 
-    The pipeline: a producer (the calling domain) feeds batches of
-    work through a bounded {!Chan} to [jobs] worker shards, each of
-    which filters with the shared immutable {!Iocov_trace.Filter.t}
-    and accumulates into its own private {!Iocov_core.Coverage.t}.
-    Shard accumulators are merged in shard order when the pool joins.
+    The engine runs on the calling domain.  A producer (an event list,
+    a trace decoder, or a live tracer) hands it batches of work; each
+    batch is parsed if it is text, filtered with the
+    {!Iocov_trace.Filter.t} and any extra {!stage}, and accumulated
+    into one {!Iocov_core.Coverage} accumulator.  Binary v3 traces on
+    the dense backend skip the event list entirely: records map to
+    plan cells inside the decoder
+    ({!Iocov_trace.Binary_io.drain_batch_dense}).
 
-    {b Determinism contract.}  Coverage accumulation is commutative
-    and associative ({!Iocov_core.Coverage.merge_into}), so the merged
-    result is byte-identical to a sequential replay of the same trace
-    regardless of job count, batch size, counter backend, or how the
-    scheduler spread batches over shards — property-tested in
-    [test/test_par.ml] and [test/test_dense.ml].
-    Global metric counter totals are likewise identical: shards
-    accumulate unmetered and the merged accumulator is credited once
-    via {!Iocov_core.Coverage.meter_counts}.  Only timing (span
-    durations, shard-to-batch assignment) varies run to run.
-
-    With [jobs = 1] no domain is spawned and no channel is created:
-    everything runs inline on the caller, so [--jobs 1] {e is} the
-    sequential path.
+    {b Determinism contract.}  The coverage is byte-identical to a
+    per-event observe of the same trace regardless of batch size,
+    counter backend, trace format, or interruption and resume —
+    property-tested in [test/test_par.ml], [test/test_dense.ml], and
+    [test/test_pipe.ml].  Global metric counter totals are likewise
+    identical: a dense accumulator is credited once, after conversion,
+    via {!Iocov_core.Coverage.meter_counts}.
 
     {b Fault tolerance} (DESIGN.md §12).  Three layers compose:
     {ul
@@ -36,11 +30,10 @@
        run with its position) or lenient (skip, resync, account — up to
        an error budget) handling of corrupt binary records and
        unparsable text lines;}
-    {- {e supervision}: each work batch runs as a retry-safe
-       prepare/commit pair; a worker exception is retried with
-       {!Pool.backoff}, an exhausted batch is abandoned (fatal in
-       strict mode, accounted in lenient), and a {!Pool.Shard_killed}
-       ends one shard while its queue drains to the survivors;}
+    {- {e batch isolation}: a batch whose parse, filter, or stage
+       raises commits nothing and is abandoned — fatal in strict mode,
+       an accounted loss in lenient mode.  It is not retried: the
+       engine is deterministic, so a retry could only fail again;}
     {- {e checkpointing}: [?checkpoint] freezes cursor + coverage
        periodically so [?resume] can continue a crashed run with a
        byte-identical final report.}}
@@ -48,13 +41,13 @@
 
 type counters =
   | Dense
-      (** Shards count into {!Iocov_core.Coverage.Dense} — flat integer
-          arrays indexed by compiled {!Iocov_core.Plan} cell IDs,
-          allocation-free observe, O(cells) merge.  Converted losslessly
-          to the reference shape at merge time; the default. *)
+      (** Count into {!Iocov_core.Coverage.Dense} — flat integer arrays
+          indexed by compiled {!Iocov_core.Plan} cell IDs,
+          allocation-free observe.  Converted losslessly to the
+          reference shape at the end of the run; the default. *)
   | Reference
-      (** Shards use the hashed-histogram {!Iocov_core.Coverage.t}
-          directly — the differential oracle for the dense path. *)
+      (** Use the hashed-histogram {!Iocov_core.Coverage.t} directly —
+          the differential oracle for the dense path. *)
 
 type ingest = Iocov_trace.Binary_io.mode =
   | Strict
@@ -64,38 +57,27 @@ type ingest = Iocov_trace.Binary_io.mode =
           pipeline's treatment of unparsable text lines and abandoned
           batches. *)
 
-type chaos = shard:int -> batch:int -> unit
-(** A fault-injection hook, called at the start of every batch attempt
-    (including retries) with the shard index and the shard-local batch
-    number.  Raising any exception exercises the retry path; raising
-    {!Pool.Shard_killed} kills the shard.  Test-only. *)
-
 type outcome = {
-  coverage : Iocov_core.Coverage.t;  (** merged across shards *)
+  coverage : Iocov_core.Coverage.t;
   events : int;   (** trace records analyzed (before filtering) *)
   kept : int;     (** records that passed the filter *)
   dropped : int;  (** [events - kept] *)
-  shards : int;   (** worker count actually used *)
   batches : int;  (** work batches processed *)
-  shard_events : int array;
-      (** per-shard record counts, indexed by shard.  Scheduling
-          dependent — reported for observability, excluded from the
-          determinism contract. *)
   completeness : Iocov_util.Anomaly.completeness;
-      (** what was read, skipped, retried, and lost; clean on a
-          fully-successful strict run *)
+      (** what was read, skipped, and lost; clean on a fully-successful
+          strict run *)
 }
 
 val default_batch : int
 (** Events per work batch when [?batch] is omitted (1024). *)
 
 type stage = Iocov_trace.Event.t list -> Iocov_trace.Event.t list
-(** A batch-level transform applied on the worker shards {e after} the
-    mount filter: the compiled form of an [Iocov_pipe.Stage] chain.
-    Must be pure and deterministic (it runs on any shard, and a batch
-    may be re-run by supervision's retries).  Omitted, or the identity,
-    the engine behaves exactly as before the pipe layer existed —
-    which is what keeps the byte-identical coverage contract. *)
+(** A batch-level transform applied {e after} the mount filter: the
+    compiled form of an [Iocov_pipe.Stage] chain.  Must be pure and
+    deterministic.  Omitted, or the identity, the engine behaves exactly
+    as before the pipe layer existed — which is what keeps the
+    byte-identical coverage contract.  A stage forces the event-list
+    path on v3 traces. *)
 
 type view = {
   v_cells : int -> int;  (** observation count by {!Iocov_core.Plan} cell id *)
@@ -107,43 +89,33 @@ type view = {
     next event is analyzed — consume it inside the callback. *)
 
 val view_of_coverage : Iocov_core.Coverage.t -> events:int -> view
-(** View a merged (reference) accumulator — how the driver serves the
-    final progress snapshot at any job count. *)
+(** View a finished (reference) accumulator — how the driver serves the
+    final progress snapshot. *)
 
-type watch = pushed:int -> peek:(unit -> view option) -> unit
-(** The producer-side progress hook (the [--progress] sink's feed):
-    called after every pushed work batch with the cumulative count of
-    records pushed and a {e lazy} [peek].  At [jobs = 1], [peek ()]
-    yields a {!view} of the inline shard's accumulation so far; for
-    sharded runs it returns [None] (worker accumulators are
-    domain-private until join), so consumers degrade to producer-side
-    throughput figures.  Called on the producer domain; must not
-    raise. *)
+type watch = pushed:int -> peek:(unit -> view) -> unit
+(** The progress hook (the [--progress] sink's feed): called after every
+    work batch with the cumulative count of records pushed and a
+    {e lazy} [peek] that yields a {!view} of the accumulation so far.
+    Must not raise. *)
 
 val analyze_events :
-  ?pool:Pool.t -> ?batch:int -> ?counters:counters -> ?ingest:ingest ->
-  ?policy:Pool.policy -> ?chaos:chaos -> ?watch:watch ->
+  ?batch:int -> ?counters:counters -> ?ingest:ingest -> ?watch:watch ->
   ?filter:Iocov_trace.Filter.t -> ?stage:stage -> Iocov_trace.Event.t list -> outcome
-(** Replay an in-memory event list.  [pool] defaults to a fresh
-    {!Pool.create}[ ()]; [batch] must be positive; [counters] defaults
-    to [Dense]; [ingest] to [Strict]; [policy] to
-    {!Pool.default_policy}.  [filter] omitted keeps every record;
-    [stage] runs after the filter. *)
+(** Replay an in-memory event list.  [batch] must be positive;
+    [counters] defaults to [Dense]; [ingest] to [Strict].  [filter]
+    omitted keeps every record; [stage] runs after the filter.  Raises
+    [Failure] if a strict run abandons a batch. *)
 
 val analyze_channel :
-  ?pool:Pool.t -> ?batch:int -> ?counters:counters -> ?ingest:ingest ->
-  ?policy:Pool.policy -> ?chaos:chaos -> ?watch:watch -> ?limit:int ->
+  ?batch:int -> ?counters:counters -> ?ingest:ingest -> ?watch:watch -> ?limit:int ->
   ?filter:Iocov_trace.Filter.t -> ?stage:stage -> in_channel -> (outcome, string) result
 (** Replay a trace from a channel, auto-detecting binary
     ({!Iocov_trace.Binary_io}) versus text ({!Iocov_trace.Format_io}).
-    Binary records are decoded in batches on the calling domain (the
-    string table makes decode inherently sequential) and analyzed on
-    the shards; text lines are shipped raw and parsed on the shards.
-    Runs in O(capacity × batch) memory regardless of trace length.
-    In strict mode, parse and decode failures report the
-    lowest-numbered offending record, matching the sequential reader's
-    error.  [limit] stops after that many records (for sampling and
-    for deterministic interrupted-run tests). *)
+    Runs in O(batch) memory regardless of trace length.  In strict
+    mode, parse and decode failures report the first offending record,
+    matching the sequential reader's error.  [limit] stops after that
+    many records (for sampling and for deterministic interrupted-run
+    tests). *)
 
 type checkpoint_spec = {
   ckpt_path : string;   (** where to write (atomically, tmp + rename) *)
@@ -151,55 +123,49 @@ type checkpoint_spec = {
 }
 
 val analyze_file :
-  ?pool:Pool.t -> ?batch:int -> ?counters:counters -> ?ingest:ingest ->
-  ?policy:Pool.policy -> ?chaos:chaos -> ?watch:watch ->
+  ?batch:int -> ?counters:counters -> ?ingest:ingest -> ?watch:watch ->
   ?checkpoint:checkpoint_spec -> ?resume:string * Checkpoint.t -> ?limit:int ->
   ?filter:Iocov_trace.Filter.t -> ?stage:stage -> string -> (outcome, string) result
 (** {!analyze_channel} on a file path, plus checkpointed replay.
 
     [checkpoint] periodically freezes the decode cursor and the
-    accumulated coverage to a file; it requires a binary trace and
-    [--jobs 1] (only the inline path has a single deterministic cursor
-    to freeze), and a final checkpoint is written when the feed ends.
-    [resume = (path, ck)] continues from a loaded {!Checkpoint} — at
-    {e any} job count and either counter backend — and folds the
-    checkpointed prefix into the outcome; the final report is
-    byte-identical to an uninterrupted run's.  When both are given, the
-    new checkpoints carry the combined progress, so a run can crash and
-    resume repeatedly. *)
+    accumulated coverage to a file; it requires a binary trace, and a
+    final checkpoint is written when the feed ends.  [resume = (path,
+    ck)] continues from a loaded {!Checkpoint} under either counter
+    backend and folds the checkpointed prefix into the outcome; the
+    final report is byte-identical to an uninterrupted run's.  When both
+    are given, the new checkpoints carry the combined progress, so a run
+    can crash and resume repeatedly. *)
 
 (** {1 Push-based sessions}
 
     For live sources (suite tracers) that emit one event at a time.
-    Events are buffered into batches and dispatched to the shards;
-    {!finish} flushes, joins, and merges. *)
+    Events are buffered into batches of [batch] and analyzed as each
+    batch fills; {!finish} flushes and converts. *)
 
 type session
 
 val session :
   ?pool:Pool.t -> ?batch:int -> ?counters:counters -> ?ingest:ingest ->
-  ?policy:Pool.policy -> ?chaos:chaos ->
   ?filter:Iocov_trace.Filter.t -> ?stage:stage -> unit -> session
+(** [pool] is accepted and ignored (see {!Pool}). *)
 
 val sink : session -> Iocov_trace.Event.t -> unit
 
-val progress : session -> (Iocov_core.Coverage.t * int) option
-(** Flush pending events and report the coverage accumulated so far
-    with the number of events analyzed — a fresh copy, safe to persist.
-    Inline sessions (jobs = 1) only; [None] for sharded sessions, whose
-    accumulators are private to their worker domains.  The pipe
-    driver's live-checkpointing hook. *)
+val progress : session -> Iocov_core.Coverage.t
+(** Flush pending events and report the coverage accumulated so far —
+    a fresh copy, safe to persist.  The pipe driver's live-checkpointing
+    hook. *)
 
-val progress_view : session -> view option
-(** Flush pending events and {!view} the inline accumulator in place —
-    the cheap variant for progress snapshots, which only read cell
-    counts.  [None] for sharded sessions. *)
+val progress_view : session -> view
+(** Flush pending events and {!view} the accumulator in place — the
+    cheap variant for progress snapshots, which only read cell
+    counts. *)
 
 val complete : session -> (outcome, string) result
-(** Flush any partial batch, close the channel, join the workers, and
-    merge.  Must be called exactly once per session.  Errors (strict
-    parse failures, exhausted error budgets) are values, never
-    exceptions — the pipe driver's shape. *)
+(** Flush any partial batch and convert.  Must be called exactly once
+    per session.  Errors (strict parse failures, exhausted error
+    budgets) are values, never exceptions — the pipe driver's shape. *)
 
 val finish : session -> outcome
 (** {!complete}, unwrapping [Error] into [Failure]. *)

@@ -1,5 +1,4 @@
 module Replay = Iocov_par.Replay
-module Pool = Iocov_par.Pool
 module Checkpoint = Iocov_par.Checkpoint
 module Coverage = Iocov_core.Coverage
 module Snapshot = Iocov_core.Snapshot
@@ -14,11 +13,9 @@ let runs_total kind =
     ~help:"Pipeline runs started, by source kind."
 
 type config = {
-  jobs : int;
   batch : int;
   counters : Replay.counters;
   ingest : Replay.ingest;
-  policy : Pool.policy;
   limit : int option;
   resume : (string * Checkpoint.t) option;
   progress : Progress.conf option;
@@ -26,20 +23,18 @@ type config = {
 
 let default =
   {
-    jobs = 1;
     batch = Replay.default_batch;
     counters = Replay.Dense;
     ingest = Replay.Strict;
-    policy = Pool.default_policy;
     limit = None;
     resume = None;
     progress = None;
   }
 
-let config ?(jobs = default.jobs) ?(batch = default.batch)
-    ?(counters = default.counters) ?(ingest = default.ingest)
-    ?(policy = default.policy) ?limit ?resume ?progress () =
-  { jobs; batch; counters; ingest; policy; limit; resume; progress }
+let config ?(jobs = 1) ?(batch = default.batch) ?(counters = default.counters)
+    ?(ingest = default.ingest) ?limit ?resume ?progress () =
+  if jobs <> 1 then invalid_arg "Driver.config: jobs must be 1";
+  { batch; counters; ingest; limit; resume; progress }
 
 type run = { product : Sink.product; sections : (string * string) list }
 
@@ -51,7 +46,7 @@ let product_of ~label ?(notes = []) (o : Replay.outcome) =
     events = o.events;
     kept = o.kept;
     dropped = o.dropped;
-    shards = o.shards;
+    shards = 1;
     batches = o.batches;
     notes;
   }
@@ -137,56 +132,45 @@ let run_syz ~counters ~label text =
    the default [Progress.default_every] of 10,000. *)
 let watch_stride = 64
 
-let run_live ~pool ~cfg ~filter ~stage ~ckpt ~watch ~label feed =
-  match ckpt with
-  | Some _ when cfg.jobs <> 1 ->
-    Error "live checkpointing requires --jobs 1 (sharded accumulators are private)"
-  | _ ->
-    let s =
-      Replay.session ~pool ~batch:cfg.batch ~counters:cfg.counters
-        ~ingest:cfg.ingest ~policy:cfg.policy ?filter ?stage ()
-    in
-    let emit =
-      match ckpt with
-      | None -> Replay.sink s
-      | Some (path, every) ->
-        let seen = ref 0 in
-        fun ev ->
-          Replay.sink s ev;
-          incr seen;
-          if !seen mod every = 0 then
-            match Replay.progress s with
-            | Some (cov, _) -> atomic_snapshot path cov
-            | None -> ()
-    in
-    let emit =
-      match watch with
-      | None -> emit
-      | Some w ->
-        let pushed = ref 0 in
-        (* [peek] flushes the session's partial batch, which is safe
-           (and only happens) when a snapshot actually fires; one shared
-           closure keeps the per-event path allocation-free.  The watch
-           itself is only consulted every [watch_stride] events — its
-           threshold check is cheap but not free, and at millions of
-           events per second even two closure calls per event register
-           on the replay bench. *)
-        let peek () = Replay.progress_view s in
-        fun ev ->
-          emit ev;
-          incr pushed;
-          if !pushed land (watch_stride - 1) = 0 then w ~pushed:!pushed ~peek
-    in
-    let fed = try Ok (feed emit) with exn -> Error (Printexc.to_string exn) in
-    (* Always complete: the shards must be joined even if the feed died. *)
-    let completed = Replay.complete s in
-    (match (completed, fed) with
-     | Error msg, _ | _, Error msg -> Error msg
-     | Ok outcome, Ok () ->
-       Option.iter
-         (fun (path, _) -> atomic_snapshot path outcome.Replay.coverage)
-         ckpt;
-       Ok (product_of ~label outcome))
+let run_live ~cfg ~filter ~stage ~ckpt ~watch ~label feed =
+  let s =
+    Replay.session ~batch:cfg.batch ~counters:cfg.counters ~ingest:cfg.ingest ?filter
+      ?stage ()
+  in
+  let emit =
+    match ckpt with
+    | None -> Replay.sink s
+    | Some (path, every) ->
+      let seen = ref 0 in
+      fun ev ->
+        Replay.sink s ev;
+        incr seen;
+        if !seen mod every = 0 then atomic_snapshot path (Replay.progress s)
+  in
+  let emit =
+    match watch with
+    | None -> emit
+    | Some w ->
+      let pushed = ref 0 in
+      (* [peek] flushes the session's partial batch, which is safe
+         (and only happens) when a snapshot actually fires; one shared
+         closure keeps the per-event path allocation-free.  The watch
+         itself is only consulted every [watch_stride] events — its
+         threshold check is cheap but not free, and at millions of
+         events per second even two closure calls per event register
+         on the replay bench. *)
+      let peek () = Replay.progress_view s in
+      fun ev ->
+        emit ev;
+        incr pushed;
+        if !pushed land (watch_stride - 1) = 0 then w ~pushed:!pushed ~peek
+  in
+  let fed = try Ok (feed emit) with exn -> Error (Printexc.to_string exn) in
+  match (Replay.complete s, fed) with
+  | Error msg, _ | _, Error msg -> Error msg
+  | Ok outcome, Ok () ->
+    Option.iter (fun (path, _) -> atomic_snapshot path outcome.Replay.coverage) ckpt;
+    Ok (product_of ~label outcome)
 
 (* Bounded-source event count, for the progress tracker's ETA. *)
 let source_total cfg source =
@@ -220,37 +204,32 @@ let execute ~cfg ~stages ~ckpt ~watch source =
   | Source.Events { label; events } ->
     let* () = reject_resume "event lists" in
     let* () = reject_ckpt "event lists" in
-    let pool = Pool.create ~jobs:cfg.jobs () in
     let events = truncate cfg.limit events in
     (try
        Ok
          (product_of ~label
-            (Replay.analyze_events ~pool ~batch:cfg.batch ~counters:cfg.counters
-               ~ingest:cfg.ingest ~policy:cfg.policy ?watch ?filter ?stage events))
+            (Replay.analyze_events ~batch:cfg.batch ~counters:cfg.counters
+               ~ingest:cfg.ingest ?watch ?filter ?stage events))
      with Failure msg -> Error msg)
   | Source.Channel { label; ic } ->
     let* () = reject_resume "channels" in
     let* () = reject_ckpt "channels" in
-    let pool = Pool.create ~jobs:cfg.jobs () in
     Result.map (product_of ~label)
-      (Replay.analyze_channel ~pool ~batch:cfg.batch ~counters:cfg.counters
-         ~ingest:cfg.ingest ~policy:cfg.policy ?watch ?limit:cfg.limit ?filter ?stage
-         ic)
+      (Replay.analyze_channel ~batch:cfg.batch ~counters:cfg.counters
+         ~ingest:cfg.ingest ?watch ?limit:cfg.limit ?filter ?stage ic)
   | Source.File { path } ->
-    let pool = Pool.create ~jobs:cfg.jobs () in
     let checkpoint =
       Option.map
         (fun (ckpt_path, ckpt_every) -> { Replay.ckpt_path; ckpt_every })
         ckpt
     in
     Result.map (product_of ~label:path)
-      (Replay.analyze_file ~pool ~batch:cfg.batch ~counters:cfg.counters
-         ~ingest:cfg.ingest ~policy:cfg.policy ?watch ?checkpoint ?resume:cfg.resume
+      (Replay.analyze_file ~batch:cfg.batch ~counters:cfg.counters
+         ~ingest:cfg.ingest ?watch ?checkpoint ?resume:cfg.resume
          ?limit:cfg.limit ?filter ?stage path)
   | Source.Live { label; feed } ->
     let* () = reject_resume "live sources" in
-    let pool = Pool.create ~jobs:cfg.jobs () in
-    run_live ~pool ~cfg ~filter ~stage ~ckpt ~watch ~label feed
+    run_live ~cfg ~filter ~stage ~ckpt ~watch ~label feed
 
 let run ?(config = default) ?(stages = []) ?(sinks = []) source =
   let kind = Source.kind source in
@@ -272,15 +251,12 @@ let run ?(config = default) ?(stages = []) ?(sinks = []) source =
     (match execute ~cfg:config ~stages ~ckpt ~watch source with
      | Error _ as e -> e
      | Ok product ->
-       (* the closing snapshot always carries coverage figures: the
-          merged outcome is in hand at any job count *)
+       (* the closing snapshot reads the finished coverage *)
        Option.iter
          (fun tr ->
            Progress.finish tr ~events:product.Sink.events
              ~peek:(fun () ->
-               Some
-                 (Replay.view_of_coverage product.Sink.coverage
-                    ~events:product.Sink.events)))
+               Replay.view_of_coverage product.Sink.coverage ~events:product.Sink.events))
          tracker;
        let sections =
          List.filter_map

@@ -3,43 +3,42 @@
     Every consumer — live suite runs ({!Iocov_suites.Runner}), stored
     trace replay ([iocov analyze]), the benches, the examples —
     describes {e what} to run as [source → stages → sinks] and hands
-    {e how} to run it to this driver: jobs and sharding, counter
-    backend, strict/lenient ingestion with error budgets, supervision
-    policy, checkpoint/resume.  Execution is
-    {!Iocov_par.Replay}'s sharded engine, so the determinism contract
-    carries over verbatim: the merged coverage is byte-identical at any
-    job count, batch size, or counter backend.
+    {e how} to run it to this driver: batch size, counter backend,
+    strict/lenient ingestion with error budgets, limits,
+    checkpoint/resume, and progress.  Execution is
+    {!Iocov_par.Replay}'s single-domain engine, so the determinism
+    contract carries over verbatim: the coverage is byte-identical at
+    any batch size or counter backend.
 
     One traversal feeds every sink — coverage, TCD, completeness,
     report sections, gauges, snapshots come out of a single pass over
     the source. *)
 
 type config = {
-  jobs : int;        (** analysis shards; 1 = inline on the caller *)
   batch : int;       (** events per work batch *)
   counters : Iocov_par.Replay.counters;
   ingest : Iocov_par.Replay.ingest;
-  policy : Iocov_par.Pool.policy;
   limit : int option;  (** stop after this many records *)
   resume : (string * Iocov_par.Checkpoint.t) option;
       (** continue a checkpointed file replay *)
   progress : Progress.conf option;
       (** live progress snapshots ([--progress]); a tracker is created
           per run and fed from the engine's watch hook, with a final
-          coverage-bearing snapshot after the merge at any job count *)
+          coverage-bearing snapshot once the run completes *)
 }
 
 val default : config
-(** jobs 1, batch {!Iocov_par.Replay.default_batch}, dense counters,
-    strict ingest, {!Iocov_par.Pool.default_policy}, no limit, no
-    resume, no progress. *)
+(** Batch {!Iocov_par.Replay.default_batch}, dense counters, strict
+    ingest, no limit, no resume, no progress. *)
 
 val config :
   ?jobs:int -> ?batch:int -> ?counters:Iocov_par.Replay.counters ->
-  ?ingest:Iocov_par.Replay.ingest -> ?policy:Iocov_par.Pool.policy ->
-  ?limit:int -> ?resume:string * Iocov_par.Checkpoint.t ->
-  ?progress:Progress.conf -> unit -> config
-(** {!default} with overrides. *)
+  ?ingest:Iocov_par.Replay.ingest -> ?limit:int ->
+  ?resume:string * Iocov_par.Checkpoint.t -> ?progress:Progress.conf -> unit ->
+  config
+(** {!default} with overrides.  [jobs] is accepted only so that older
+    callers keep building: it raises [Invalid_argument] unless it is
+    1. *)
 
 type run = {
   product : Sink.product;   (** what the single pass produced *)
@@ -50,12 +49,11 @@ type run = {
 val run :
   ?config:config -> ?stages:Stage.t list -> ?sinks:Sink.t list ->
   Source.t -> (run, string) result
-(** Run one pipeline.  Bad configurations (checkpointing a sharded or
-    channel source, resuming a text trace, exceeded error budgets,
-    strict-mode corruption) are [Error]s, never exceptions.
+(** Run one pipeline.  Bad configurations (checkpointing a channel
+    source, resuming a text trace, exceeded error budgets, strict-mode
+    corruption) are [Error]s, never exceptions.
 
     Source notes: [Events] applies [limit] by truncation; [Syz] parses
-    the program and feeds input-only coverage directly (stages and
-    sharding do not apply — programs are tiny); [Live] supports
-    {!Sink.checkpoint} at jobs = 1 as periodic atomic coverage
-    snapshots. *)
+    the program and feeds input-only coverage directly (stages do not
+    apply — programs are tiny); [Live] supports {!Sink.checkpoint} as
+    periodic atomic coverage snapshots. *)

@@ -56,6 +56,7 @@ let bitmap cov = hex_of_bytes (Coverage.cell_bitmap cov)
 
 let make ?time ?seed ?tenant ?config ~subcommand ~label ~flags ~jobs ~counters ~events
     ~kept ~lost ~wall_s ~stages cov =
+  if jobs <> 1 then invalid_arg "Ledger.make: jobs must be 1";
   {
     r_id = "";  (* assigned by append *)
     r_time = time;

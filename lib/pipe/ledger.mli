@@ -22,7 +22,8 @@ type record = {
   r_tenant : string option;   (** serve tenant id; [None] for offline runs *)
   r_flags : (string * string) list;
   r_seed : int option;
-  r_jobs : int;
+  r_jobs : int;               (** always 1 since the replay engine runs on
+                                  one domain; older records may say more *)
   r_counters : string;
   r_events : int;
   r_kept : int;
@@ -54,7 +55,9 @@ val make :
   Iocov_core.Coverage.t -> record
 (** Build a record (id empty until {!append} assigns one).  [tenant]
     marks records appended by serve sessions; the list view shows it as
-    a column, so per-tenant runs are diffable like any others. *)
+    a column, so per-tenant runs are diffable like any others.  [jobs]
+    must be 1 ([Invalid_argument] otherwise); it is kept so that older
+    callers keep building. *)
 
 val to_json : record -> Iocov_util.Json.t
 val of_json : Iocov_util.Json.t -> (record, string) result

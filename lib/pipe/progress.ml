@@ -25,8 +25,8 @@ type snapshot = {
   p_rate_cum : float;
   p_rate_win : float;
   p_eta_s : float option;
-  p_cells : (int * int * int) option;  (* lit variant, input, output cells *)
-  p_adequacy_pct : float option;
+  p_cells : int * int * int;  (* lit variant, input, output cells *)
+  p_adequacy_pct : float;
   p_anomalies : int;
   p_budget_burn_pct : float option;
   p_checkpoint_age : int option;       (* events since the last checkpoint *)
@@ -74,12 +74,11 @@ let adequacy_pct cov =
   snd (summarize (Replay.view_of_coverage cov ~events:0))
 
 (* The anomaly figures come from the process-wide metric counters the
-   ingestion and supervision layers already maintain; the tracker
+   ingestion layer and the replay engine already maintain; the tracker
    records their values at creation and reports deltas, so a long
    session with several runs still shows per-run burn. *)
 let anomaly_counters () =
   [ Metrics.counter Metrics.default "iocov_trace_corrupt_records_total";
-    Metrics.counter Metrics.default "iocov_par_batch_retries_total";
     Metrics.counter Metrics.default "iocov_par_batches_abandoned_total" ]
 
 let anomaly_total () =
@@ -136,13 +135,7 @@ let snapshot t ~events ~peek ~final =
     | Some _ -> if final then None else Some 0.0
     | None -> None
   in
-  let cells, adequacy =
-    match peek () with
-    | Some view ->
-      let lit, pct = summarize view in
-      (Some lit, Some pct)
-    | None -> (None, None)
-  in
+  let cells, adequacy = summarize (peek ()) in
   let anomalies = anomaly_total () - t.base_anomalies in
   let burn =
     match t.conf.budget with
@@ -180,15 +173,10 @@ let render_text s =
   if not s.p_final && s.p_rate_win > 0.0 then
     Buffer.add_string buf
       (Printf.sprintf " (win %s/s)" (Ascii.si_count (int_of_float s.p_rate_win)));
-  (match s.p_cells with
-   | Some (v, i, o) ->
-     Buffer.add_string buf
-       (Printf.sprintf "  cells %d/%d (in %d, out %d, var %d)" (v + i + o) Plan.total
-          i o v)
-   | None -> ());
-  (match s.p_adequacy_pct with
-   | Some pct -> Buffer.add_string buf (Printf.sprintf "  adequacy %.1f%%" pct)
-   | None -> ());
+  (let v, i, o = s.p_cells in
+   Buffer.add_string buf
+     (Printf.sprintf "  cells %d/%d (in %d, out %d, var %d)" (v + i + o) Plan.total i o v));
+  Buffer.add_string buf (Printf.sprintf "  adequacy %.1f%%" s.p_adequacy_pct);
   if s.p_anomalies > 0 then
     Buffer.add_string buf (Printf.sprintf "  anomalies %d" s.p_anomalies);
   (match s.p_budget_burn_pct with
@@ -213,14 +201,11 @@ let render_jsonl s =
          ("rate_win", Json.Float s.p_rate_win);
          ("eta_s", opt (fun v -> Json.Float v) s.p_eta_s);
          ( "cells",
-           opt
-             (fun (v, i, o) ->
-               Json.Obj
-                 [ ("lit", Json.Int (v + i + o)); ("total", Json.Int Plan.total);
-                   ("variant", Json.Int v); ("input", Json.Int i);
-                   ("output", Json.Int o) ])
-             s.p_cells );
-         ("adequacy_pct", opt (fun v -> Json.Float v) s.p_adequacy_pct);
+           let v, i, o = s.p_cells in
+           Json.Obj
+             [ ("lit", Json.Int (v + i + o)); ("total", Json.Int Plan.total);
+               ("variant", Json.Int v); ("input", Json.Int i); ("output", Json.Int o) ] );
+         ("adequacy_pct", Json.Float s.p_adequacy_pct);
          ("anomalies", Json.Int s.p_anomalies);
          ("budget_burn_pct", opt (fun v -> Json.Float v) s.p_budget_burn_pct);
          ("checkpoint_age", opt (fun v -> Json.Int v) s.p_checkpoint_age);

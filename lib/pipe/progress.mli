@@ -6,15 +6,11 @@
     a live adequacy percentage, anomaly and error-budget burn,
     checkpoint age, and an ETA for bounded sources.
 
-    The tracker runs on the producer domain and works at any [--jobs]:
-    throughput, anomaly, and checkpoint figures are producer-side and
-    always available, while coverage-dependent figures (cells lit,
-    adequacy) come from the lazy [peek] — a zero-copy
-    {!Iocov_par.Replay.view} that reads cells in place, so a mid-run
-    snapshot costs one pass over the plan, never an accumulator copy —
-    and are present only when the engine can expose an accumulator
-    mid-run: the inline [--jobs 1] path.  Sharded runs still get a final coverage line from
-    {!finish}, which the driver calls with the merged outcome.
+    The tracker runs on the engine's domain.  Coverage-dependent
+    figures (cells lit, adequacy) come from the lazy [peek] — a
+    zero-copy {!Iocov_par.Replay.view} that reads cells in place, so a
+    mid-run snapshot costs one pass over the plan, never an accumulator
+    copy.  The driver calls {!finish} with the finished coverage.
 
     Time comes from an injectable clock (default {!Iocov_obs.Clock}),
     so the throughput/ETA arithmetic is unit-testable with a fake
@@ -39,12 +35,11 @@ type snapshot = {
   p_rate_cum : float;        (** events/s since the tracker started *)
   p_rate_win : float;        (** events/s since the previous snapshot *)
   p_eta_s : float option;    (** bounded sources only *)
-  p_cells : (int * int * int) option;
-      (** lit (variant, input, output) cells, when coverage is peekable *)
-  p_adequacy_pct : float option;
+  p_cells : int * int * int;  (** lit (variant, input, output) cells *)
+  p_adequacy_pct : float;
       (** share of input/output cells within one order of magnitude of
           the target frequency (1000), per {!Iocov_core.Adequacy} *)
-  p_anomalies : int;         (** corrupt records + retries + abandons *)
+  p_anomalies : int;         (** corrupt records + abandoned batches *)
   p_budget_burn_pct : float option;
   p_checkpoint_age : int option;
       (** events since the last checkpoint write, when checkpointing *)
@@ -57,20 +52,18 @@ val tracker : ?clock:(unit -> float) -> ?total:int -> conf -> t
 (** [total] is the bounded-source event count, for ETA. *)
 
 val tick :
-  t -> events:int -> peek:(unit -> Iocov_par.Replay.view option) -> unit
+  t -> events:int -> peek:(unit -> Iocov_par.Replay.view) -> unit
 (** Called per pushed batch (cheap when below the threshold); emits a
     snapshot once [every] more events have been pushed.  [peek] is only
     invoked when a snapshot is actually emitted. *)
 
 val finish :
-  t -> events:int -> peek:(unit -> Iocov_par.Replay.view option) -> unit
+  t -> events:int -> peek:(unit -> Iocov_par.Replay.view) -> unit
 (** Force the final snapshot (marked [final]); the driver calls this
-    with the merged outcome's coverage, so the closing line carries
-    cell and adequacy figures at any job count. *)
+    with the finished coverage. *)
 
 val snapshot :
-  t -> events:int -> peek:(unit -> Iocov_par.Replay.view option) ->
-  final:bool -> snapshot
+  t -> events:int -> peek:(unit -> Iocov_par.Replay.view) -> final:bool -> snapshot
 (** Compute without emitting — the testable core. *)
 
 val render_text : snapshot -> string

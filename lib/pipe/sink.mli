@@ -1,7 +1,7 @@
 (** Where a pipeline's results go.
 
     A single traversal of the source produces one {!product} — the
-    merged coverage, the completeness ledger, and the stream counts —
+    coverage, the completeness ledger, and the stream counts —
     and every sink consumes that product: report sections, TCD sweeps,
     snapshot files, observability gauges.  This is what makes
     multi-sink analysis single-pass: coverage + TCD + completeness +
@@ -15,25 +15,24 @@
 
 type product = {
   label : string;       (** the source's name, used in section headers *)
-  coverage : Iocov_core.Coverage.t;   (** merged across shards *)
+  coverage : Iocov_core.Coverage.t;
   completeness : Iocov_util.Anomaly.completeness;
   events : int;         (** records read, before filtering *)
   kept : int;           (** records that passed the stage chain *)
   dropped : int;        (** [events - kept] *)
-  shards : int;
+  shards : int;         (** always 1; kept for callers that build products *)
   batches : int;
   notes : string list;  (** source-side annotations (e.g. syzlang skips) *)
 }
 
 type t =
   | Render of { name : string; emit : product -> string option }
-      (** Consumes the product after the merge; [Some text] becomes a
+      (** Consumes the product after the traversal; [Some text] becomes a
           named section of the run's output, [None] is a silent effect
           (gauges, files). *)
   | Checkpoint of { path : string; every : int }
       (** Periodic progress persistence: for file sources a resumable
-          {!Iocov_par.Checkpoint} (requires jobs = 1, like
-          [--checkpoint]); for live sources an atomic coverage
+          {!Iocov_par.Checkpoint} (like [--checkpoint]); for live sources an atomic coverage
           {!Iocov_core.Snapshot} at [path] every [every] events, so a
           crashed run leaves its partial coverage behind. *)
 
@@ -42,7 +41,7 @@ val name : t -> string
 val custom : name:string -> (product -> string option) -> t
 
 val summary : t
-(** {!Iocov_core.Report.suite_summary} of the merged coverage. *)
+(** {!Iocov_core.Report.suite_summary} of the coverage. *)
 
 val untested : t
 (** {!Iocov_core.Report.untested_summary}. *)
@@ -56,10 +55,10 @@ val tcd : ?arg:Iocov_core.Arg_class.arg -> targets:float list -> unit -> t
     target. *)
 
 val snapshot : path:string -> t
-(** Writes the merged coverage as a snapshot file and reports where. *)
+(** Writes the coverage as a snapshot file and reports where. *)
 
 val gauges : t
-(** {!Iocov_core.Coverage.publish_gauges} on the merged coverage; no
+(** {!Iocov_core.Coverage.publish_gauges} on the coverage; no
     section. *)
 
 val metrics_file : path:string -> t

@@ -2,19 +2,19 @@
 
     One constructor per ingestion mode the analyzer supports; the
     {!Driver} turns each into the engine feed it needs — decoded
-    batches for binary traces, raw line batches for text (parsed on the
-    worker shards), a push session for live suite runs, and a direct
+    batches for binary traces, raw line batches for text (parsed as
+    each batch runs), a push session for live suite runs, and a direct
     input-only observation pass for Syzkaller programs.  A source
-    carries no policy: jobs, counters, strictness, and checkpointing
-    all live in the {!Driver.config}, so the same source runs under any
-    execution settings. *)
+    carries no execution settings: counters, strictness, limits, and
+    checkpointing all live in the {!Driver.config}, so the same source
+    runs under any of them. *)
 
 type t =
   | Events of { label : string; events : Iocov_trace.Event.t list }
       (** An in-memory event list (tests, benches, synthetic traces). *)
   | File of { path : string }
-      (** A stored trace file.  Text vs binary (v1 or v2) is
-          auto-detected from the magic; strict vs lenient decode comes
+      (** A stored trace file.  Text vs binary (v1, v2, or the default
+          v3) is auto-detected from the magic; strict vs lenient decode comes
           from the driver's [ingest]. *)
   | Channel of { label : string; ic : in_channel }
       (** Like [File], minus checkpoint/resume (no stable path). *)

@@ -9,9 +9,9 @@
     extra per-record rewrites, and metering taps.
 
     Stages are compiled once per run ({!compile}) into the engine's
-    shard-side batch transform; every stage must therefore be pure and
-    deterministic — it runs on any worker shard, and supervision may
-    re-run a batch after a worker exception. *)
+    batch transform; every stage must be pure and deterministic.  A
+    stage that raises abandons its batch: the run fails in strict mode
+    and accounts the loss in lenient mode. *)
 
 type t =
   | Keep of Iocov_trace.Filter.t
@@ -25,8 +25,8 @@ type t =
       (** A counting tap: adds the batch size to
           [iocov_pipe_stage_events_total{stage=name}] and passes the
           batch through unchanged.  Like all engine metrics, totals are
-          observability, not part of the determinism contract (a
-          retried batch meters twice). *)
+          observability, not part of the determinism contract (a batch
+          abandoned by a later stage has already been metered). *)
 
 val filter : Iocov_trace.Filter.t -> t
 val mount : string -> t

@@ -32,11 +32,12 @@ let send oc frame =
   output_string oc frame;
   flush oc
 
-(* Both channels wrap one fd; [close_out] closes it, the second close
-   is a quiet no-op. *)
-let close_both ic oc =
-  close_out_noerr oc;
-  close_in_noerr ic
+(* A connection's two channels wrap one fd: close it once, through the
+   out_channel (which also flushes).  Closing the in_channel too would
+   close the fd number a second time, and by then another thread may
+   have been handed that number for a new connection; the in_channel
+   holds no fd of its own and is freed by the GC. *)
+let close_conn oc = close_out_noerr oc
 
 (* --- ingest connections --- *)
 
@@ -170,7 +171,7 @@ let handle_connection hub ~shutdown ~batch ~handshake_timeout fd =
   let ic = Unix.in_channel_of_descr fd in
   let oc = Unix.out_channel_of_descr fd in
   Fun.protect
-    ~finally:(fun () -> close_both ic oc)
+    ~finally:(fun () -> close_conn oc)
     (fun () ->
       (* a client that connects and never speaks must not pin this
          thread forever: the handshake read is deadline-bounded (the
@@ -392,7 +393,7 @@ let with_conn ~socket f =
   | () ->
     let ic = Unix.in_channel_of_descr fd in
     let oc = Unix.out_channel_of_descr fd in
-    Fun.protect ~finally:(fun () -> close_both ic oc) (fun () -> f fd ic oc)
+    Fun.protect ~finally:(fun () -> close_conn oc) (fun () -> f fd ic oc)
 
 let client_ingest ~socket ~tenant ?mount ?config path =
   match open_in_bin path with

@@ -69,7 +69,7 @@ let counters_name = function
   | Replay.Dense -> "dense"
   | Replay.Reference -> "reference"
 
-let run ?(seed = 42) ?(scale = 1.0) ?(faults = []) ?jobs
+let run ?(seed = 42) ?(scale = 1.0) ?(faults = [])
     ?(counters = Replay.Dense) ?progress ?config suite =
   Log.info "suite run starting"
     ~fields:
@@ -77,15 +77,13 @@ let run ?(seed = 42) ?(scale = 1.0) ?(faults = []) ?jobs
         ("seed", Log.int seed);
         ("scale", Log.float scale);
         ("faults", Log.int (List.length faults));
-        ("jobs", Log.int (match jobs with None -> 1 | Some j -> j));
         ("counters", Log.str (counters_name counters)) ];
   (* The root span doubles as the run's wall clock: [elapsed_s] is the
      root's duration, so profile tree and result always agree. *)
   let (coverage, failures, events_total, events_kept, workloads), root =
     Span.timed ~name:("runner/" ^ suite_name suite) (fun () ->
         (* One pipeline for every run: the suite is a live source, the
-           mount filter is a stage, and the sharded replay engine
-           (inline at one job — no domain, no channel) accumulates.
+           mount filter is a stage, and the replay engine accumulates.
            The suite's own observe path is bypassed, so hand it a
            throwaway accumulator; the coverage is byte-identical to a
            direct observe by the determinism contract (DESIGN.md §13),
@@ -103,11 +101,7 @@ let run ?(seed = 42) ?(scale = 1.0) ?(faults = []) ?jobs
           events_total := et;
           workloads := w
         in
-        let config =
-          Iocov_pipe.Driver.config
-            ~jobs:(match jobs with Some j -> j | None -> 1)
-            ~counters ?progress ()
-        in
+        let config = Iocov_pipe.Driver.config ~counters ?progress () in
         match
           Iocov_pipe.Driver.run ~config
             ~stages:[ Iocov_pipe.Stage.mount (mount_of suite) ]
@@ -145,9 +139,9 @@ let run ?(seed = 42) ?(scale = 1.0) ?(faults = []) ?jobs
     elapsed_s = root.Span.duration_s;
   }
 
-let run_both ?seed ?scale ?faults ?jobs ?counters () =
-  ( run ?seed ?scale ?faults ?jobs ?counters Crashmonkey,
-    run ?seed ?scale ?faults ?jobs ?counters Xfstests )
+let run_both ?seed ?scale ?faults ?counters () =
+  ( run ?seed ?scale ?faults ?counters Crashmonkey,
+    run ?seed ?scale ?faults ?counters Xfstests )
 
 let detects r = r.failures <> []
 
@@ -161,9 +155,9 @@ let config_of_point (point : Iocov_vfs.Config.point) =
   then None
   else Some point.Iocov_vfs.Config.pt_config
 
-let run_lattice ?seed ?scale ?faults ?jobs ?counters ?progress ~points suite =
+let run_lattice ?seed ?scale ?faults ?counters ?progress ~points suite =
   List.map
     (fun (point : Iocov_vfs.Config.point) ->
       let config = config_of_point point in
-      (point, run ?seed ?scale ?faults ?jobs ?counters ?progress ?config suite))
+      (point, run ?seed ?scale ?faults ?counters ?progress ?config suite))
     points

@@ -20,7 +20,7 @@ type result = {
 }
 
 val run :
-  ?seed:int -> ?scale:float -> ?faults:Iocov_vfs.Fault.t list -> ?jobs:int ->
+  ?seed:int -> ?scale:float -> ?faults:Iocov_vfs.Fault.t list ->
   ?counters:Iocov_par.Replay.counters -> ?progress:Iocov_pipe.Progress.conf ->
   ?config:Iocov_vfs.Config.t -> suite -> result
 (** Run one suite from scratch.  Deterministic for a fixed seed, scale,
@@ -28,13 +28,13 @@ val run :
 
     Every run executes as one streaming pipeline (DESIGN.md §13): the
     suite is an [Iocov_pipe.Source.live] feed, the mount filter a
-    stage, and [Iocov_pipe.Driver] owns the sharding.  [jobs] is the
-    shard count (0 = [Domain.recommended_domain_count]); omitted means
-    one inline shard — no domain, no channel.  [counters] picks the
-    accumulator backend (default [Dense]; [Reference] is the hashed
-    differential oracle).  [progress] attaches a live progress sink to
-    the pipeline ({!Iocov_pipe.Progress}).  The resulting coverage is
-    byte-identical across all combinations — only wall-clock changes.
+    stage, and [Iocov_pipe.Driver] runs the replay engine on the
+    calling domain.  [counters] picks the accumulator backend (default
+    [Dense]; [Reference] is the hashed differential oracle).
+    [progress] attaches a live progress sink to the pipeline
+    ({!Iocov_pipe.Progress}).  The resulting coverage is byte-identical
+    under either backend and equal to an offline replay of the suite's
+    trace — only wall-clock changes.
 
     [config] pins one file-system configuration for every test in the
     suite (a config-lattice point); omitted, each suite keeps its own
@@ -47,7 +47,7 @@ val config_of_point : Iocov_vfs.Config.point -> Iocov_vfs.Config.t option
     point's config otherwise. *)
 
 val run_lattice :
-  ?seed:int -> ?scale:float -> ?faults:Iocov_vfs.Fault.t list -> ?jobs:int ->
+  ?seed:int -> ?scale:float -> ?faults:Iocov_vfs.Fault.t list ->
   ?counters:Iocov_par.Replay.counters -> ?progress:Iocov_pipe.Progress.conf ->
   points:Iocov_vfs.Config.point list -> suite ->
   (Iocov_vfs.Config.point * result) list
@@ -57,11 +57,11 @@ val run_lattice :
     result's coverage to its point's shard. *)
 
 val run_both :
-  ?seed:int -> ?scale:float -> ?faults:Iocov_vfs.Fault.t list -> ?jobs:int ->
+  ?seed:int -> ?scale:float -> ?faults:Iocov_vfs.Fault.t list ->
   ?counters:Iocov_par.Replay.counters -> unit -> result * result
 (** (CrashMonkey, xfstests) with the same settings — the paper's
-    evaluation pair.  {!Ltp} is the third, extension suite.  [jobs] and
-    [counters] are threaded to both runs. *)
+    evaluation pair.  {!Ltp} is the third, extension suite.  [counters]
+    is threaded to both runs. *)
 
 val detects : result -> bool
 (** True when the run's oracles flagged at least one violation — "the

@@ -679,8 +679,7 @@ type mode = Strict | Lenient of Anomaly.budget
 (* The string table makes the decode inherently sequential, but it does
    not make it inherently materializing: a stream hands out events in
    bounded batches, so a multi-million-event trace is processed in
-   O(batch) memory and the decoded batches can feed parallel analysis
-   workers. *)
+   O(batch) memory. *)
 type stream = {
   ic : in_channel;
   version : int;

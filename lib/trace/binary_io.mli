@@ -95,7 +95,7 @@ val flush : writer -> unit
     The incremental string table makes decoding sequential, but not
     materializing: a {!stream} hands out events in bounded batches, so a
     multi-million-event trace runs in O(batch) memory — and the decoded
-    batches are what the parallel pipeline feeds to its worker shards. *)
+    batches are what the replay engine analyzes. *)
 
 type mode =
   | Strict  (** first defect fails the stream, reporting its byte offset *)

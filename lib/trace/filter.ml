@@ -13,8 +13,8 @@ let m_dropped_no_hint = m_result "dropped_no_hint"
 let m_dropped_no_match = m_result "dropped_no_match"
 
 (* Compiled patterns are immutable (see {!Iocov_regex.Engine}), so a
-   filter is shareable across domains: the parallel pipeline compiles
-   once and every worker shard matches against the same value. *)
+   filter is shareable across domains and threads: compile once, match
+   against the same value everywhere. *)
 type t = { keep : Engine.t array }
 
 let create ~patterns =
@@ -93,8 +93,7 @@ let fold t ~init ~f events =
 
 (* The chunk pipeline's batched decision: same classification and the
    same counters as [decide], but metered with three adds per batch
-   instead of one atomic increment per record — worker domains stay off
-   each other's cache lines. *)
+   instead of one atomic increment per record. *)
 let keep_all t events =
   let kept = ref 0 and no_hint = ref 0 and no_match = ref 0 in
   let keep_one (e : Event.t) =

@@ -38,9 +38,8 @@ val keep_all : t -> Event.t list -> Event.t list
 (** [keep_all t events] is the kept records in order — the chunk
     pipeline's batched decision.  Counts exactly like per-record
     {!fold}/{!sink} metering (same counters, same totals), but applied
-    as one add per batch, so parallel worker shards do not contend on
-    the counters per record.  A compiled filter is immutable and may be
-    shared across domains. *)
+    as one add per batch instead of one per record.  A compiled filter
+    is immutable and may be shared across domains and threads. *)
 
 val sink : t -> (Event.t -> unit) -> Event.t -> unit
 (** [sink t k] is a tracer sink that forwards kept records to [k],

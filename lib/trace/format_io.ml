@@ -246,31 +246,34 @@ let enum_token c =
 
 (* Name lookups off the hot path's per-record [List.find_opt]:
    variants and errnos hash, flag combinations memoize (a trace uses a
-   handful of distinct combinations, not the power set). *)
-let variant_tbl =
-  lazy
-    (let h = Hashtbl.create 64 in
-     List.iter (fun v -> Hashtbl.replace h (Model.variant_name v) v) Model.all_variants;
-     h)
+   handful of distinct combinations, not the power set).  The tables
+   are built when the module initialises and only read afterwards, and
+   the memo is an immutable map swapped atomically, so any number of
+   domains or threads may parse at once.  Two parsers adding at the
+   same moment can drop one entry; it is recomputed on the next miss. *)
+let table name_of values =
+  let h = Hashtbl.create 64 in
+  List.iter (fun v -> Hashtbl.replace h (name_of v) v) values;
+  h
 
-let errno_tbl =
-  lazy
-    (let h = Hashtbl.create 64 in
-     List.iter (fun e -> Hashtbl.replace h (Errno.to_string e) e) Errno.all;
-     h)
+let variant_tbl = table Model.variant_name Model.all_variants
+let errno_tbl = table Errno.to_string Errno.all
 
-let flags_tbl : (string, Open_flags.t) Hashtbl.t = Hashtbl.create 16
+module String_map = Map.Make (String)
+
+let flags_memo : Open_flags.t String_map.t Atomic.t = Atomic.make String_map.empty
 
 let scan_flags c =
   let tok = enum_token c in
-  match Hashtbl.find_opt flags_tbl tok with
+  let memo = Atomic.get flags_memo in
+  match String_map.find_opt tok memo with
   | Some f -> f
-  | None ->
-    (match Open_flags.of_string tok with
-     | Some f ->
-       Hashtbl.replace flags_tbl tok f;
-       f
-     | None -> bail ())
+  | None -> (
+    match Open_flags.of_string tok with
+    | Some f ->
+      Atomic.set flags_memo (String_map.add tok f memo);
+      f
+    | None -> bail ())
 
 let scan_name c =
   let len = String.length c.cs in
@@ -421,7 +424,7 @@ let of_line_fast ~seq line =
     else begin
       let name = scan_name c in
       let variant =
-        match Hashtbl.find_opt (Lazy.force variant_tbl) name with
+        match Hashtbl.find_opt variant_tbl name with
         | Some v -> v
         | None -> bail ()
       in
@@ -438,7 +441,7 @@ let of_line_fast ~seq line =
     end
     else begin
       lit c "err:";
-      match Hashtbl.find_opt (Lazy.force errno_tbl) (enum_token c) with
+      match Hashtbl.find_opt errno_tbl (enum_token c) with
       | Some e -> Model.Err e
       | None -> bail ()
     end

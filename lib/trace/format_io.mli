@@ -19,7 +19,8 @@ val of_line : ?seq:int -> string -> (Event.t, string) result
     Parses with a single-pass scanner over the canonical [to_line]
     shape and falls back to {!of_line_reference} on any deviation, so
     accepted inputs, results, and error messages are those of the
-    reference parser. *)
+    reference parser.  Safe to call from several domains or threads at
+    once: it touches no mutable shared state. *)
 
 val of_line_reference : ?seq:int -> string -> (Event.t, string) result
 (** The original [Scanf]-based parser, kept as the differential oracle
@@ -44,8 +45,7 @@ val fold_channel : in_channel -> init:'a -> f:('a -> Event.t -> 'a) -> ('a, stri
 
     Text records are self-contained, so only line numbering is
     sequential: a {!stream} hands out raw line batches in O(batch)
-    memory, and the parse ({!of_line}) can run on any domain — the
-    parallel pipeline parses on its worker shards. *)
+    memory, and the replay engine parses each batch as it runs it. *)
 
 type stream
 

@@ -6,7 +6,6 @@ type kind =
   | Parse_error
   | Budget_exceeded
   | Batch_abandoned
-  | Shard_failed
   | Checkpoint_corrupt
 
 let kind_name = function
@@ -17,7 +16,6 @@ let kind_name = function
   | Parse_error -> "parse_error"
   | Budget_exceeded -> "budget_exceeded"
   | Batch_abandoned -> "batch_abandoned"
-  | Shard_failed -> "shard_failed"
   | Checkpoint_corrupt -> "checkpoint_corrupt"
 
 type t = {
@@ -108,7 +106,7 @@ let is_clean c =
   && c.batches_retried = 0 && c.shards_failed = 0 && c.events_abandoned = 0
   && (not c.truncated) && c.anomalies = []
 
-(* Pointwise sum, for combining producer-side and shard-side accounts
+(* Pointwise sum, for combining producer-side and engine-side accounts
    of one run (or a resumed run with its checkpointed prefix).
    [resumed_from] keeps the earliest provenance; the anomaly list is
    concatenated and capped. *)

@@ -1,8 +1,8 @@
 (** The shared error taxonomy of the fault-tolerant pipeline.
 
     Real traces are messy — truncated files, bit-flipped records,
-    mid-run worker failures.  Every recoverable defect the ingestion,
-    supervision, and checkpoint layers encounter is classified here
+    batches whose processing raised.  Every recoverable defect the
+    ingestion, replay, and checkpoint layers encounter is classified here
     instead of being raised as a bare string, so the completeness
     section of a report can say exactly what was lost and where
     (DESIGN.md §12). *)
@@ -15,8 +15,7 @@ type kind =
                            introduction was lost in a corrupt frame *)
   | Parse_error        (** a text trace line did not parse *)
   | Budget_exceeded    (** more corruption than [--max-bad-records] allows *)
-  | Batch_abandoned    (** a work batch still failed after its retries *)
-  | Shard_failed       (** a worker shard died; survivors absorbed its queue *)
+  | Batch_abandoned    (** processing a work batch raised; the batch was dropped *)
   | Checkpoint_corrupt (** a checkpoint file did not load *)
 
 val kind_name : kind -> string
@@ -61,9 +60,11 @@ type completeness = {
   records_skipped : int;    (** corrupt or unparsable records dropped *)
   corrupt_regions : int;    (** resync scans past damaged byte ranges *)
   bytes_skipped : int;      (** bytes discarded while resyncing *)
-  batches_retried : int;    (** work batches retried after a worker exception *)
-  shards_failed : int;      (** worker shards that died; the run degraded *)
-  events_abandoned : int;   (** events lost with failed batches or shards *)
+  batches_retried : int;
+      (** always 0: the replay engine does not retry; kept with
+          [shards_failed] so checkpoint files keep their format *)
+  shards_failed : int;      (** always 0: the replay engine does not shard *)
+  events_abandoned : int;   (** events lost with abandoned batches *)
   truncated : bool;         (** the trace ended mid-record *)
   resumed_from : string option;  (** checkpoint path, for resumed runs *)
   anomalies : t list;       (** first {!max_kept_anomalies}, stream order *)
@@ -79,5 +80,5 @@ val is_clean : completeness -> bool
 
 val merge : completeness -> completeness -> completeness
 (** Pointwise sum (earliest [resumed_from] wins, anomaly list capped) —
-    combines the producer-side and shard-side accounts of one run, or a
+    combines the producer-side and engine-side accounts of one run, or a
     resumed run with its checkpointed prefix. *)

@@ -1,7 +1,8 @@
 #!/bin/sh
 # The one-command gate: build everything, run the full alcotest suite
-# (which includes the example smoke rules via the runtest alias), and
-# exercise the flight-recorder CLI surface end to end on a tiny trace.
+# (which includes the example smoke rules via the runtest alias),
+# exercise the flight-recorder CLI surface end to end on a tiny trace,
+# and run the benchmark's self-check plus one short run per workload.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -21,10 +22,10 @@ tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 dune exec bin/iocov.exe -- trace xfstests --binary -o "$tmp/t.bin" --seed 7 \
   --scale 0.05 > /dev/null
-dune exec bin/iocov.exe -- analyze "$tmp/t.bin" --jobs 2 \
+dune exec bin/iocov.exe -- analyze "$tmp/t.bin" \
   --trace-out "$tmp/timeline.json" --progress=100 --ledger "$tmp/ledger" \
   > /dev/null 2> /dev/null
-dune exec bin/iocov.exe -- analyze "$tmp/t.bin" --jobs 2 \
+dune exec bin/iocov.exe -- analyze "$tmp/t.bin" \
   --ledger "$tmp/ledger" > /dev/null 2> /dev/null
 grep -q traceEvents "$tmp/timeline.json"
 dune exec bin/iocov.exe -- runs list --ledger "$tmp/ledger" > /dev/null
@@ -99,5 +100,21 @@ if dune exec bin/iocov.exe -- runs diff 7 8 --ledger "$tmp/ledger" \
 fi
 dune exec bin/iocov.exe -- runs diff 7 8 --cross-config --ledger "$tmp/ledger" \
   > /dev/null
+
+echo "== benchmark gate =="
+# the benchmark's own planted-defect self-check, then one short run of
+# each workload: every run must check out correct with no failed
+# operation (the last output line is the run's JSON result)
+python3 perfbench/run.py --self-check > /dev/null
+for w in live-xfstests lattice-crashmonkey replay-v3 serve-poll; do
+  python3 perfbench/run.py --workload "$w" --seed 42 --seconds 1 --trace 0 \
+    > "$tmp/bench.out"
+  tail -n 1 "$tmp/bench.out" | python3 -c '
+import json, sys
+r = json.loads(sys.stdin.read())
+if r.get("correct") is not True or r.get("failed") != 0:
+    sys.exit("benchmark workload %s: correct=%s failed=%s"
+             % (sys.argv[1], r.get("correct"), r.get("failed")))' "$w"
+done
 
 echo "all checks passed"

@@ -13,7 +13,6 @@ module Coverage = Iocov_core.Coverage
 module Snapshot = Iocov_core.Snapshot
 module Runner = Iocov_suites.Runner
 module Replay = Iocov_par.Replay
-module Pool = Iocov_par.Pool
 module Checkpoint = Iocov_par.Checkpoint
 module Ledger = Iocov_pipe.Ledger
 module Hub = Iocov_serve.Hub
@@ -299,8 +298,8 @@ let test_matrix_lazy_alloc () =
 (* --- kill/resume checkpoint differential at lattice points ---
 
    For three lattice points, trace LTP pinned to the point, then replay
-   the trace with a mid-stream kill and a checkpointed resume at jobs 1
-   and 2: the final snapshot must be byte-identical to the
+   the trace with a mid-stream kill and a checkpointed resume: the
+   final snapshot must be byte-identical to the
    uninterrupted run's.  The per-point coverages feed distinct matrix
    shards; the fifteen untouched configs must stay unallocated. *)
 
@@ -329,7 +328,7 @@ let test_lattice_checkpoint_resume () =
       with_temp_file (fun trace ->
           trace_of_point p trace;
           let full =
-            match Replay.analyze_file ~pool:(Pool.create ~jobs:1 ()) ~filter trace with
+            match Replay.analyze_file ~filter trace with
             | Ok o -> o
             | Error msg -> Alcotest.failf "%s: full run: %s" p.Config.pt_name msg
           in
@@ -339,7 +338,7 @@ let test_lattice_checkpoint_resume () =
           with_temp_file (fun ck_path ->
               let limit = full.Replay.events / 2 in
               (match
-                 Replay.analyze_file ~pool:(Pool.create ~jobs:1 ())
+                 Replay.analyze_file
                    ~checkpoint:
                      { Replay.ckpt_path = ck_path;
                        ckpt_every = max 1 (limit / 3) }
@@ -352,20 +351,13 @@ let test_lattice_checkpoint_resume () =
                 | Ok ck -> ck
                 | Error msg -> Alcotest.failf "checkpoint load: %s" msg
               in
-              List.iter
-                (fun jobs ->
-                  match
-                    Replay.analyze_file ~pool:(Pool.create ~jobs ())
-                      ~resume:(ck_path, ck) ~filter trace
-                  with
-                  | Error msg -> Alcotest.failf "resume jobs=%d: %s" jobs msg
-                  | Ok o ->
-                    check_string
-                      (Printf.sprintf "%s resumed jobs=%d byte-identical"
-                         p.Config.pt_name jobs)
-                      want
-                      (Snapshot.to_string o.Replay.coverage))
-                [ 1; 2 ]);
+              match Replay.analyze_file ~resume:(ck_path, ck) ~filter trace with
+              | Error msg -> Alcotest.failf "resume: %s" msg
+              | Ok o ->
+                check_string
+                  (p.Config.pt_name ^ " resumed byte-identical")
+                  want
+                  (Snapshot.to_string o.Replay.coverage));
           (* feed the point's shard of the matrix *)
           ignore (Coverage.Matrix.shard mx p.Config.pt_id);
           ()))

@@ -3,7 +3,7 @@
    universe), white-box agreement between the compiled slot functions
    and the reference decode mapping, and the differential property —
    dense and reference pipelines produce byte-identical snapshots and
-   reports for fuzzer-generated streams at any job count. *)
+   reports for fuzzer-generated streams. *)
 
 open Iocov_syscall
 module Prng = Iocov_util.Prng
@@ -15,7 +15,6 @@ module Partition = Iocov_core.Partition
 module Coverage = Iocov_core.Coverage
 module Snapshot = Iocov_core.Snapshot
 module Report = Iocov_core.Report
-module Pool = Iocov_par.Pool
 module Replay = Iocov_par.Replay
 
 let check_int = Alcotest.(check int)
@@ -293,42 +292,28 @@ let test_dense_to_reference_merges_with_reference () =
   Coverage.merge_into ~dst (Coverage.Dense.to_reference b);
   check_string "mixed merge" (Snapshot.to_string all) (Snapshot.to_string dst)
 
-(* --- the pipeline differential: both backends, jobs 1/2/4 --- *)
+(* --- the pipeline differential: both backends --- *)
 
 let test_pipeline_differential () =
   let filter = Filter.mount_point "/mnt/test" in
   List.iter
     (fun seed ->
       let events = gen_events ~seed 10_000 in
-      let oracle =
-        Replay.analyze_events
-          ~pool:(Pool.create ~jobs:1 ())
-          ~counters:Replay.Reference ~filter events
-      in
+      let oracle = Replay.analyze_events ~counters:Replay.Reference ~filter events in
       let oracle_snap = Snapshot.to_string oracle.Replay.coverage in
       let oracle_report = Report.suite_summary ~name:"fuzz" oracle.Replay.coverage in
       List.iter
-        (fun jobs ->
-          List.iter
-            (fun counters ->
-              let o =
-                Replay.analyze_events
-                  ~pool:(Pool.create ~jobs ())
-                  ~batch:256 ~counters ~filter events
-              in
-              let tag =
-                Printf.sprintf "seed=%d jobs=%d %s" seed jobs
-                  (match counters with
-                   | Replay.Dense -> "dense"
-                   | Replay.Reference -> "reference")
-              in
-              check_string (tag ^ " snapshot") oracle_snap
-                (Snapshot.to_string o.Replay.coverage);
-              check_string (tag ^ " report") oracle_report
-                (Report.suite_summary ~name:"fuzz" o.Replay.coverage);
-              check_int (tag ^ " kept") oracle.Replay.kept o.Replay.kept)
-            [ Replay.Dense; Replay.Reference ])
-        [ 1; 2; 4 ])
+        (fun counters ->
+          let o = Replay.analyze_events ~batch:256 ~counters ~filter events in
+          let tag =
+            Printf.sprintf "seed=%d %s" seed
+              (match counters with Replay.Dense -> "dense" | Replay.Reference -> "reference")
+          in
+          check_string (tag ^ " snapshot") oracle_snap (Snapshot.to_string o.Replay.coverage);
+          check_string (tag ^ " report") oracle_report
+            (Report.suite_summary ~name:"fuzz" o.Replay.coverage);
+          check_int (tag ^ " kept") oracle.Replay.kept o.Replay.kept)
+        [ Replay.Dense; Replay.Reference ])
     [ 42; 1337 ]
 
 let suites =
@@ -348,5 +333,4 @@ let suites =
         Alcotest.test_case "to_reference composes with merges" `Quick
           test_dense_to_reference_merges_with_reference ] );
     ( "dense.pipeline",
-      [ Alcotest.test_case "both backends, jobs 1/2/4" `Quick
-          test_pipeline_differential ] ) ]
+      [ Alcotest.test_case "both backends" `Quick test_pipeline_differential ] ) ]

@@ -127,17 +127,17 @@ let test_progress_rates_and_eta () =
   let t = ref 0.0 in
   let clock () = !t in
   let tr = Progress.tracker ~clock ~total:1000 (conf ~emit:ignore 100) in
-  let none () = None in
+  let empty () = Replay.view_of_coverage (Coverage.create ()) ~events:0 in
   t := 1.0;
-  let s = Progress.snapshot tr ~events:100 ~peek:none ~final:false in
+  let s = Progress.snapshot tr ~events:100 ~peek:empty ~final:false in
   check_float "cumulative rate" 100.0 s.Progress.p_rate_cum;
   check_float "first window equals cumulative" 100.0 s.Progress.p_rate_win;
   check_bool "eta from window" true (s.Progress.p_eta_s = Some 9.0);
-  check_bool "no coverage peeked" true (s.Progress.p_cells = None);
+  check_bool "empty coverage lights no cells" true (s.Progress.p_cells = (0, 0, 0));
   (* advance the window via an emitting tick, then re-measure *)
-  Progress.tick tr ~events:100 ~peek:none;
+  Progress.tick tr ~events:100 ~peek:empty;
   t := 2.0;
-  let s = Progress.snapshot tr ~events:300 ~peek:none ~final:false in
+  let s = Progress.snapshot tr ~events:300 ~peek:empty ~final:false in
   check_float "cumulative over 2s" 150.0 s.Progress.p_rate_cum;
   check_float "windowed over last 1s" 200.0 s.Progress.p_rate_win;
   check_bool "eta shrinks with the window" true (s.Progress.p_eta_s = Some 3.5)
@@ -148,16 +148,16 @@ let test_progress_tick_threshold () =
   let tr =
     Progress.tracker ~clock:(fun () -> !t) (conf ~emit:(fun l -> lines := l :: !lines) 100)
   in
-  let none () = None in
-  Progress.tick tr ~events:50 ~peek:none;
+  let empty () = Replay.view_of_coverage (Coverage.create ()) ~events:0 in
+  Progress.tick tr ~events:50 ~peek:empty;
   check_int "below threshold: silent" 0 (Progress.emitted tr);
   t := 1.0;
-  Progress.tick tr ~events:100 ~peek:none;
+  Progress.tick tr ~events:100 ~peek:empty;
   check_int "threshold crossed: one line" 1 (Progress.emitted tr);
-  Progress.tick tr ~events:150 ~peek:none;
+  Progress.tick tr ~events:150 ~peek:empty;
   check_int "window restarts after emit" 1 (Progress.emitted tr);
   t := 2.0;
-  Progress.finish tr ~events:150 ~peek:none;
+  Progress.finish tr ~events:150 ~peek:empty;
   check_int "finish always emits" 2 (Progress.emitted tr);
   match !lines with
   | [ final; first ] ->
@@ -173,7 +173,7 @@ let test_progress_jsonl_parses () =
   Coverage.observe cov (Model.open_ ~flags:0 "/f") (Model.Ret 3);
   let s =
     Progress.snapshot tr ~events:200
-      ~peek:(fun () -> Some (Replay.view_of_coverage cov ~events:200))
+      ~peek:(fun () -> Replay.view_of_coverage cov ~events:200)
       ~final:true
   in
   match Json.of_string (Progress.render_jsonl s) with
@@ -203,7 +203,7 @@ let sample_coverage ?(extra = false) () =
 let sample_record ?extra ?(label = "t.bin") () =
   Ledger.make ~seed:42 ~subcommand:"analyze" ~label
     ~flags:[ ("ingest", "strict") ]
-    ~jobs:4 ~counters:"dense" ~events:1000 ~kept:990 ~lost:10 ~wall_s:1.5
+    ~jobs:1 ~counters:"dense" ~events:1000 ~kept:990 ~lost:10 ~wall_s:1.5
     ~stages:[ ("pipe/file", 1.25) ]
     (sample_coverage ?extra ())
 
@@ -221,7 +221,9 @@ let with_temp_dir f =
       if Sys.file_exists dir then Sys.rmdir dir)
 
 let test_ledger_roundtrip () =
-  let r = { (sample_record ()) with Ledger.r_id = "r9" } in
+  (* records written before the replay engine went single-domain may
+     carry any job count *)
+  let r = { (sample_record ()) with Ledger.r_id = "r9"; r_jobs = 4 } in
   match Ledger.parse_line (Json.to_string (Ledger.to_json r)) with
   | Error msg -> Alcotest.failf "round-trip failed: %s" msg
   | Ok r' ->

@@ -1,7 +1,6 @@
-(* Tests for the parallel sharded analysis pipeline: the bounded
-   channel, the domain pool, merge algebra, and the determinism
-   contract — parallel replay byte-identical to sequential at any job
-   count, over in-memory, text, and binary trace paths. *)
+(* Tests for the replay engine: merge algebra and the determinism
+   contract — batched replay byte-identical to a per-event sequential
+   observe, over in-memory, text, and binary trace paths. *)
 
 open Iocov_syscall
 module Prng = Iocov_util.Prng
@@ -12,10 +11,8 @@ module Binary_io = Iocov_trace.Binary_io
 module Coverage = Iocov_core.Coverage
 module Snapshot = Iocov_core.Snapshot
 module Metrics = Iocov_obs.Metrics
-module Chan = Iocov_par.Chan
 module Pool = Iocov_par.Pool
 module Replay = Iocov_par.Replay
-module Runner = Iocov_suites.Runner
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -85,84 +82,37 @@ let sequential_coverage filter events =
     events;
   (cov, !kept)
 
-(* --- Chan --- *)
-
-let test_chan_fifo () =
-  let c = Chan.create ~capacity:4 in
-  List.iter (Chan.push c) [ 1; 2; 3 ];
-  check_int "length" 3 (Chan.length c);
-  Chan.close c;
-  let p1 = Chan.pop c in
-  let p2 = Chan.pop c in
-  let p3 = Chan.pop c in
-  let p4 = Chan.pop c in
-  check_bool "drains in order" true
-    ([ p1; p2; p3; p4 ] = [ Some 1; Some 2; Some 3; None ]);
-  Chan.close c (* idempotent *)
-
-let test_chan_closed_push () =
-  let c = Chan.create ~capacity:2 in
-  Chan.close c;
-  Alcotest.check_raises "push after close" Chan.Closed (fun () -> Chan.push c 1)
-
-let test_chan_capacity_positive () =
-  check_bool "zero capacity rejected" true
-    (match Chan.create ~capacity:0 with
-     | _ -> false
-     | exception Invalid_argument _ -> true)
-
-let test_chan_cross_domain () =
-  (* capacity far below the item count forces both full- and
-     empty-side blocking; the sum check proves no loss or duplication *)
-  let c = Chan.create ~capacity:3 in
-  let n = 10_000 in
-  let producer =
-    Domain.spawn (fun () ->
-        for i = 1 to n do
-          Chan.push c i
-        done;
-        Chan.close c)
-  in
-  let sum = ref 0 and count = ref 0 in
-  let rec drain () =
-    match Chan.pop c with
-    | Some v ->
-      sum := !sum + v;
-      incr count;
-      drain ()
-    | None -> ()
-  in
-  drain ();
-  Domain.join producer;
-  check_int "all items" n !count;
-  check_int "sum preserved" (n * (n + 1) / 2) !sum
-
 (* --- Pool --- *)
 
-let test_pool_shard_order () =
-  let pool = Pool.create ~jobs:3 () in
-  let results = Pool.run pool (fun ~shard -> shard * 10) in
-  check_bool "results in shard order" true (results = [| 0; 10; 20 |])
-
+(* The pool is a compatibility handle: the default and 1 are the only
+   job counts it accepts. *)
+(* With the only job count it accepts, a session runs every batch on
+   the calling domain. *)
 let test_pool_jobs_one_inline () =
-  let pool = Pool.create ~jobs:1 () in
-  let domain_before = Domain.self () in
-  let results = Pool.run pool (fun ~shard -> (shard, Domain.self ())) in
-  check_int "one shard" 1 (Array.length results);
-  check_bool "runs on the calling domain" true (snd results.(0) = domain_before)
-
-let test_pool_exception_propagates () =
-  let pool = Pool.create ~jobs:2 () in
-  Alcotest.check_raises "shard failure re-raised" (Failure "shard-0")
-    (fun () ->
-      ignore
-        (Pool.run pool (fun ~shard ->
-             if shard = 0 then failwith "shard-0" else ())))
+  let caller = Domain.self () in
+  let seen = ref [] in
+  let stage events =
+    seen := Domain.self () :: !seen;
+    events
+  in
+  let s = Replay.session ~pool:(Pool.create ~jobs:1 ()) ~batch:16 ~stage () in
+  List.iter (Replay.sink s) (synth_events ~seed:3 100);
+  ignore (Replay.finish s);
+  check_int "every batch ran" 7 (List.length !seen);
+  check_bool "on the calling domain" true (List.for_all (( = ) caller) !seen)
 
 let test_pool_default_jobs () =
-  check_bool "auto jobs positive" true (Pool.jobs (Pool.create ()) >= 1);
-  check_int "non-positive means auto" (Pool.jobs (Pool.create ()))
-    (Pool.jobs (Pool.create ~jobs:0 ()))
+  ignore (Pool.create ());
+  ignore (Pool.create ~jobs:1 ());
+  List.iter
+    (fun jobs ->
+      check_bool
+        (Printf.sprintf "jobs=%d rejected" jobs)
+        true
+        (match Pool.create ~jobs () with
+         | _ -> false
+         | exception Invalid_argument _ -> true))
+    [ 0; 2; 4 ]
 
 (* --- merge algebra: the determinism contract's foundation --- *)
 
@@ -195,25 +145,18 @@ let test_merge_associative () =
     (Snapshot.to_string (merged (merged a b) c))
     (Snapshot.to_string (merged a (merged b c)))
 
-(* --- Replay: parallel vs sequential byte-equality --- *)
+(* --- Replay: batched vs sequential byte-equality --- *)
 
 let test_replay_matches_sequential () =
   let events = synth_events ~seed:5 5_000 in
   let filter = Filter.mount_point "/mnt/test" in
   let ref_cov, ref_kept = sequential_coverage filter events in
-  List.iter
-    (fun jobs ->
-      let pool = Pool.create ~jobs () in
-      (* small batches force many work items per shard *)
-      let o = Replay.analyze_events ~pool ~batch:64 ~filter events in
-      check_bool
-        (Printf.sprintf "coverage identical at jobs=%d" jobs)
-        true
-        (Snapshot.equal ref_cov o.Replay.coverage);
-      check_int (Printf.sprintf "kept at jobs=%d" jobs) ref_kept o.Replay.kept;
-      check_int (Printf.sprintf "events at jobs=%d" jobs) 5_000 o.Replay.events;
-      check_int (Printf.sprintf "shards at jobs=%d" jobs) jobs o.Replay.shards)
-    [ 1; 2; 4 ]
+  (* small batches force many work items *)
+  let o = Replay.analyze_events ~batch:64 ~filter events in
+  check_bool "coverage identical" true (Snapshot.equal ref_cov o.Replay.coverage);
+  check_int "kept" ref_kept o.Replay.kept;
+  check_int "events" 5_000 o.Replay.events;
+  check_int "batches" ((5_000 + 63) / 64) o.Replay.batches
 
 let with_temp_file f =
   let path = Filename.temp_file "iocov_par" ".trace" in
@@ -226,21 +169,14 @@ let test_replay_text_channel () =
   with_temp_file (fun path ->
       Out_channel.with_open_text path (fun oc ->
           List.iter (Format_io.sink_channel oc) events);
-      List.iter
-        (fun jobs ->
-          let ic = open_in_bin path in
-          let pool = Pool.create ~jobs () in
-          let result = Replay.analyze_channel ~pool ~batch:128 ~filter ic in
-          close_in ic;
-          match result with
-          | Error msg -> Alcotest.failf "text replay failed: %s" msg
-          | Ok o ->
-            check_bool
-              (Printf.sprintf "text coverage identical at jobs=%d" jobs)
-              true
-              (Snapshot.equal ref_cov o.Replay.coverage);
-            check_int (Printf.sprintf "text kept at jobs=%d" jobs) ref_kept o.Replay.kept)
-        [ 1; 3 ])
+      let ic = open_in_bin path in
+      let result = Replay.analyze_channel ~batch:128 ~filter ic in
+      close_in ic;
+      match result with
+      | Error msg -> Alcotest.failf "text replay failed: %s" msg
+      | Ok o ->
+        check_bool "text coverage identical" true (Snapshot.equal ref_cov o.Replay.coverage);
+        check_int "text kept" ref_kept o.Replay.kept)
 
 let test_replay_binary_channel () =
   let events = synth_events ~seed:7 2_000 in
@@ -252,21 +188,14 @@ let test_replay_binary_channel () =
       List.iter (Binary_io.sink w) events;
       Binary_io.flush w;
       close_out oc;
-      List.iter
-        (fun jobs ->
-          let ic = open_in_bin path in
-          let pool = Pool.create ~jobs () in
-          let result = Replay.analyze_channel ~pool ~batch:128 ~filter ic in
-          close_in ic;
-          match result with
-          | Error msg -> Alcotest.failf "binary replay failed: %s" msg
-          | Ok o ->
-            check_bool
-              (Printf.sprintf "binary coverage identical at jobs=%d" jobs)
-              true
-              (Snapshot.equal ref_cov o.Replay.coverage);
-            check_int (Printf.sprintf "binary kept at jobs=%d" jobs) ref_kept o.Replay.kept)
-        [ 1; 2 ])
+      let ic = open_in_bin path in
+      let result = Replay.analyze_channel ~batch:128 ~filter ic in
+      close_in ic;
+      match result with
+      | Error msg -> Alcotest.failf "binary replay failed: %s" msg
+      | Ok o ->
+        check_bool "binary coverage identical" true (Snapshot.equal ref_cov o.Replay.coverage);
+        check_int "binary kept" ref_kept o.Replay.kept)
 
 let test_replay_text_error_line () =
   (* parse failures must report the lowest offending line, exactly as
@@ -285,34 +214,23 @@ let test_replay_text_error_line () =
         close_in ic;
         match r with Ok () -> Alcotest.fail "expected a parse error" | Error m -> m
       in
-      List.iter
-        (fun jobs ->
-          let ic = open_in_bin path in
-          let pool = Pool.create ~jobs () in
-          let result = Replay.analyze_channel ~pool ~batch:8 ~filter:(Filter.mount_point "/mnt/test") ic in
-          close_in ic;
-          match result with
-          | Ok _ -> Alcotest.fail "expected a parse error"
-          | Error msg ->
-            check_string (Printf.sprintf "error agrees at jobs=%d" jobs) sequential_err msg)
-        [ 1; 2 ])
+      let ic = open_in_bin path in
+      let result = Replay.analyze_channel ~batch:8 ~filter:(Filter.mount_point "/mnt/test") ic in
+      close_in ic;
+      match result with
+      | Ok _ -> Alcotest.fail "expected a parse error"
+      | Error msg -> check_string "error agrees" sequential_err msg)
 
 let test_session_matches_analyze () =
   let events = synth_events ~seed:9 3_000 in
   let filter = Filter.mount_point "/mnt/test" in
-  let direct = Replay.analyze_events ~pool:(Pool.create ~jobs:1 ()) ~filter events in
-  List.iter
-    (fun jobs ->
-      let s = Replay.session ~pool:(Pool.create ~jobs ()) ~batch:100 ~filter () in
-      List.iter (Replay.sink s) events;
-      let o = Replay.finish s in
-      check_bool
-        (Printf.sprintf "session coverage identical at jobs=%d" jobs)
-        true
-        (Snapshot.equal direct.Replay.coverage o.Replay.coverage);
-      check_int (Printf.sprintf "session kept at jobs=%d" jobs) direct.Replay.kept
-        o.Replay.kept)
-    [ 1; 2 ]
+  let direct = Replay.analyze_events ~filter events in
+  let s = Replay.session ~pool:(Pool.create ()) ~batch:100 ~filter () in
+  List.iter (Replay.sink s) events;
+  let o = Replay.finish s in
+  check_bool "session coverage identical" true
+    (Snapshot.equal direct.Replay.coverage o.Replay.coverage);
+  check_int "session kept" direct.Replay.kept o.Replay.kept
 
 (* --- keep_all: batched filtering preserves results and counters --- *)
 
@@ -349,31 +267,9 @@ let test_keep_all_counters_match_per_event () =
   check_int "no-hint delta equal" (h1 - h0) (h2 - h1);
   check_int "no-match delta equal" (m1 - m0) (m2 - m1)
 
-(* --- the whole stack: Runner with jobs --- *)
-
-let test_runner_jobs_parity () =
-  let sequential = Runner.run ~seed:4 ~scale:0.05 Runner.Ltp in
-  let parallel = Runner.run ~seed:4 ~scale:0.05 ~jobs:2 Runner.Ltp in
-  check_bool "coverage identical" true
-    (Snapshot.equal sequential.Runner.coverage parallel.Runner.coverage);
-  check_int "events kept identical" sequential.Runner.events_kept
-    parallel.Runner.events_kept;
-  check_int "events total identical" sequential.Runner.events_total
-    parallel.Runner.events_total;
-  check_int "failures identical"
-    (List.length sequential.Runner.failures)
-    (List.length parallel.Runner.failures)
-
 let suites =
-  [ ( "par.chan",
-      [ Alcotest.test_case "fifo and close" `Quick test_chan_fifo;
-        Alcotest.test_case "push after close" `Quick test_chan_closed_push;
-        Alcotest.test_case "capacity validated" `Quick test_chan_capacity_positive;
-        Alcotest.test_case "cross-domain transfer" `Quick test_chan_cross_domain ] );
-    ( "par.pool",
-      [ Alcotest.test_case "shard order" `Quick test_pool_shard_order;
-        Alcotest.test_case "jobs=1 runs inline" `Quick test_pool_jobs_one_inline;
-        Alcotest.test_case "exception propagates" `Quick test_pool_exception_propagates;
+  [ ( "par.pool",
+      [ Alcotest.test_case "jobs=1 runs inline" `Quick test_pool_jobs_one_inline;
         Alcotest.test_case "default jobs" `Quick test_pool_default_jobs ] );
     ( "par.merge",
       [ Alcotest.test_case "commutative" `Quick test_merge_commutative;
@@ -386,6 +282,4 @@ let suites =
         Alcotest.test_case "session" `Quick test_session_matches_analyze ] );
     ( "par.filter",
       [ Alcotest.test_case "keep_all agrees" `Quick test_keep_all_agrees_with_keeps;
-        Alcotest.test_case "keep_all counters" `Quick test_keep_all_counters_match_per_event ] );
-    ( "par.runner",
-      [ Alcotest.test_case "jobs=2 parity" `Quick test_runner_jobs_parity ] ) ]
+        Alcotest.test_case "keep_all counters" `Quick test_keep_all_counters_match_per_event ] ) ]

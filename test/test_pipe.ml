@@ -1,10 +1,11 @@
 (* Differential tests for the unified streaming pipeline (DESIGN.md §13):
    every consumer routed through Iocov_pipe.Driver must produce coverage
    byte-identical to the pre-pipe path it replaced — live suite runs vs
-   direct observation, file replay vs Replay.analyze_file, binary v1/v2,
-   both counter backends, jobs 1/2/4 — plus lenient-mode completeness
-   equivalence, multi-sink single-pass analysis, stages, and the
-   configuration errors the driver must report as values. *)
+   direct observation, file replay vs Replay.analyze_file, binary v1/v2/v3,
+   both counter backends — plus lenient-mode completeness equivalence,
+   multi-sink single-pass analysis, stages, the configuration errors the
+   driver must report as values, and the "all roads, one digest"
+   property over every way a coverage result can be produced. *)
 
 module Event = Iocov_trace.Event
 module Filter = Iocov_trace.Filter
@@ -15,7 +16,10 @@ module Snapshot = Iocov_core.Snapshot
 module Report = Iocov_core.Report
 module Anomaly = Iocov_util.Anomaly
 module Replay = Iocov_par.Replay
-module Pool = Iocov_par.Pool
+module Checkpoint = Iocov_par.Checkpoint
+module Ledger = Iocov_pipe.Ledger
+module Hub = Iocov_serve.Hub
+module Vconfig = Iocov_vfs.Config
 module Runner = Iocov_suites.Runner
 module Source = Iocov_pipe.Source
 module Stage = Iocov_pipe.Stage
@@ -36,7 +40,6 @@ let ok_run = function
   | Ok (r : Driver.run) -> r
   | Error msg -> Alcotest.failf "pipeline failed: %s" msg
 
-let jobs_sweep = [ 1; 2; 4 ]
 let backends = [ (Replay.Dense, "dense"); (Replay.Reference, "reference") ]
 
 (* --- live suite runs: Runner-through-driver vs direct observation --- *)
@@ -66,21 +69,12 @@ let test_suite_differential () =
       let oracle_cov, oracle_kept = direct_suite_coverage suite ~seed ~scale in
       let oracle = snap oracle_cov in
       List.iter
-        (fun jobs ->
-          List.iter
-            (fun (counters, cname) ->
-              let r =
-                Runner.run ~seed ~scale
-                  ?jobs:(if jobs = 1 then None else Some jobs)
-                  ~counters suite
-              in
-              let tag =
-                Printf.sprintf "%s jobs=%d %s" (Runner.suite_name suite) jobs cname
-              in
-              check_string (tag ^ " snapshot") oracle (snap r.Runner.coverage);
-              check_int (tag ^ " kept") oracle_kept r.Runner.events_kept)
-            backends)
-        jobs_sweep)
+        (fun (counters, cname) ->
+          let r = Runner.run ~seed ~scale ~counters suite in
+          let tag = Printf.sprintf "%s %s" (Runner.suite_name suite) cname in
+          check_string (tag ^ " snapshot") oracle (snap r.Runner.coverage);
+          check_int (tag ^ " kept") oracle_kept r.Runner.events_kept)
+        backends)
     [ Runner.Crashmonkey; Runner.Xfstests; Runner.Ltp ]
 
 (* --- file replay: driver vs Replay.analyze_file, binary v1/v2 --- *)
@@ -104,33 +98,23 @@ let test_file_differential () =
           write path events;
           (* the pre-pipe path: the engine called directly *)
           let oracle =
-            match
-              Replay.analyze_file ~pool:(Pool.create ~jobs:1 ())
-                ~counters:Replay.Reference ~filter path
-            with
+            match Replay.analyze_file ~counters:Replay.Reference ~filter path with
             | Ok o -> o
             | Error msg -> Alcotest.failf "%s oracle: %s" fmt msg
           in
           List.iter
-            (fun jobs ->
-              List.iter
-                (fun (counters, cname) ->
-                  let config = Driver.config ~jobs ~batch:256 ~counters () in
-                  let r =
-                    ok_run
-                      (Driver.run ~config ~stages:[ Stage.filter filter ]
-                         (Source.file path))
-                  in
-                  let tag = Printf.sprintf "%s jobs=%d %s" fmt jobs cname in
-                  check_string (tag ^ " snapshot")
-                    (snap oracle.Replay.coverage)
-                    (snap r.Driver.product.Sink.coverage);
-                  check_int (tag ^ " kept") oracle.Replay.kept
-                    r.Driver.product.Sink.kept;
-                  check_int (tag ^ " events") oracle.Replay.events
-                    r.Driver.product.Sink.events)
-                backends)
-            jobs_sweep))
+            (fun (counters, cname) ->
+              let config = Driver.config ~batch:256 ~counters () in
+              let r =
+                ok_run (Driver.run ~config ~stages:[ Stage.filter filter ] (Source.file path))
+              in
+              let tag = Printf.sprintf "%s %s" fmt cname in
+              check_string (tag ^ " snapshot")
+                (snap oracle.Replay.coverage)
+                (snap r.Driver.product.Sink.coverage);
+              check_int (tag ^ " kept") oracle.Replay.kept r.Driver.product.Sink.kept;
+              check_int (tag ^ " events") oracle.Replay.events r.Driver.product.Sink.events)
+            backends))
     [ ("text", write_text);
       ("binary-v1", write_binary ~version:1);
       ("binary-v2", write_binary ~version:2);
@@ -165,44 +149,34 @@ let test_lenient_differential () =
       flip_byte path 600;
       let ingest = Replay.Lenient Anomaly.Unlimited in
       let oracle =
-        match
-          Replay.analyze_file ~pool:(Pool.create ~jobs:1 ())
-            ~counters:Replay.Reference ~ingest ~filter path
-        with
+        match Replay.analyze_file ~counters:Replay.Reference ~ingest ~filter path with
         | Ok o -> o
         | Error msg -> Alcotest.failf "lenient oracle: %s" msg
       in
       check_bool "corruption was injected" true
         (oracle.Replay.completeness.Anomaly.records_skipped > 0
          || oracle.Replay.completeness.Anomaly.corrupt_regions > 0);
-      List.iter
-        (fun jobs ->
-          let config = Driver.config ~jobs ~ingest () in
-          let r =
-            ok_run
-              (Driver.run ~config ~stages:[ Stage.filter filter ]
-                 ~sinks:[ Sink.completeness ]
-                 (Source.file path))
-          in
-          let tag = Printf.sprintf "lenient jobs=%d" jobs in
-          check_string (tag ^ " snapshot")
-            (snap oracle.Replay.coverage)
-            (snap r.Driver.product.Sink.coverage);
-          check_completeness tag oracle.Replay.completeness
-            r.Driver.product.Sink.completeness;
-          check_string (tag ^ " ledger section")
-            (Report.completeness ~name:path oracle.Replay.completeness)
-            (List.assoc "completeness" r.Driver.sections))
-        jobs_sweep)
+      let r =
+        ok_run
+          (Driver.run ~config:(Driver.config ~ingest ()) ~stages:[ Stage.filter filter ]
+             ~sinks:[ Sink.completeness ] (Source.file path))
+      in
+      check_string "lenient snapshot"
+        (snap oracle.Replay.coverage)
+        (snap r.Driver.product.Sink.coverage);
+      check_completeness "lenient" oracle.Replay.completeness
+        r.Driver.product.Sink.completeness;
+      check_string "lenient ledger section"
+        (Report.completeness ~name:path oracle.Replay.completeness)
+        (List.assoc "completeness" r.Driver.sections))
 
 (* --- multi-sink: one traversal feeds every consumer --- *)
 
 let test_multi_sink_single_pass () =
   let events = synth_events ~seed:31 2_000 in
-  let config = Driver.config ~jobs:2 () in
   let r =
     ok_run
-      (Driver.run ~config ~stages:[ Stage.filter filter ]
+      (Driver.run ~stages:[ Stage.filter filter ]
          ~sinks:
            [ Sink.summary; Sink.untested; Sink.completeness;
              Sink.tcd ~targets:[ 1.0; 100.0 ] ();
@@ -240,26 +214,18 @@ let test_stage_map () =
       (fun e -> Filter.keeps filter e && drop_writes e <> None)
       events
   in
-  let oracle =
-    Replay.analyze_events ~pool:(Pool.create ~jobs:1 ())
-      ~counters:Replay.Reference kept_events
+  let oracle = Replay.analyze_events ~counters:Replay.Reference kept_events in
+  let r =
+    ok_run
+      (Driver.run
+         ~config:(Driver.config ~batch:128 ())
+         ~stages:
+           [ Stage.filter filter; Stage.meter "pre";
+             Stage.map ~name:"drop-writes" drop_writes; Stage.meter "post" ]
+         (Source.events events))
   in
-  List.iter
-    (fun jobs ->
-      let r =
-        ok_run
-          (Driver.run
-             ~config:(Driver.config ~jobs ~batch:128 ())
-             ~stages:
-               [ Stage.filter filter; Stage.meter "pre";
-                 Stage.map ~name:"drop-writes" drop_writes; Stage.meter "post" ]
-             (Source.events events))
-      in
-      let tag = Printf.sprintf "map jobs=%d" jobs in
-      check_string (tag ^ " snapshot")
-        (snap oracle.Replay.coverage)
-        (snap r.Driver.product.Sink.coverage))
-    jobs_sweep
+  check_string "map snapshot" (snap oracle.Replay.coverage)
+    (snap r.Driver.product.Sink.coverage)
 
 (* --- syzlang source: driver vs direct input-only observation --- *)
 
@@ -335,12 +301,8 @@ let test_driver_errors () =
        (Driver.run
           ~sinks:[ Sink.checkpoint ~path:"/tmp/a" ~every:0 ]
           (Source.file "/tmp/whatever")));
-  check_bool "sharded live checkpoint" true
-    (is_error
-       (Driver.run
-          ~config:(Driver.config ~jobs:2 ())
-          ~sinks:[ Sink.checkpoint ~path:"/tmp/a" ~every:10 ]
-          (Source.live (fun _ -> ()))));
+  check_bool "jobs other than 1 rejected" true
+    (match Driver.config ~jobs:2 () with _ -> false | exception Invalid_argument _ -> true);
   check_bool "stages on a syzlang source" true
     (is_error
        (Driver.run ~stages:[ Stage.filter filter ] (Source.syz "close(3)")));
@@ -360,9 +322,121 @@ let test_events_limit () =
   in
   check_int "events limited" 250 r.Driver.product.Sink.events
 
+(* --- all roads, one digest --- *)
+
+(* Every road to a coverage result must produce the same ledger digest:
+   the live suite run, its text trace, its v3 trace, a v3 replay killed
+   at a random record and resumed from its checkpoint, and serve
+   ingestion of the same v3 bytes. *)
+
+let suite_mount = function
+  | Runner.Crashmonkey -> Iocov_suites.Crashmonkey.mount
+  | Runner.Xfstests -> Iocov_suites.Xfstests.mount
+  | Runner.Ltp -> Iocov_suites.Ltp.mount
+
+(* Run the suite once more with a raw-trace sink, as [iocov trace]
+   does; returns the record count. *)
+let write_traces ~seed ~scale ?config suite ~text ~v3 =
+  let oc_t = open_out_bin text and oc_b = open_out_bin v3 in
+  let w = Binary_io.writer oc_b in
+  let records = ref 0 in
+  let sink ev =
+    incr records;
+    Format_io.sink_channel oc_t ev;
+    Binary_io.sink w ev
+  in
+  let coverage = Coverage.create ~metered:false () in
+  (match suite with
+   | Runner.Crashmonkey ->
+     ignore (Iocov_suites.Crashmonkey.run ~seed ~scale ?config ~sink ~coverage ())
+   | Runner.Xfstests ->
+     ignore (Iocov_suites.Xfstests.run ~seed ~scale ?config ~sink ~coverage ())
+   | Runner.Ltp -> ignore (Iocov_suites.Ltp.run ~seed ~scale ?config ~sink ~coverage ()));
+  Binary_io.flush w;
+  close_out oc_b;
+  close_out oc_t;
+  !records
+
+(* suite, seed, scale <= 0.05, lattice point, kill point as a share of
+   the trace *)
+let roads_case_gen =
+  QCheck.Gen.(
+    tup5
+      (oneofl [ Runner.Crashmonkey; Runner.Xfstests; Runner.Ltp ])
+      (int_bound 999)
+      (map (fun k -> float_of_int k /. 100.0) (int_range 1 5))
+      (int_bound (Vconfig.lattice_count - 1))
+      (float_bound_inclusive 1.0))
+
+let print_roads_case (suite, seed, scale, point, kill) =
+  Printf.sprintf "%s seed=%d scale=%.2f point=%s kill=%.3f" (Runner.suite_name suite) seed
+    scale Vconfig.lattice.(point).Vconfig.pt_name kill
+
+let all_roads_prop =
+  QCheck.Test.make ~name:"all roads, one digest" ~count:6
+    (QCheck.make ~print:print_roads_case roads_case_gen)
+    (fun (suite, seed, scale, point, kill) ->
+      let config = Runner.config_of_point Vconfig.lattice.(point) in
+      let mount = suite_mount suite in
+      let digest_of what = function
+        | Ok { Driver.product; _ } -> Ledger.digest product.Sink.coverage
+        | Error msg -> QCheck.Test.fail_reportf "%s: %s" what msg
+      in
+      let replay ?config what path =
+        digest_of what (Driver.run ?config ~stages:[ Stage.mount mount ] (Source.file path))
+      in
+      let live = Ledger.digest (Runner.run ~seed ~scale ?config suite).Runner.coverage in
+      with_temp_file @@ fun text ->
+      with_temp_file @@ fun v3 ->
+      with_temp_file @@ fun ckpt ->
+      let records = write_traces ~seed ~scale ?config suite ~text ~v3 in
+      let limit = int_of_float (kill *. float_of_int records) in
+      let killed =
+        Driver.run ~config:(Driver.config ~limit ())
+          ~stages:[ Stage.mount mount ]
+          ~sinks:[ Sink.checkpoint ~path:ckpt ~every:1000 ]
+          (Source.file v3)
+      in
+      (match killed with
+       | Ok { Driver.product; _ } when product.Sink.events = limit -> ()
+       | Ok _ -> QCheck.Test.fail_report "the killed run overran its limit"
+       | Error msg -> QCheck.Test.fail_reportf "killed run: %s" msg);
+      let resumed =
+        match Checkpoint.load ckpt with
+        | Ok ck -> replay ~config:(Driver.config ~resume:(ckpt, ck) ()) "resumed run" v3
+        | Error msg -> QCheck.Test.fail_reportf "checkpoint: %s" msg
+      in
+      let served =
+        let hub = Hub.create ~mount () in
+        In_channel.with_open_bin v3 (fun ic ->
+            match Binary_io.open_stream ic with
+            | Error msg -> QCheck.Test.fail_reportf "open_stream: %s" msg
+            | Ok st ->
+              let s = Hub.open_session hub ~tenant:"t" () in
+              let rec drain () =
+                match Hub.ingest_step s st with
+                | Ok 0 -> ()
+                | Ok _ -> drain ()
+                | Error msg -> QCheck.Test.fail_reportf "ingest_step: %s" msg
+              in
+              drain ();
+              Hub.close_session s);
+        Option.get (Hub.digest hub ~tenant:"t")
+      in
+      let roads =
+        [ ("text", replay "text replay" text); ("v3", replay "v3 replay" v3);
+          ("kill/resume", resumed); ("serve", served) ]
+      in
+      List.iter
+        (fun (road, digest) ->
+          if digest <> live then
+            QCheck.Test.fail_reportf "%s digest %s <> live digest %s" road digest live)
+        roads;
+      true)
+
 let suites =
   [ ( "pipe.suite",
-      [ Alcotest.test_case "runner = direct observe, jobs x backends" `Quick
+      [ Alcotest.test_case "runner = direct observe, both backends" `Quick
           test_suite_differential ] );
     ( "pipe.trace",
       [ Alcotest.test_case "driver = engine, text + binary v1/v2" `Quick
@@ -379,4 +453,5 @@ let suites =
         Alcotest.test_case "limit truncates events" `Quick test_events_limit ] );
     ( "pipe.errors",
       [ Alcotest.test_case "bad configurations are Error values" `Quick
-          test_driver_errors ] ) ]
+          test_driver_errors ] );
+    ("pipe.roads", [ QCheck_alcotest.to_alcotest all_roads_prop ]) ]

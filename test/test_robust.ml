@@ -1,7 +1,7 @@
 (* Tests for the fault-tolerant pipeline (DESIGN.md §12): CRC framing
    and resync in the v2 binary format, exact loss accounting, error
-   budgets, worker supervision (retry / abandon / shard death), and
-   checkpointed replay with byte-identical resume. *)
+   budgets, batch abandonment, and checkpointed replay with
+   byte-identical resume. *)
 
 module Anomaly = Iocov_util.Anomaly
 module Crc32 = Iocov_util.Crc32
@@ -11,7 +11,6 @@ module Format_io = Iocov_trace.Format_io
 module Binary_io = Iocov_trace.Binary_io
 module Coverage = Iocov_core.Coverage
 module Snapshot = Iocov_core.Snapshot
-module Pool = Iocov_par.Pool
 module Checkpoint = Iocov_par.Checkpoint
 module Replay = Iocov_par.Replay
 
@@ -508,34 +507,27 @@ let test_lenient_strict_identical_on_clean () =
   with_temp_file (fun path ->
       write_binary path events;
       List.iter
-        (fun jobs ->
+        (fun counters ->
           List.iter
-            (fun counters ->
-              List.iter
-                (fun ingest ->
-                  let ic = open_in_bin path in
-                  let pool = Pool.create ~jobs () in
-                  let result =
-                    Replay.analyze_channel ~pool ~batch:128 ~counters ~ingest ~filter ic
-                  in
-                  close_in ic;
-                  match result with
-                  | Error msg -> Alcotest.failf "replay failed: %s" msg
-                  | Ok o ->
-                    let label =
-                      Printf.sprintf "jobs=%d %s %s" jobs
-                        (match counters with Replay.Dense -> "dense" | _ -> "reference")
-                        (match ingest with Replay.Strict -> "strict" | _ -> "lenient")
-                    in
-                    check_string (label ^ " coverage")
-                      (Snapshot.to_string ref_cov)
-                      (Snapshot.to_string o.Replay.coverage);
-                    check_int (label ^ " kept") ref_kept o.Replay.kept;
-                    check_bool (label ^ " clean") true
-                      (Anomaly.is_clean o.Replay.completeness))
-                [ Replay.Strict; Replay.Lenient Anomaly.Unlimited ])
-            [ Replay.Dense; Replay.Reference ])
-        [ 1; 2; 4 ])
+            (fun ingest ->
+              let ic = open_in_bin path in
+              let result = Replay.analyze_channel ~batch:128 ~counters ~ingest ~filter ic in
+              close_in ic;
+              match result with
+              | Error msg -> Alcotest.failf "replay failed: %s" msg
+              | Ok o ->
+                let label =
+                  Printf.sprintf "%s %s"
+                    (match counters with Replay.Dense -> "dense" | _ -> "reference")
+                    (match ingest with Replay.Strict -> "strict" | _ -> "lenient")
+                in
+                check_string (label ^ " coverage")
+                  (Snapshot.to_string ref_cov)
+                  (Snapshot.to_string o.Replay.coverage);
+                check_int (label ^ " kept") ref_kept o.Replay.kept;
+                check_bool (label ^ " clean") true (Anomaly.is_clean o.Replay.completeness))
+            [ Replay.Strict; Replay.Lenient Anomaly.Unlimited ])
+        [ Replay.Dense; Replay.Reference ])
 
 let test_lenient_text_skips_bad_lines () =
   let events = synth_events ~seed:50 200 in
@@ -549,7 +541,7 @@ let test_lenient_text_skips_bad_lines () =
             events);
       (* strict: fails with the first offending line *)
       let ic = open_in_bin path in
-      let strict = Replay.analyze_channel ~pool:(Pool.create ~jobs:2 ()) ~filter ic in
+      let strict = Replay.analyze_channel ~filter ic in
       close_in ic;
       (match strict with
        | Ok _ -> Alcotest.fail "strict accepted bad text lines"
@@ -557,8 +549,7 @@ let test_lenient_text_skips_bad_lines () =
       (* lenient: skips all three, coverage unharmed *)
       let ic = open_in_bin path in
       let lenient =
-        Replay.analyze_channel ~pool:(Pool.create ~jobs:2 ())
-          ~ingest:(Replay.Lenient Anomaly.Unlimited) ~filter ic
+        Replay.analyze_channel ~ingest:(Replay.Lenient Anomaly.Unlimited) ~filter ic
       in
       close_in ic;
       match lenient with
@@ -573,111 +564,40 @@ let test_lenient_text_skips_bad_lines () =
              (fun a -> a.Anomaly.kind = Anomaly.Parse_error && a.Anomaly.line <> None)
              o.Replay.completeness.Anomaly.anomalies))
 
-(* --- supervision --- *)
+(* --- batch abandonment --- *)
 
-let test_transient_fault_is_retried () =
-  let events = synth_events ~seed:51 2_000 in
-  let reference = Replay.analyze_events ~pool:(Pool.create ~jobs:1 ()) ~filter events in
-  List.iter
-    (fun jobs ->
-      let tripped = Atomic.make false in
-      let chaos ~shard:_ ~batch:_ =
-        if Atomic.compare_and_set tripped false true then failwith "transient fault"
-      in
-      let o =
-        Replay.analyze_events ~pool:(Pool.create ~jobs ()) ~batch:64 ~chaos ~filter events
-      in
-      check_string
-        (Printf.sprintf "coverage survives the fault at jobs=%d" jobs)
-        (Snapshot.to_string reference.Replay.coverage)
-        (Snapshot.to_string o.Replay.coverage);
-      check_int (Printf.sprintf "events at jobs=%d" jobs) 2_000 o.Replay.events;
-      check_bool (Printf.sprintf "retry recorded at jobs=%d" jobs) true
-        (o.Replay.completeness.Anomaly.batches_retried >= 1))
-    [ 1; 2 ]
-
+(* A stage that raises on every record of the first batch: the engine
+   is deterministic, so the batch is abandoned on its one attempt. *)
 let test_persistent_fault_abandons_batch () =
   let events = synth_events ~seed:52 512 in
-  let policy = { Pool.max_retries = 1; backoff_unit = 0 } in
-  let chaos ~shard:_ ~batch = if batch = 0 then failwith "persistent fault" in
+  let fault =
+    Iocov_pipe.Stage.map ~name:"fault" (fun e ->
+        if e.Event.seq < 64 then failwith "persistent fault" else Some e)
+  in
+  let run ingest =
+    Iocov_pipe.Driver.run
+      ~config:(Iocov_pipe.Driver.config ~batch:64 ~ingest ())
+      ~stages:[ Iocov_pipe.Stage.filter filter; fault ]
+      (Iocov_pipe.Source.events events)
+  in
   (* lenient: the first batch is abandoned, the rest analyzed *)
-  let o =
-    Replay.analyze_events ~pool:(Pool.create ~jobs:1 ()) ~batch:64 ~policy ~chaos
-      ~ingest:(Replay.Lenient Anomaly.Unlimited) ~filter events
-  in
-  check_int "abandoned the first batch" 64
-    o.Replay.completeness.Anomaly.events_abandoned;
-  check_int "analyzed the rest" 448 o.Replay.events;
-  check_bool "abandonment classified" true
-    (List.exists
-       (fun a -> a.Anomaly.kind = Anomaly.Batch_abandoned)
-       o.Replay.completeness.Anomaly.anomalies);
+  (match run (Replay.Lenient Anomaly.Unlimited) with
+   | Error msg -> Alcotest.failf "lenient run failed: %s" msg
+   | Ok { Iocov_pipe.Driver.product = p; _ } ->
+     let c = p.Iocov_pipe.Sink.completeness in
+     check_int "abandoned the first batch" 64 c.Anomaly.events_abandoned;
+     check_int "analyzed the rest" 448 p.Iocov_pipe.Sink.events;
+     check_bool "abandonment classified" true
+       (List.exists (fun a -> a.Anomaly.kind = Anomaly.Batch_abandoned) c.Anomaly.anomalies);
+     check_int "no retries" 0 c.Anomaly.batches_retried);
   (* strict: an abandoned batch is fatal *)
-  check_bool "strict failed" true
-    (match
-       Replay.analyze_events ~pool:(Pool.create ~jobs:1 ()) ~batch:64 ~policy ~chaos
-         ~filter events
-     with
-    | _ -> false
-    | exception Failure _ -> true)
-
-let test_all_shards_killed () =
-  let events = synth_events ~seed:53 1_000 in
-  let chaos ~shard:_ ~batch:_ = raise (Pool.Shard_killed "chaos") in
-  let o =
-    Replay.analyze_events ~pool:(Pool.create ~jobs:2 ()) ~batch:64 ~chaos
-      ~ingest:(Replay.Lenient Anomaly.Unlimited) ~filter events
-  in
-  check_int "both shards died" 2 o.Replay.completeness.Anomaly.shards_failed;
-  check_int "nothing analyzed" 0 o.Replay.events;
-  (* the producer stops as soon as the channel closes, so events never
-     pushed are signalled by [truncated], not counted as abandoned *)
-  check_bool "pushed events accounted as lost" true
-    (o.Replay.completeness.Anomaly.events_abandoned > 0);
-  check_bool "unread remainder flagged" true o.Replay.completeness.Anomaly.truncated;
-  check_bool "nothing double-counted" true
-    (o.Replay.completeness.Anomaly.events_abandoned <= 1_000);
-  check_bool "strict failed" true
-    (match
-       Replay.analyze_events ~pool:(Pool.create ~jobs:2 ()) ~batch:64 ~chaos ~filter events
-     with
-    | _ -> false
-    | exception Failure _ -> true)
-
-let test_one_shard_killed_survivors_continue () =
-  let events = synth_events ~seed:54 2_000 in
-  let chaos ~shard ~batch:_ = if shard = 1 then raise (Pool.Shard_killed "chaos") in
-  let o =
-    Replay.analyze_events ~pool:(Pool.create ~jobs:2 ()) ~batch:32 ~chaos
-      ~ingest:(Replay.Lenient Anomaly.Unlimited) ~filter events
-  in
-  let c = o.Replay.completeness in
-  check_bool "at most one shard lost" true (c.Anomaly.shards_failed <= 1);
-  check_int "every event read or accounted" 2_000
-    (c.Anomaly.events_read + c.Anomaly.events_abandoned);
-  check_bool "survivor did most of the work" true (o.Replay.events >= 1_000)
-
-let test_run_supervised () =
-  let pool = Pool.create ~jobs:3 () in
-  let tripped = Atomic.make false in
-  let s =
-    Pool.run_supervised pool (fun ~shard ->
-        if shard = 1 && Atomic.compare_and_set tripped false true then
-          failwith "transient";
-        shard * 10)
-  in
-  check_bool "all shards succeeded" true
-    (Array.for_all Option.is_some s.Pool.results);
-  check_bool "retry counted" true (s.Pool.retries >= 1);
-  check_int "no failures" 0 s.Pool.failed;
-  let s2 =
-    Pool.run_supervised pool (fun ~shard ->
-        if shard = 2 then raise (Pool.Shard_killed "chaos");
-        shard)
-  in
-  check_bool "killed shard yields None" true (s2.Pool.results.(2) = None);
-  check_int "one failure" 1 s2.Pool.failed;
-  check_bool "others survive" true (s2.Pool.results.(0) = Some 0)
+  match run Replay.Strict with
+  | Ok _ -> Alcotest.fail "strict run accepted an abandoned batch"
+  | Error msg ->
+    let sub = "batch failed: Failure(\"persistent fault\")" in
+    let n = String.length sub in
+    let rec contains i = i + n <= String.length msg && (String.sub msg i n = sub || contains (i + 1)) in
+    check_bool "error names the fault" true (contains 0)
 
 (* --- checkpointed replay --- *)
 
@@ -686,14 +606,14 @@ let test_checkpoint_resume_byte_identical () =
   with_temp_file (fun trace ->
       write_binary trace events;
       let full =
-        match Replay.analyze_file ~pool:(Pool.create ~jobs:1 ()) ~filter trace with
+        match Replay.analyze_file ~filter trace with
         | Ok o -> o
         | Error msg -> Alcotest.failf "full run failed: %s" msg
       in
       with_temp_file (fun ck_path ->
           (* interrupted run: stop at 1500 events, checkpointing as we go *)
           (match
-             Replay.analyze_file ~pool:(Pool.create ~jobs:1 ())
+             Replay.analyze_file
                ~checkpoint:{ Replay.ckpt_path = ck_path; ckpt_every = 500 }
                ~limit:1500 ~filter trace
            with
@@ -705,39 +625,29 @@ let test_checkpoint_resume_byte_identical () =
             | Error msg -> Alcotest.failf "checkpoint load failed: %s" msg
           in
           check_int "checkpoint cursor events" 1_500 ck.Checkpoint.events;
-          (* resume at different job counts and both counter backends *)
+          (* resume under both counter backends *)
           List.iter
-            (fun (jobs, counters) ->
-              match
-                Replay.analyze_file ~pool:(Pool.create ~jobs ()) ~counters
-                  ~resume:(ck_path, ck) ~filter trace
-              with
+            (fun (name, counters) ->
+              match Replay.analyze_file ~counters ~resume:(ck_path, ck) ~filter trace with
               | Error msg -> Alcotest.failf "resume failed: %s" msg
               | Ok o ->
-                let label = Printf.sprintf "resumed jobs=%d" jobs in
+                let label = "resumed " ^ name in
                 check_int (label ^ " total events") 4_000 o.Replay.events;
                 check_string (label ^ " coverage byte-identical")
                   (Snapshot.to_string full.Replay.coverage)
                   (Snapshot.to_string o.Replay.coverage);
                 check_bool (label ^ " provenance") true
                   (o.Replay.completeness.Anomaly.resumed_from = Some ck_path))
-            [ (1, Replay.Dense); (4, Replay.Dense); (2, Replay.Reference) ]))
+            [ ("dense", Replay.Dense); ("reference", Replay.Reference) ]))
 
 let test_checkpoint_rejects_bad_config () =
   let events = synth_events ~seed:56 100 in
   with_temp_file (fun trace ->
       write_binary trace events;
       with_temp_file (fun ck_path ->
-          let spec = { Replay.ckpt_path = ck_path; ckpt_every = 500 } in
-          check_bool "multi-shard checkpointing rejected" true
-            (Result.is_error
-               (Replay.analyze_file ~pool:(Pool.create ~jobs:2 ()) ~checkpoint:spec
-                  ~filter trace));
+          let spec = { Replay.ckpt_path = ck_path; ckpt_every = 0 } in
           check_bool "non-positive interval rejected" true
-            (Result.is_error
-               (Replay.analyze_file ~pool:(Pool.create ~jobs:1 ())
-                  ~checkpoint:{ spec with Replay.ckpt_every = 0 }
-                  ~filter trace))))
+            (Result.is_error (Replay.analyze_file ~checkpoint:spec ~filter trace))))
 
 let test_checkpoint_load_rejects_garbage () =
   with_temp_file (fun path ->
@@ -749,7 +659,7 @@ let test_checkpoint_load_rejects_garbage () =
       write_binary trace events;
       with_temp_file (fun ck_path ->
           (match
-             Replay.analyze_file ~pool:(Pool.create ~jobs:1 ())
+             Replay.analyze_file
                ~checkpoint:{ Replay.ckpt_path = ck_path; ckpt_every = 100 }
                ~filter trace
            with
@@ -764,9 +674,7 @@ let test_limit_caps_events () =
   let events = synth_events ~seed:58 1_000 in
   with_temp_file (fun trace ->
       write_binary trace events;
-      match
-        Replay.analyze_file ~pool:(Pool.create ~jobs:1 ()) ~limit:100 ~filter trace
-      with
+      match Replay.analyze_file ~limit:100 ~filter trace with
       | Error msg -> Alcotest.failf "limited run failed: %s" msg
       | Ok o -> check_int "limit honoured" 100 o.Replay.events)
 
@@ -779,9 +687,8 @@ let test_lenient_file_run_with_corruption () =
       let offs = frame_offsets trace in
       flip_bytes trace [ offs.(400) + 4; offs.(1200) + 4 ];
       match
-        Replay.analyze_file ~pool:(Pool.create ~jobs:2 ())
-          ~ingest:(Replay.Lenient (Anomaly.Max_fraction 0.01))
-          ~filter trace
+        Replay.analyze_file ~ingest:(Replay.Lenient (Anomaly.Max_fraction 0.01)) ~filter
+          trace
       with
       | Error msg -> Alcotest.failf "lenient corrupt run failed: %s" msg
       | Ok o ->
@@ -826,14 +733,8 @@ let suites =
           test_lenient_strict_identical_on_clean;
         Alcotest.test_case "lenient text skips bad lines" `Quick
           test_lenient_text_skips_bad_lines;
-        Alcotest.test_case "transient fault retried" `Quick
-          test_transient_fault_is_retried;
         Alcotest.test_case "persistent fault abandons batch" `Quick
-          test_persistent_fault_abandons_batch;
-        Alcotest.test_case "all shards killed" `Quick test_all_shards_killed;
-        Alcotest.test_case "one shard killed, survivors continue" `Quick
-          test_one_shard_killed_survivors_continue;
-        Alcotest.test_case "run_supervised" `Quick test_run_supervised ] );
+          test_persistent_fault_abandons_batch ] );
     ( "robust.checkpoint",
       [ Alcotest.test_case "resume is byte-identical" `Quick
           test_checkpoint_resume_byte_identical;

@@ -8,7 +8,6 @@ module Filter = Iocov_trace.Filter
 module Binary_io = Iocov_trace.Binary_io
 module Coverage = Iocov_core.Coverage
 module Ledger = Iocov_pipe.Ledger
-module Pool = Iocov_par.Pool
 module Checkpoint = Iocov_par.Checkpoint
 module Replay = Iocov_par.Replay
 module Protocol = Iocov_serve.Protocol
@@ -710,7 +709,7 @@ let test_checkpointed_replay_sweeps_stale_tmp () =
           Out_channel.with_open_bin tmp (fun oc ->
               output_string oc "dropping from a killed predecessor");
           (match
-             Replay.analyze_file ~pool:(Pool.create ~jobs:1 ())
+             Replay.analyze_file
                ~checkpoint:{ Replay.ckpt_path = ck_path; ckpt_every = 500 }
                ~filter trace
            with

@@ -259,6 +259,65 @@ let test_scanner_canonical_shapes () =
       | Error msg -> Alcotest.failf "scanner rejected canonical line: %s" msg)
     events
 
+(* The parser shares its name tables between callers (serve parses on
+   one thread per connection): four domains released together must each
+   get exactly the sequential results.  Many distinct flag combinations
+   make any shared mutable table grow while the domains run. *)
+let test_scanner_concurrent_parse () =
+  let non_access =
+    List.filter
+      (fun f -> not (List.mem f Open_flags.[ O_RDONLY; O_WRONLY; O_RDWR ]))
+      Open_flags.all
+  in
+  let opens =
+    List.concat_map
+      (fun a ->
+        List.map
+          (fun b ->
+            let flags = Open_flags.of_flags [ Open_flags.O_RDWR; a; b ] in
+            Format_io.to_line
+              (sample_event
+                 (Iocov_trace.Event.Tracked (Model.open_ ~flags ~mode:0o600 "/mnt/test/f"))
+                 (Model.Ret 3) (Some "/mnt/test/f")))
+          non_access)
+      non_access
+  in
+  let lines =
+    Array.of_list (opens @ List.map Format_io.to_line (record_workload ()))
+  in
+  let parse_all () =
+    Array.map
+      (fun line ->
+        match Format_io.of_line line with
+        | Ok e -> Format_io.to_line e
+        | Error msg -> "error: " ^ msg)
+      lines
+  in
+  let ready = Atomic.make 0 and go = Atomic.make false in
+  let domains =
+    List.init 4 (fun _ ->
+        Domain.spawn (fun () ->
+            Atomic.incr ready;
+            while not (Atomic.get go) do
+              Domain.cpu_relax ()
+            done;
+            parse_all ()))
+  in
+  while Atomic.get ready < 4 do
+    Domain.cpu_relax ()
+  done;
+  Atomic.set go true;
+  (* the sequential parse comes last, so that in a fresh process the
+     domains are the first to touch the parser's tables *)
+  let results = List.map Domain.join domains in
+  let expected = parse_all () in
+  List.iteri
+    (fun i got ->
+      Array.iteri
+        (fun j line -> check_string (Printf.sprintf "domain %d, line %d" i j) line got.(j))
+        expected)
+    results
+
 let test_scanner_noncanonical_agrees () =
   List.iter check_scanner_agrees
     [ (* reordered fields: reference accepts, scanner must defer *)
@@ -507,6 +566,7 @@ let suites =
       [ Alcotest.test_case "canonical shapes" `Quick test_scanner_canonical_shapes;
         Alcotest.test_case "non-canonical lines agree" `Quick
           test_scanner_noncanonical_agrees;
+        Alcotest.test_case "concurrent parses agree" `Quick test_scanner_concurrent_parse;
         QCheck_alcotest.to_alcotest scanner_agreement_prop ] );
     ( "trace.binary",
       [ Alcotest.test_case "roundtrip equals text form" `Quick test_binary_roundtrip;
