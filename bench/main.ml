@@ -637,6 +637,8 @@ let perf_benches () =
           ignore (Iocov_trace.Format_io.of_line_reference sample_line)));
       Test.make ~name:"filter: regex search on a hint" (Staged.stage (fun () ->
           ignore (Iocov_regex.Engine.search regex "/mnt/test/dir/file")));
+      Test.make ~name:"filter: mount-point test on a hint" (Staged.stage (fun () ->
+          ignore (Iocov_trace.Filter.matches_hint filter "/mnt/test/dir/file")));
       Test.make ~name:"metric: TCD over 21 partitions" (Staged.stage (fun () ->
           ignore (Tcd.tcd_uniform ~frequencies:freqs ~target:5237.0))) ]
   in
@@ -748,7 +750,7 @@ let perf_benches () =
     scan_ns (scan_ns /. fast_ns);
   let body =
     Printf.sprintf
-      "{\n  \"schema\": \"iocov-bench-pipeline/4\",\n  \"seed\": %d,\n  \"benches\": [\n%s\n  \
+      "{\n  \"schema\": \"iocov-bench-pipeline/5\",\n  \"seed\": %d,\n  \"benches\": [\n%s\n  \
        ],\n  \"sequential_replay\": { \"events\": %d, \"elapsed_s\": %.4f, \"events_per_s\": \
        %.0f },\n  \"pipeline_stages\": [\n%s\n  ],\n  \"filter_search\": { \"pattern\": \"%s\", \
        \"fast_path_ns_per_search\": %.1f, \"scan_ns_per_search\": %.1f, \

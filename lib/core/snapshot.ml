@@ -55,6 +55,14 @@ let to_string cov =
   emit (Buffer.add_string buf) cov;
   Buffer.contents buf
 
+(* The text is fed to the CRC line by line and never built: its buffer
+   would be allocated, and grown, directly in the major heap on every
+   digest. *)
+let digest cov =
+  let crc = ref 0 in
+  emit (fun s -> crc := Iocov_util.Crc32.update !crc s ~pos:0 ~len:(String.length s)) cov;
+  Printf.sprintf "%08x" !crc
+
 let ( let* ) = Result.bind
 
 let parse_count s =

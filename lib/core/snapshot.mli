@@ -32,6 +32,11 @@ val load_file : string -> (Coverage.t, string) result
 
 val to_string : Coverage.t -> string
 
+val digest : Coverage.t -> string
+(** The CRC-32 of {!to_string} as eight lowercase hex digits, computed
+    without building the text: the run ledger's and the serve daemon's
+    coverage fingerprint. *)
+
 val of_string : string -> (Coverage.t, string) result
 
 val equal : Coverage.t -> Coverage.t -> bool

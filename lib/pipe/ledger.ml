@@ -4,7 +4,6 @@ module Snapshot = Iocov_core.Snapshot
 module Partition = Iocov_core.Partition
 module Arg_class = Iocov_core.Arg_class
 module Model = Iocov_syscall.Model
-module Crc32 = Iocov_util.Crc32
 module Json = Iocov_util.Json
 
 let default_dir = ".iocov"
@@ -48,7 +47,7 @@ let bytes_of_hex s =
              Char.chr (int_of_string ("0x" ^ String.sub s (2 * i) 2))))
     with _ -> Error "invalid hex string"
 
-let digest cov = Printf.sprintf "%08x" (Crc32.string (Snapshot.to_string cov))
+let digest = Snapshot.digest
 
 let bitmap cov = hex_of_bytes (Coverage.cell_bitmap cov)
 

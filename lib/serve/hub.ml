@@ -8,7 +8,6 @@ module Filter = Iocov_trace.Filter
 module Binary_io = Iocov_trace.Binary_io
 module Event = Iocov_trace.Event
 module Anomaly = Iocov_util.Anomaly
-module Crc32 = Iocov_util.Crc32
 module Metrics = Iocov_obs.Metrics
 module Model = Iocov_syscall.Model
 module Vconfig = Iocov_vfs.Config
@@ -376,7 +375,7 @@ let epoch_digest ep =
   match ep.e_digest with
   | Some d -> d
   | None ->
-    let d = Printf.sprintf "%08x" (Crc32.string (Snapshot.to_string (epoch_ref ep))) in
+    let d = Snapshot.digest (epoch_ref ep) in
     ep.e_digest <- Some d;
     d
 

@@ -300,6 +300,10 @@ let listen_socket path =
 let run ?(on_ready = fun () -> ()) config =
   if config.batch <= 0 then Error "batch must be positive"
   else begin
+    (* A client may hang up before reading its replies.  The write to it
+       must fail with EPIPE, which ends only that connection's thread,
+       not raise SIGPIPE, whose default action kills the daemon. *)
+    Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
     let hub = Hub.create ?mount:config.mount ~batch:config.batch () in
     let shutdown = Atomic.make false in
     let started = Unix.gettimeofday () in

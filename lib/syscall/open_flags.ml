@@ -145,7 +145,18 @@ let decompose t =
   in
   mode :: others
 
-let has t f = List.mem f (decompose t)
+(* [decompose]'s rules as one bit test per flag, allocating nothing:
+   O_DSYNC without the rest of O_SYNC, O_DIRECTORY without the rest of
+   O_TMPFILE, and never O_RSYNC. *)
+let has t f =
+  match f with
+  | O_RDONLY | O_WRONLY | O_RDWR -> access_mode t = f
+  | O_RSYNC -> false
+  | O_DSYNC -> t land bit O_SYNC = bit O_DSYNC
+  | O_DIRECTORY -> t land bit O_TMPFILE = bit O_DIRECTORY
+  | O_SYNC | O_TMPFILE -> t land bit f = bit f
+  | f -> t land bit f <> 0
+
 let readable t = access_mode t <> O_WRONLY
 let writable t = access_mode t <> O_RDONLY
 

@@ -12,14 +12,17 @@ let m_kept = m_result "kept"
 let m_dropped_no_hint = m_result "dropped_no_hint"
 let m_dropped_no_match = m_result "dropped_no_match"
 
-(* Compiled patterns are immutable (see {!Iocov_regex.Engine}), so a
-   filter is shareable across domains and threads: compile once, match
-   against the same value everywhere. *)
-type t = { keep : Engine.t array }
+(* A mount point is a literal and needs no regex: a hint is kept when it
+   is the mount or lies below it.  User patterns keep the engine.  Both
+   are immutable (see {!Iocov_regex.Engine}), so a filter is shareable
+   across domains and threads. *)
+type t =
+  | Mount of string  (* trailing slashes stripped; the root mount is "" *)
+  | Patterns of Engine.t array
 
 let create ~patterns =
   let rec go acc = function
-    | [] -> Ok { keep = Array.of_list (List.rev acc) }
+    | [] -> Ok (Patterns (Array.of_list (List.rev acc)))
     | p :: rest ->
       (match Engine.compile p with
        | Ok c -> go (c :: acc) rest
@@ -32,30 +35,27 @@ let create_exn ~patterns =
   | Ok t -> t
   | Error msg -> invalid_arg ("Filter.create_exn: " ^ msg)
 
-(* Escape regex metacharacters so a literal mount point can be embedded in
-   a pattern. *)
-let escape_literal s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      (match c with
-       | '.' | '*' | '+' | '?' | '(' | ')' | '[' | ']' | '{' | '}' | '|' | '^' | '$' | '\\' ->
-         Buffer.add_char buf '\\'
-       | _ -> ());
-      Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let mount_point mnt =
-  let mnt = if String.length mnt > 1 && mnt.[String.length mnt - 1] = '/' then
-      String.sub mnt 0 (String.length mnt - 1)
-    else mnt
-  in
-  create_exn ~patterns:[ Printf.sprintf "^%s(/|$)" (escape_literal mnt) ]
+  let rec strip n = if n > 0 && mnt.[n - 1] = '/' then strip (n - 1) else n in
+  Mount (String.sub mnt 0 (strip (String.length mnt)))
 
-(* The one pattern traversal, entered only for records that carry a
-   hint — the no-hint drop never touches the pattern array. *)
-let matches_hint t hint = Array.exists (fun c -> Engine.search c hint) t.keep
+let rec same_prefix a b i =
+  i < 0 || (String.unsafe_get a i = String.unsafe_get b i && same_prefix a b (i - 1))
+
+(* [hint] is [mnt] or starts with [mnt ^ "/"], compared in place. *)
+let under_mount mnt hint =
+  let m = String.length mnt and h = String.length hint in
+  h >= m && (h = m || String.unsafe_get hint m = '/') && same_prefix mnt hint (m - 1)
+
+let rec any_search keep hint i =
+  i < Array.length keep && (Engine.search keep.(i) hint || any_search keep hint (i + 1))
+
+(* The one hint test, entered only for records that carry a hint — the
+   no-hint drop never reaches it. *)
+let matches_hint t hint =
+  match t with
+  | Mount mnt -> under_mount mnt hint
+  | Patterns keep -> any_search keep hint 0
 
 (* The metered decision: classify, count, answer. *)
 let decide t (e : Event.t) =

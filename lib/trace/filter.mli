@@ -10,16 +10,20 @@
 type t
 
 val create : patterns:string list -> (t, string) result
-(** Compile keep-patterns.  A record is kept iff its [path_hint] matches
-    at least one pattern (leftmost search, so ["^/mnt/test(/|$)"] is the
-    idiomatic mount-point anchor).  Fails on the first malformed
-    pattern, naming it. *)
+(** Compile keep-patterns (the CLI's [--filter]).  A record is kept iff
+    its [path_hint] matches at least one pattern, by leftmost search.
+    Fails on the first malformed pattern, naming it.  For a mount point
+    use {!mount_point}, which needs no regex. *)
 
 val create_exn : patterns:string list -> t
 
 val mount_point : string -> t
 (** [mount_point "/mnt/test"] — the common case: keep records whose hint
-    is the mount point or below it. *)
+    is the mount point or below it, i.e. equals it or starts with it
+    followed by ['/'].  A literal test, compared in place without
+    allocating.  Trailing slashes are stripped from every mount, so
+    ["/mnt/test/"] is ["/mnt/test"] and the root mount ["/"] keeps every
+    absolute hint. *)
 
 val keeps : t -> Event.t -> bool
 (** Records without a [path_hint] (e.g. [O_TMPFILE] descriptors, [sync])
@@ -46,7 +50,7 @@ val sink : t -> (Event.t -> unit) -> Event.t -> unit
     metering each decision like {!fold}. *)
 
 val matches_hint : t -> string -> bool
-(** The bare pattern test on a hint string — what {!keeps} applies to a
+(** The bare mount or pattern test on a hint string — what {!keeps} applies to a
     record's [path_hint].  A pure query, for decoders that classify
     records before materializing them. *)
 

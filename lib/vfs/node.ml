@@ -59,32 +59,25 @@ let copy t =
 
 let ext_end e = e.off + e.len
 
-(* Remove the byte range [off, off+len) from a run list, splitting runs
-   that straddle the range boundary. *)
-let carve extents ~off ~len =
-  let stop = off + len in
-  List.concat_map
-    (fun e ->
-      if ext_end e <= off || e.off >= stop then [ e ]
-      else begin
-        let left =
-          if e.off < off then [ { e with len = off - e.off } ] else []
-        in
-        let right =
-          if ext_end e > stop then [ { off = stop; len = ext_end e - stop; fill = e.fill } ]
-          else []
-        in
-        left @ right
-      end)
-    extents
+(* Drop the runs a write ending at [stop] covers, keeping the right-hand
+   remainder of one that straddles [stop], and share the rest. *)
+let rec drop_covered ~stop = function
+  | e :: rest when ext_end e <= stop -> drop_covered ~stop rest
+  | e :: rest when e.off < stop -> { off = stop; len = ext_end e - stop; fill = e.fill } :: rest
+  | tail -> tail
+
+(* One ordered pass: runs ending at or before the write are kept, a run
+   straddling its start keeps its left-hand part, then the new run and
+   whatever [drop_covered] leaves. *)
+let[@tail_mod_cons] rec insert_run run = function
+  | e :: rest when ext_end e <= run.off -> e :: insert_run run rest
+  | e :: _ as overlapping when e.off < run.off ->
+    { e with len = run.off - e.off } :: run :: drop_covered ~stop:(ext_end run) overlapping
+  | tail -> run :: drop_covered ~stop:(ext_end run) tail
 
 let write_extents extents ~off ~len ~fill =
   if len < 0 || off < 0 then invalid_arg "Node.write_extents";
-  if len = 0 then extents
-  else begin
-    let carved = carve extents ~off ~len in
-    List.sort (fun a b -> compare a.off b.off) ({ off; len; fill } :: carved)
-  end
+  if len = 0 then extents else insert_run { off; len; fill } extents
 
 let truncate_extents extents ~size =
   if size < 0 then invalid_arg "Node.truncate_extents";

@@ -49,6 +49,16 @@ dune exec bin/iocov.exe -- ingest --socket "$sock" --tenant alice "$tmp/t.bin" \
   > /dev/null
 dune exec bin/iocov.exe -- ingest --socket "$sock" --tenant bob "$tmp/t.bin" \
   > /dev/null
+# clients that hang up while their replies are still being written must
+# end only their own connections, never the daemon (SIGPIPE)
+python3 - "$sock" <<'EOF'
+import socket, sys
+for _ in range(50):
+    s = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    s.connect(sys.argv[1])
+    s.sendall(b"iocov-serve/1 query\n" + b"ping\n" * 2000)
+    s.close()
+EOF
 dune exec bin/iocov.exe -- query --socket "$sock" ping | grep -q pong
 dune exec bin/iocov.exe -- query --socket "$sock" --tenant alice digest stats \
   > /dev/null

@@ -434,6 +434,87 @@ let all_roads_prop =
         roads;
       true)
 
+(* --- pinned digests ---
+
+   [pipe.roads] only checks that the roads agree with one another; a VFS
+   or tracer change that shifts every road at once passes it.  These
+   values were recorded before the live path's hot spots were rewritten
+   and must never move unless coverage itself is meant to change. *)
+
+let pinned_suites =
+  [ (Runner.Xfstests, "default", "6431d916");
+    (Runner.Xfstests, "tiny-quota", "78910b04");
+    (Runner.Xfstests, "read-only", "97e0ca65");
+    (Runner.Crashmonkey, "default", "6ccf5d75");
+    (Runner.Crashmonkey, "tiny-quota", "6ccf5d75");
+    (Runner.Crashmonkey, "read-only", "4820f900");
+    (Runner.Ltp, "default", "49e53cbf");
+    (Runner.Ltp, "tiny-quota", "0db4c708");
+    (Runner.Ltp, "read-only", "414658d3") ]
+
+let pinned_crash = "0803180f"
+
+(* [iocov crash --bound 2]: every scenario under every journal mode at
+   the default point, traced into the pipeline and filtered at the
+   engine's mount, then the post-crash tallies folded in. *)
+let crash_bound_2_coverage () =
+  let module Engine = Iocov_crash.Engine in
+  let reports = ref [] in
+  let feed emit =
+    List.iter
+      (fun mode ->
+        List.iter
+          (fun scenario ->
+            let config =
+              Vconfig.with_journal_mode mode Vconfig.default_point.Vconfig.pt_config
+            in
+            let make_ops fs =
+              let tracer = Iocov_trace.Tracer.create ~comm:"crash" fs in
+              Iocov_trace.Tracer.on_event tracer emit;
+              { Engine.op_exec = Iocov_trace.Tracer.exec tracer;
+                op_exec_aux = Iocov_trace.Tracer.exec_aux tracer }
+            in
+            reports := Engine.run_scenario ~make_ops ~window:2 ~torn:true ~config scenario
+                       :: !reports)
+          (Engine.scenarios @ Iocov_suites.Crashmonkey.crash_scenarios))
+      Vconfig.all_journal_modes
+  in
+  let run =
+    ok_run
+      (Driver.run ~stages:[ Stage.filter (Filter.mount_point Engine.mount) ]
+         (Source.live ~label:"crash" feed))
+  in
+  let coverage = run.Driver.product.Sink.coverage in
+  List.iter
+    (fun r ->
+      let mode = Engine.crash_mode_of_journal r.Engine.rp_mode in
+      List.iter
+        (fun (o, n) -> if n > 0 then Coverage.add_crash coverage mode o n)
+        r.Engine.rp_tally)
+    (List.rev !reports);
+  coverage
+
+(* The digest streams the snapshot text into the CRC; it must equal the
+   CRC of the text built whole. *)
+let check_pinned what expected coverage =
+  let digest = Ledger.digest coverage in
+  check_string what expected digest;
+  check_string (what ^ ", CRC of the whole text")
+    (Printf.sprintf "%08x" (Iocov_util.Crc32.string (Snapshot.to_string coverage)))
+    digest
+
+let test_pinned_suites () =
+  List.iter
+    (fun (suite, point, expected) ->
+      let config = Runner.config_of_point (Option.get (Vconfig.point_named point)) in
+      let r = Runner.run ~seed:42 ~scale:0.1 ?config suite in
+      check_pinned
+        (Printf.sprintf "%s at %s" (Runner.suite_name suite) point)
+        expected r.Runner.coverage)
+    pinned_suites
+
+let test_pinned_crash () = check_pinned "crash --bound 2" pinned_crash (crash_bound_2_coverage ())
+
 let suites =
   [ ( "pipe.suite",
       [ Alcotest.test_case "runner = direct observe, both backends" `Quick
@@ -454,4 +535,8 @@ let suites =
     ( "pipe.errors",
       [ Alcotest.test_case "bad configurations are Error values" `Quick
           test_driver_errors ] );
-    ("pipe.roads", [ QCheck_alcotest.to_alcotest all_roads_prop ]) ]
+    ("pipe.roads", [ QCheck_alcotest.to_alcotest all_roads_prop ]);
+    ( "pipe.pinned",
+      [ Alcotest.test_case "suite digests at three lattice points" `Quick
+          test_pinned_suites;
+        Alcotest.test_case "crash --bound 2 digest" `Quick test_pinned_crash ] ) ]

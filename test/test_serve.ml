@@ -513,6 +513,38 @@ let test_handshake_timeout_frees_slot () =
   | Error msg -> Alcotest.failf "query after timeout: %s" msg);
   ignore (shutdown_and_join ~socket:sock server)
 
+(* Clients that hang up while their replies are still being written:
+   the daemon's next write to each of them fails with EPIPE, which must
+   end only that connection.  Without SIGPIPE ignored in [Server.run],
+   the signal kills the whole process — this test binary included, so
+   the test deliberately leaves the signal's disposition alone. *)
+let test_hangup_mid_reply () =
+  with_temp_dir @@ fun dir ->
+  let sock = Filename.concat dir "s.sock" in
+  let server = start_server { Server.default_config with socket = Some sock } in
+  let hs =
+    { Protocol.hs_role = Protocol.Query; hs_tenant = None; hs_mount = None;
+      hs_format = Protocol.Binary; hs_config = None }
+  in
+  let requests =
+    Protocol.handshake_line hs ^ "\n" ^ String.concat "" (List.init 2_000 (fun _ -> "ping\n"))
+  in
+  for _ = 1 to 20 do
+    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    Unix.connect fd (Unix.ADDR_UNIX sock);
+    let rec send_all off =
+      if off < String.length requests then
+        send_all (off + Unix.write_substring fd requests off (String.length requests - off))
+    in
+    send_all 0;
+    Unix.close fd
+  done;
+  (match Server.client_query ~socket:sock [ "ping" ] with
+  | Ok [ ping ] -> check_string "daemon alive" "pong" (String.trim ping)
+  | Ok _ -> Alcotest.fail "expected one reply"
+  | Error msg -> Alcotest.failf "query after hang-ups: %s" msg);
+  ignore (shutdown_and_join ~socket:sock server)
+
 let test_partial_frame_on_ledger () =
   with_temp_dir @@ fun dir ->
   let sock = Filename.concat dir "s.sock" in
@@ -754,6 +786,7 @@ let suites =
         Alcotest.test_case "socket end to end" `Quick test_server_socket_end_to_end;
         Alcotest.test_case "handshake timeout frees the slot" `Quick
           test_handshake_timeout_frees_slot;
+        Alcotest.test_case "client hang-up mid-reply" `Quick test_hangup_mid_reply;
         Alcotest.test_case "partial frame lands on the ledger" `Quick
           test_partial_frame_on_ledger;
         Alcotest.test_case "tail rotation resets the cursor" `Quick

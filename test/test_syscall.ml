@@ -100,6 +100,25 @@ let flags_decompose_roundtrip_prop =
       let mask' = Open_flags.of_flags flags in
       Open_flags.decompose mask' = flags)
 
+(* [has] is a bit test that must keep [decompose]'s rules (O_SYNC hides
+   O_DSYNC, O_TMPFILE hides O_DIRECTORY, O_RSYNC is never reported) on
+   any mask, undefined bits included. *)
+let flags_has_matches_decompose_prop =
+  let defined = List.fold_left (fun acc f -> acc lor Open_flags.bit f) 0 Open_flags.all in
+  let mask_gen =
+    QCheck.Gen.(
+      oneof
+        [ map (fun bits -> bits land defined) (int_bound 0x3FFFFFFF);
+          int_bound 0x3FFFFFFF;
+          map2 (fun bits undefined -> (bits land defined) lor (undefined land lnot defined))
+            (int_bound 0x3FFFFFFF) int ])
+  in
+  QCheck.Test.make ~name:"has = mem of decompose" ~count:2000
+    (QCheck.make ~print:(Printf.sprintf "0o%o") mask_gen)
+    (fun mask ->
+      let flags = Open_flags.decompose mask in
+      List.for_all (fun f -> Open_flags.has mask f = List.mem f flags) Open_flags.all)
+
 (* --- Mode --- *)
 
 let test_mode_decompose () =
@@ -357,7 +376,8 @@ let suites =
           test_flags_multiple_access_modes_rejected;
         Alcotest.test_case "string roundtrip" `Quick test_flags_string_roundtrip;
         Alcotest.test_case "count_flags" `Quick test_flags_count;
-        QCheck_alcotest.to_alcotest flags_decompose_roundtrip_prop ] );
+        QCheck_alcotest.to_alcotest flags_decompose_roundtrip_prop;
+        QCheck_alcotest.to_alcotest flags_has_matches_decompose_prop ] );
     ( "syscall.mode",
       [ Alcotest.test_case "decompose 0644" `Quick test_mode_decompose;
         Alcotest.test_case "of_bits" `Quick test_mode_of_bits;

@@ -101,6 +101,132 @@ let test_crash_resets_tracker_state () =
   ignore (Tracer.exec_aux tracer Fs.Crash);
   check_string "cwd reset" "/" (Tracer.cwd tracer)
 
+(* Reference hints: every path split, folded and re-joined against the
+   working directory, with no canonical-path shortcut. *)
+let fold_absolutize ~cwd path =
+  let raw =
+    if String.length path > 0 && path.[0] = '/' then path else Iocov_vfs.Path.join cwd path
+  in
+  let parts = List.filter (fun c -> c <> "") (String.split_on_char '/' raw) in
+  let folded =
+    List.fold_left
+      (fun acc c ->
+        match c with
+        | "." -> acc
+        | ".." -> (match acc with [] -> [] | _ :: rest -> rest)
+        | c -> c :: acc)
+      [] parts
+  in
+  "/" ^ String.concat "/" (List.rev folded)
+
+(* Random paths over "/", ".", ".." and "a", run as mkdir, chdir,
+   open and close: every hint, the fd-table hint of the close, and the
+   tracked cwd must equal the fold reference run beside the tracer. *)
+let hints_match_fold_prop =
+  let path_gen =
+    QCheck.Gen.(
+      map (String.concat "") (list_size (int_range 0 8) (oneofl [ "/"; "."; ".."; "a" ])))
+  in
+  let op_gen =
+    QCheck.Gen.(
+      map2
+        (fun kind path -> (kind, path))
+        (frequency [ (3, return `Mkdir); (2, return `Chdir); (3, return `Open) ])
+        path_gen)
+  in
+  let show (kind, path) =
+    Printf.sprintf "%s %S"
+      (match kind with `Mkdir -> "mkdir" | `Chdir -> "chdir" | `Open -> "open")
+      path
+  in
+  QCheck.Test.make ~name:"hints = fold reference" ~count:300
+    (QCheck.make ~print:QCheck.Print.(list show) QCheck.Gen.(list_size (int_range 1 30) op_gen))
+    (fun ops ->
+      let tracer = Tracer.create (Fs.create ()) in
+      let hints = ref [] in
+      Tracer.on_event tracer (fun e -> hints := e.Event.path_hint :: !hints);
+      let cwd = ref "/" in
+      let expect what want =
+        match !hints with
+        | got :: _ when got = Some want -> ()
+        | got :: _ ->
+          QCheck.Test.fail_reportf "%s: hint %s, want %S" what
+            (Option.fold ~none:"none" ~some:(Printf.sprintf "%S") got)
+            want
+        | [] -> QCheck.Test.fail_reportf "%s: no record" what
+      in
+      List.iter
+        (fun (kind, path) ->
+          let want = fold_absolutize ~cwd:!cwd path in
+          (match kind with
+           | `Mkdir ->
+             ignore (Tracer.exec tracer (Model.mkdir ~mode:0o755 path));
+             expect "mkdir" want
+           | `Chdir ->
+             (match Tracer.exec tracer (Model.chdir (Model.Path path)) with
+              | Model.Ret _ -> cwd := want
+              | Model.Err _ -> ());
+             expect "chdir" want
+           | `Open ->
+             (match Tracer.exec tracer (Model.open_ ~flags:rdonly path) with
+              | Model.Ret fd ->
+                expect "open" want;
+                ignore (Tracer.exec tracer (Model.close fd));
+                expect "close" want
+              | Model.Err _ -> expect "open" want));
+          if Tracer.cwd tracer <> !cwd then
+            QCheck.Test.fail_reportf "cwd %S, want %S" (Tracer.cwd tracer) !cwd)
+        ops;
+      true)
+
+(* Four domains, released together, each run the suite with their own
+   tracers: every per-kind call counter must grow by exactly four times
+   what one sequential run adds. *)
+let test_kind_counters_domain_safe () =
+  let module Metrics = Iocov_obs.Metrics in
+  let kinds =
+    List.map Model.variant_name Model.all_variants
+    @ List.map Fs.aux_name
+        Fs.[ Unlink ""; Rmdir ""; Rename ("", ""); Symlink ("", ""); Link ("", "");
+             Fsync 0; Fdatasync 0; Sync; Crash ]
+  in
+  let read () =
+    List.map
+      (fun kind ->
+        Metrics.Counter.value
+          (Metrics.counter Metrics.default "iocov_tracer_calls_total"
+             ~labels:[ ("syscall", kind) ]))
+      kinds
+  in
+  let run () =
+    let coverage = Iocov_core.Coverage.create ~metered:false () in
+    ignore (Iocov_suites.Xfstests.run ~seed:5 ~scale:0.02 ~coverage ())
+  in
+  let growth f =
+    let before = read () in
+    f ();
+    List.map2 ( - ) (read ()) before
+  in
+  let one = growth run in
+  check_bool "the suite calls through the tracer" true (List.exists (fun n -> n > 0) one);
+  let four =
+    growth (fun () ->
+        let go = Atomic.make false in
+        let domains =
+          List.init 4 (fun _ ->
+              Domain.spawn (fun () ->
+                  while not (Atomic.get go) do
+                    Domain.cpu_relax ()
+                  done;
+                  run ()))
+        in
+        Atomic.set go true;
+        List.iter Domain.join domains)
+  in
+  List.iter2
+    (fun kind (n1, n4) -> check_int (Printf.sprintf "calls{syscall=%s}" kind) (4 * n1) n4)
+    kinds (List.combine one four)
+
 (* --- text format --- *)
 
 let sample_event payload outcome hint =
@@ -538,6 +664,73 @@ let test_filter_fold_stats () =
   check_int "stats kept" 2 stats.Filter.kept;
   check_int "stats dropped" 2 stats.Filter.dropped
 
+(* The root mount keeps every record that has a hint and still drops
+   the ones without; a trailing slash changes nothing. *)
+let test_filter_root_and_trailing_slash () =
+  let events = ref [] in
+  let coverage = Iocov_core.Coverage.create ~metered:false () in
+  ignore
+    (Iocov_suites.Xfstests.run ~seed:7 ~scale:0.02 ~sink:(fun e -> events := e :: !events)
+       ~coverage ());
+  let events = !events in
+  let hinted = List.length (List.filter (fun e -> e.Event.path_hint <> None) events) in
+  check_bool "some records lack a hint" true (hinted < List.length events);
+  let root = Filter.mount_point "/" in
+  let kept, stats = Filter.fold root ~init:0 ~f:(fun n _ -> n + 1) events in
+  check_int "root keeps every hinted record" hinted kept;
+  check_int "root drops the hintless" (List.length events - hinted) stats.Filter.dropped;
+  let bare = Filter.mount_point "/mnt/test" and slashed = Filter.mount_point "/mnt/test/" in
+  check_bool "/mnt/test/ decides like /mnt/test" true
+    (List.for_all (fun e -> Filter.keeps bare e = Filter.keeps slashed e) events);
+  check_bool "some records fall outside /mnt/test" true
+    (List.exists (fun e -> e.Event.path_hint <> None && not (Filter.keeps bare e)) events)
+
+(* Reference mount filter: the regex [^mnt(/|$)] over the escaped mount,
+   with one trailing slash stripped from mounts longer than one
+   character. *)
+let regex_mount_point mnt =
+  let mnt =
+    if String.length mnt > 1 && mnt.[String.length mnt - 1] = '/' then
+      String.sub mnt 0 (String.length mnt - 1)
+    else mnt
+  in
+  Filter.create_exn ~patterns:[ Printf.sprintf "^%s(/|$)" (Test_regex.escape_literal mnt) ]
+
+(* Mounts and hints over path characters and regex metacharacters, the
+   hints often grown from the mount itself.  The root mount, which the
+   generator never makes, is the one deliberate difference: its regex
+   keeps only "/" and "//...". *)
+let mount_point_matches_regex_prop =
+  let chars = QCheck.Gen.oneofl [ 'a'; 'b'; '/'; '.'; '*'; '+'; '('; ')'; '['; '$'; '^'; '|' ] in
+  let str n = QCheck.Gen.(string_size ~gen:chars (int_bound n)) in
+  let gen =
+    QCheck.Gen.(
+      (* a body ending in '/' would make a second trailing slash, which
+         the regex kept and the literal test strips *)
+      map2 (fun body last -> body ^ String.make 1 last) (str 5)
+        (oneofl [ 'a'; 'b'; '.'; '*'; '$'; ')' ])
+      >>= fun body ->
+      map (fun slash -> "/" ^ body ^ if slash then "/" else "") bool >>= fun mnt ->
+      map (fun hint -> (mnt, hint))
+        (oneof
+           [ str 12;
+             map (fun suffix -> mnt ^ suffix) (str 6);
+             map2 (fun n suffix -> String.sub mnt 0 (min n (String.length mnt)) ^ suffix)
+               (int_bound 8) (str 4);
+             (* the mount and a suffix with one character changed *)
+             map3
+               (fun suffix i c ->
+                 let b = Bytes.of_string (mnt ^ suffix) in
+                 Bytes.set b (i mod Bytes.length b) c;
+                 Bytes.to_string b)
+               (str 4) nat chars ]))
+  in
+  QCheck.Test.make ~name:"mount point = escaped regex" ~count:1000
+    (QCheck.make ~print:QCheck.Print.(pair string string) gen)
+    (fun (mnt, hint) ->
+      Filter.matches_hint (Filter.mount_point mnt) hint
+      = Filter.matches_hint (regex_mount_point mnt) hint)
+
 let test_filter_regex_metachars_escaped () =
   (* a mount point containing regex metacharacters must match literally *)
   let f = Filter.mount_point "/mnt/te.st" in
@@ -553,7 +746,10 @@ let suites =
         Alcotest.test_case "relative paths absolutized" `Quick test_relative_paths_absolutized;
         Alcotest.test_case "dot-dot folded" `Quick test_dot_dot_folded;
         Alcotest.test_case "aux events" `Quick test_aux_events;
-        Alcotest.test_case "crash resets tracker" `Quick test_crash_resets_tracker_state ] );
+        Alcotest.test_case "crash resets tracker" `Quick test_crash_resets_tracker_state;
+        QCheck_alcotest.to_alcotest hints_match_fold_prop;
+        Alcotest.test_case "per-kind counters are domain-safe" `Quick
+          test_kind_counters_domain_safe ] );
     ( "trace.format",
       [ Alcotest.test_case "tracked roundtrip" `Quick test_line_roundtrip_tracked;
         Alcotest.test_case "aux roundtrip" `Quick test_line_roundtrip_aux;
@@ -580,4 +776,7 @@ let suites =
         Alcotest.test_case "multiple patterns" `Quick test_filter_multiple_patterns;
         Alcotest.test_case "bad pattern" `Quick test_filter_bad_pattern;
         Alcotest.test_case "fold stats" `Quick test_filter_fold_stats;
-        Alcotest.test_case "metachars escaped" `Quick test_filter_regex_metachars_escaped ] ) ]
+        Alcotest.test_case "metachars escaped" `Quick test_filter_regex_metachars_escaped;
+        Alcotest.test_case "root mount and trailing slash" `Quick
+          test_filter_root_and_trailing_slash;
+        QCheck_alcotest.to_alcotest mount_point_matches_regex_prop ] ) ]

@@ -119,6 +119,86 @@ let extents_match_reference_prop =
         !extents;
       !ok)
 
+(* Reference writer: cut the range out of every run, then re-sort the
+   whole list with the new run in it. *)
+let carve_and_sort extents ~off ~len ~fill =
+  let ext_end (e : Node.extent) = e.Node.off + e.Node.len in
+  if len = 0 then extents
+  else begin
+    let stop = off + len in
+    let carved =
+      List.concat_map
+        (fun (e : Node.extent) ->
+          if ext_end e <= off || e.Node.off >= stop then [ e ]
+          else begin
+            let left =
+              if e.Node.off < off then [ { e with Node.len = off - e.Node.off } ] else []
+            in
+            let right =
+              if ext_end e > stop then
+                [ { Node.off = stop; len = ext_end e - stop; fill = e.Node.fill } ]
+              else []
+            in
+            left @ right
+          end)
+        extents
+    in
+    List.sort
+      (fun (a : Node.extent) (b : Node.extent) -> compare a.Node.off b.Node.off)
+      ({ Node.off; len; fill } :: carved)
+  end
+
+(* Extent lists, not only bytes: the single pass must split, drop and
+   share exactly as carve + sort did, under writes, appends with a
+   fresh fill each (as the VFS clock makes them) and truncates. *)
+let write_extents_match_carve_prop =
+  let fill_gen = QCheck.Gen.map (fun i -> Char.chr (97 + i)) (QCheck.Gen.int_bound 25) in
+  let op_gen =
+    QCheck.Gen.(
+      frequency
+        [ (4, map3 (fun off len fill -> `Write (off, len, fill)) (int_bound 300)
+                (int_bound 80) fill_gen);
+          (3, map2 (fun len fill -> `Append (len, fill)) (int_range 1 40) fill_gen);
+          (1, map (fun size -> `Truncate size) (int_bound 320)) ])
+  in
+  let show extents =
+    String.concat " "
+      (List.map
+         (fun (e : Node.extent) -> Printf.sprintf "%d+%d%c" e.Node.off e.Node.len e.Node.fill)
+         extents)
+  in
+  QCheck.Test.make ~name:"write_extents = carve + sort" ~count:300
+    (QCheck.make QCheck.Gen.(list_size (int_range 0 60) op_gen))
+    (fun ops ->
+      let size = ref 0 in
+      ignore
+        (List.fold_left
+           (fun extents op ->
+             let next =
+               match op with
+               | `Write (off, len, fill) ->
+                 size := max !size (off + len);
+                 Some (off, len, fill)
+               | `Append (len, fill) ->
+                 let off = !size in
+                 size := off + len;
+                 Some (off, len, fill)
+               | `Truncate n ->
+                 size := n;
+                 None
+             in
+             match next with
+             | None -> Node.truncate_extents extents ~size:!size
+             | Some (off, len, fill) ->
+               let got = Node.write_extents extents ~off ~len ~fill in
+               let want = carve_and_sort extents ~off ~len ~fill in
+               if got <> want then
+                 QCheck.Test.fail_reportf "write %d+%d%c onto [%s]: got [%s], want [%s]" off
+                   len fill (show extents) (show got) (show want);
+               got)
+           [] ops);
+      true)
+
 let test_checksum_insensitive_to_history () =
   let mk writes =
     List.fold_left
@@ -890,7 +970,8 @@ let suites =
         Alcotest.test_case "zero write identity" `Quick test_extents_zero_write_identity;
         Alcotest.test_case "checksum history-insensitive" `Quick
           test_checksum_insensitive_to_history;
-        QCheck_alcotest.to_alcotest extents_match_reference_prop ] );
+        QCheck_alcotest.to_alcotest extents_match_reference_prop;
+        QCheck_alcotest.to_alcotest write_extents_match_carve_prop ] );
     ( "vfs.path",
       [ Alcotest.test_case "empty is ENOENT" `Quick test_path_empty_is_enoent;
         Alcotest.test_case "component too long" `Quick test_path_component_too_long;
