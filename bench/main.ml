@@ -54,7 +54,7 @@ let () =
        "shorthand for --only format (the v3-compactness and scanner-equivalence gate; \
         exits non-zero on failure)");
       ("--coverage-bench", Arg.Unit (fun () -> only := "coverage" :: !only),
-       "shorthand for --only coverage (E12, counter backend microbench)");
+       "shorthand for --only coverage (E12, dense vs hashed observe microbench)");
       ("--serve-bench", Arg.Unit (fun () -> only := "serve" :: !only),
        "shorthand for --only serve (E16, multi-tenant mixed ingest/query workload; \
         exits non-zero if a tenant digest diverges from offline analyze)");
@@ -774,7 +774,7 @@ let perf_benches () =
   in
   write_json "BENCH_pipeline.json" body
 
-(* --- E12: coverage counter backends — compiled dense plan vs reference --- *)
+(* --- E12: coverage counters — compiled dense plan vs reference histograms --- *)
 
 let e12_coverage () =
   heading "E12" "Coverage counters: compiled dense plan vs reference histograms";
@@ -819,49 +819,30 @@ let e12_coverage () =
     (Ascii.si_count (int_of_float ref_rate));
   Printf.printf "  speedup %.2fx, snapshots %s\n%!" speedup
     (if single_identical then "identical" else "DIFFER");
-  (* the same trace through the replay pipeline, both backends *)
+  (* the same trace through the replay pipeline, checked against a
+     per-event filter-and-observe fold of the trace *)
   let filter = Filter.mount_point "/mnt/test" in
-  let counters_name = function Replay.Dense -> "dense" | Replay.Reference -> "reference" in
-  let baseline_snap = ref "" in
-  let sweep =
-    List.map
-      (fun counters ->
-        let product, dt =
-          timed_wall (fun () ->
-              pipe_run
-                ~config:(Driver.config ~counters ())
-                ~stages:[ Stage.filter filter ]
-                (Source.events events))
-        in
-        let snap = Snapshot.to_string product.Sink.coverage in
-        if !baseline_snap = "" then baseline_snap := snap;
-        let identical = String.equal snap !baseline_snap in
-        let rate = float_of_int n /. dt in
-        Printf.printf "  pipeline %-9s: %.2fs (%s events/s), coverage %s\n%!"
-          (counters_name counters) dt
-          (Ascii.si_count (int_of_float rate))
-          (if identical then "identical" else "DIFFERS");
-        (counters_name counters, dt, rate, identical))
-      [ Replay.Reference; Replay.Dense ]
+  let oracle = Coverage.create ~metered:false () in
+  Event.iter_tracked (List.filter (Filter.keeps filter) events) (Coverage.observe oracle);
+  let product, pipe_dt =
+    timed_wall (fun () -> pipe_run ~stages:[ Stage.filter filter ] (Source.events events))
   in
+  let pipe_identical = Snapshot.equal product.Sink.coverage oracle in
+  let pipe_rate = float_of_int n /. pipe_dt in
+  Printf.printf "  pipeline:  %.2fs (%s events/s), coverage %s\n%!" pipe_dt
+    (Ascii.si_count (int_of_float pipe_rate))
+    (if pipe_identical then "identical to per-event observe" else "DIFFERS");
   let body =
     Printf.sprintf
-      "{\n  \"schema\": \"iocov-bench-coverage/2\",\n  \"seed\": %d,\n  \"trace_events\": %d,\n  \
+      "{\n  \"schema\": \"iocov-bench-coverage/3\",\n  \"seed\": %d,\n  \"trace_events\": %d,\n  \
        \"tracked_observations\": %d,\n  \"plan_cells\": %d,\n  \"single_thread\": {\n    \
        \"dense\": { \"elapsed_s\": %.4f, \"observes_per_s\": %.0f },\n    \
        \"reference\": { \"elapsed_s\": %.4f, \"observes_per_s\": %.0f },\n    \
        \"speedup_dense_vs_reference\": %.3f,\n    \"snapshot_identical\": %b\n  },\n  \
-       \"pipeline\": [\n%s\n  ]\n}\n"
+       \"pipeline\": { \"elapsed_s\": %.4f, \"events_per_s\": %.0f, \
+       \"coverage_identical\": %b }\n}\n"
       !seed n m Iocov_core.Plan.total dense_dt dense_rate ref_dt ref_rate speedup
-      single_identical
-      (String.concat ",\n"
-         (List.map
-            (fun (name, dt, rate, identical) ->
-              Printf.sprintf
-                "    { \"counters\": \"%s\", \"elapsed_s\": %.4f, \"events_per_s\": %.0f, \
-                 \"coverage_identical\": %b }"
-                name dt rate identical)
-            sweep))
+      single_identical pipe_dt pipe_rate pipe_identical
   in
   write_json "BENCH_coverage.json" body
 
@@ -873,13 +854,13 @@ let e13_robustness () =
   Printf.printf "generating a %s-event synthetic trace...\n%!" (Ascii.si_count n);
   let events = synth_events n in
   let filter = Filter.mount_point "/mnt/test" in
-  let with_trace ?(events = events) version f =
+  let with_trace ?(events = events) ?chapter ?frame f =
     let path = Filename.temp_file "iocov_bench" ".trace" in
     Fun.protect
       ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
       (fun () ->
         let oc = open_out_bin path in
-        let w = Iocov_trace.Binary_io.writer ~version oc in
+        let w = Iocov_trace.Binary_io.writer ?chapter ?frame oc in
         List.iter (Iocov_trace.Binary_io.sink w) events;
         Iocov_trace.Binary_io.flush w;
         close_out oc;
@@ -897,18 +878,13 @@ let e13_robustness () =
           ~stages:[ Stage.filter filter ] ~sinks (Source.file path))
   in
   let rate dt = float_of_int n /. dt in
-  with_trace 1 @@ fun v1_path ->
-  with_trace 2 @@ fun v2_path ->
-  with_trace 3 @@ fun v3_path ->
-  with_trace ~events:(synth_hot_events n) 3 @@ fun hot_path ->
-  let v1_size = (Unix.stat v1_path).Unix.st_size in
-  let v2_size = (Unix.stat v2_path).Unix.st_size in
+  with_trace @@ fun v3_path ->
+  (* one-record frames and 1024-record chapters: the smallest blast
+     radius a flip can have, for the degraded-mode row *)
+  with_trace ~chapter:1024 ~frame:1 @@ fun frame1_path ->
+  with_trace ~events:(synth_hot_events n) @@ fun hot_path ->
   let v3_size = (Unix.stat v3_path).Unix.st_size in
-  ignore (run v2_path) (* warm-up *);
-  let _, v1_dt = run v1_path in
-  let _, strict_dt = run v2_path in
-  let _, lenient_dt = run ~ingest:(Replay.Lenient Iocov_util.Anomaly.Unlimited) v2_path in
-  (* v3 on the fused path (dense counters) *)
+  let frame1_size = (Unix.stat frame1_path).Unix.st_size in
   ignore (run v3_path) (* warm-up *);
   let _, v3_dt = run v3_path in
   let _, v3_lenient_dt =
@@ -926,14 +902,13 @@ let e13_robustness () =
           match Iocov_trace.Binary_io.open_stream ic with
           | Error msg -> failwith ("v3 drain: " ^ msg)
           | Ok st ->
+            let dense = Coverage.Dense.create () in
             let (), dt =
               timed_wall (fun () ->
                   let continue = ref true in
                   while !continue do
                     match
-                      Iocov_trace.Binary_io.drain_batch st
-                        ~on_call:(fun _ _ -> ())
-                        ~max:8192 ()
+                      Iocov_trace.Binary_io.drain_batch_dense st ~dense ~max:8192 ()
                     with
                     | Ok d ->
                       if d.Iocov_trace.Binary_io.dr_produced = 0 then continue := false
@@ -952,7 +927,7 @@ let e13_robustness () =
   let v3_drain_dt = drain_wall v3_path in
   (* writer throughput: encode + frame + emit the same events to disk,
      best of three — the buffered single-envelope emit path *)
-  let writer_wall version =
+  let writer_wall () =
     let once () =
       let path = Filename.temp_file "iocov_bench" ".trace" in
       Fun.protect
@@ -962,7 +937,7 @@ let e13_robustness () =
           Fun.protect
             ~finally:(fun () -> close_out_noerr oc)
             (fun () ->
-              let w = Iocov_trace.Binary_io.writer ~version oc in
+              let w = Iocov_trace.Binary_io.writer oc in
               let (), dt =
                 timed_wall (fun () ->
                     List.iter (Iocov_trace.Binary_io.sink w) events;
@@ -977,19 +952,12 @@ let e13_robustness () =
     done;
     !best
   in
-  let v3_writer_dt = writer_wall 3 in
+  let v3_writer_dt = writer_wall () in
   (* the hot-locality trace: zero-copy decode and full fused replay at
      suite-run string locality — the ROADMAP ≥10M events/s shape *)
   let hot_drain_dt = drain_wall hot_path in
   ignore (run hot_path) (* warm-up *);
   let _, hot_fused_dt = run hot_path in
-  let ckpt_path = Filename.temp_file "iocov_bench" ".ckpt" in
-  let (_, ckpt_dt) =
-    Fun.protect
-      ~finally:(fun () -> try Sys.remove ckpt_path with Sys_error _ -> ())
-      (fun () ->
-        run ~checkpoint:(ckpt_path, max 1 (n / 10)) v2_path)
-  in
   let v3_ckpt_path = Filename.temp_file "iocov_bench" ".ckpt" in
   let (_, v3_ckpt_dt) =
     Fun.protect
@@ -1000,7 +968,7 @@ let e13_robustness () =
   (* flip one byte per ~1000 frames and measure degraded-mode replay *)
   let corrupt, corrupt_dt, skipped =
     let b =
-      let ic = open_in_bin v2_path in
+      let ic = open_in_bin frame1_path in
       let len = in_channel_length ic in
       let b = Bytes.create len in
       really_input ic b 0 len;
@@ -1023,27 +991,16 @@ let e13_robustness () =
         let o, dt = run ~ingest:(Replay.Lenient Iocov_util.Anomaly.Unlimited) path in
         (flips, dt, o.Sink.completeness.Iocov_util.Anomaly.records_skipped))
   in
-  let pct v = 100.0 *. (float_of_int (v - v1_size) /. float_of_int v1_size) in
-  Printf.printf
-    "  trace size:     v1 %s B, v2 %s B (%+.1f%%), v3 %s B (%+.1f%% vs v1)\n"
-    (Ascii.si_count v1_size) (Ascii.si_count v2_size) (pct v2_size)
-    (Ascii.si_count v3_size) (pct v3_size);
-  Printf.printf "  v1 strict:      %.3fs (%s events/s)\n" v1_dt
-    (Ascii.si_count (int_of_float (rate v1_dt)));
-  Printf.printf "  v2 strict:      %.3fs (%s events/s)\n" strict_dt
-    (Ascii.si_count (int_of_float (rate strict_dt)));
-  Printf.printf "  v2 lenient:     %.3fs (%s events/s, clean trace)\n" lenient_dt
-    (Ascii.si_count (int_of_float (rate lenient_dt)));
-  Printf.printf "  v2 checkpointed:%.3fs (%s events/s, 10 checkpoints)\n" ckpt_dt
-    (Ascii.si_count (int_of_float (rate ckpt_dt)));
-  Printf.printf "  v2 degraded:    %.3fs (%d flips, %d records skipped)\n" corrupt_dt
-    corrupt skipped;
+  Printf.printf "  trace size:     %s B (256-record frames), %s B (1-record frames)\n"
+    (Ascii.si_count v3_size) (Ascii.si_count frame1_size);
   Printf.printf "  v3 fused:       %.3fs (%s events/s, strict)\n" v3_dt
     (Ascii.si_count (int_of_float (rate v3_dt)));
   Printf.printf "  v3 lenient:     %.3fs (%s events/s, clean trace)\n" v3_lenient_dt
     (Ascii.si_count (int_of_float (rate v3_lenient_dt)));
   Printf.printf "  v3 checkpointed:%.3fs (%s events/s, 10 checkpoints)\n" v3_ckpt_dt
     (Ascii.si_count (int_of_float (rate v3_ckpt_dt)));
+  Printf.printf "  v3 degraded:    %.3fs (%d flips, %d records skipped, 1-record frames)\n"
+    corrupt_dt corrupt skipped;
   Printf.printf "  v3 drain:       %.3fs (%s events/s, batch decode only)\n"
     v3_drain_dt
     (Ascii.si_count (int_of_float (rate v3_drain_dt)));
@@ -1058,35 +1015,33 @@ let e13_robustness () =
     (Ascii.si_count (int_of_float (rate hot_fused_dt)));
   let body =
     Printf.sprintf
-      "{\n  \"schema\": \"iocov-bench-robustness/4\",\n  \"seed\": %d,\n  \
-       \"trace_events\": %d,\n  \"bytes_v1\": %d,\n  \"bytes_v2\": %d,\n  \
-       \"bytes_v3\": %d,\n  \
-       \"framing_overhead_pct\": %.2f,\n  \
-       \"framing_overhead_v3_pct\": %.2f,\n  \
-       \"v1_strict\": { \"elapsed_s\": %.4f, \"events_per_s\": %.0f },\n  \
-       \"v2_strict\": { \"elapsed_s\": %.4f, \"events_per_s\": %.0f },\n  \
-       \"v2_lenient_clean\": { \"elapsed_s\": %.4f, \"events_per_s\": %.0f },\n  \
-       \"v2_checkpointed\": { \"elapsed_s\": %.4f, \"events_per_s\": %.0f },\n  \
-       \"v2_lenient_corrupt\": { \"elapsed_s\": %.4f, \"flips\": %d, \
-       \"records_skipped\": %d },\n  \
+      "{\n  \"schema\": \"iocov-bench-robustness/5\",\n  \"seed\": %d,\n  \
+       \"trace_events\": %d,\n  \"bytes_v3\": %d,\n  \"bytes_v3_frame1\": %d,\n  \
        \"v3_fused\": { \"elapsed_s\": %.4f, \"events_per_s\": %.0f },\n  \
        \"v3_lenient_clean\": { \"elapsed_s\": %.4f, \"events_per_s\": %.0f },\n  \
        \"v3_checkpointed\": { \"elapsed_s\": %.4f, \"events_per_s\": %.0f },\n  \
+       \"v3_lenient_corrupt\": { \"elapsed_s\": %.4f, \"flips\": %d, \
+       \"records_skipped\": %d },\n  \
        \"v3_drain\": { \"elapsed_s\": %.4f, \"events_per_s\": %.0f },\n  \
        \"v3_writer\": { \"elapsed_s\": %.4f, \"events_per_s\": %.0f },\n  \
        \"v3_drain_hot\": { \"elapsed_s\": %.4f, \"events_per_s\": %.0f },\n  \
        \"v3_fused_hot\": { \"elapsed_s\": %.4f, \"events_per_s\": %.0f }\n}\n"
-      !seed n v1_size v2_size v3_size (pct v2_size) (pct v3_size)
-      v1_dt (rate v1_dt) strict_dt (rate strict_dt) lenient_dt (rate lenient_dt)
-      ckpt_dt (rate ckpt_dt) corrupt_dt corrupt skipped
+      !seed n v3_size frame1_size
       v3_dt (rate v3_dt) v3_lenient_dt (rate v3_lenient_dt)
-      v3_ckpt_dt (rate v3_ckpt_dt) v3_drain_dt (rate v3_drain_dt)
+      v3_ckpt_dt (rate v3_ckpt_dt) corrupt_dt corrupt skipped
+      v3_drain_dt (rate v3_drain_dt)
       v3_writer_dt (rate v3_writer_dt)
       hot_drain_dt (rate hot_drain_dt) hot_fused_dt (rate hot_fused_dt)
   in
   write_json "BENCH_robustness.json" body
 
 (* --- the format gate: quick pass/fail smoke for CI --- *)
+
+(* v3 bytes of the gate's 20,000-record trace at seed 42 when the bound
+   was set (29.06 B/record; the retired v1 format took 639,963).  An
+   encoding change that grows the trace fails the gate.  Other seeds
+   draw other traces, so the bound applies at seed 42 only. *)
+let format_max_v3_bytes = 581_164
 
 let format_bench () =
   heading "FMT" "Format gate: v3 compactness, cross-format and scanner equivalence";
@@ -1109,9 +1064,9 @@ let format_bench () =
         write path;
         f path)
   in
-  let write_binary version path =
+  let write_binary path =
     let oc = open_out_bin path in
-    let w = Iocov_trace.Binary_io.writer ~version oc in
+    let w = Iocov_trace.Binary_io.writer oc in
     List.iter (Iocov_trace.Binary_io.sink w) events;
     Iocov_trace.Binary_io.flush w;
     close_out oc
@@ -1120,26 +1075,21 @@ let format_bench () =
     Out_channel.with_open_text path (fun oc ->
         List.iter (Iocov_trace.Format_io.sink_channel oc) events)
   in
-  with_file (write_binary 1) @@ fun v1 ->
-  with_file (write_binary 2) @@ fun v2 ->
-  with_file (write_binary 3) @@ fun v3 ->
+  with_file write_binary @@ fun v3 ->
   with_file write_text @@ fun txt ->
   let size p = (Unix.stat p).Unix.st_size in
-  let s1 = size v1 and s2 = size v2 and s3 = size v3 and st = size txt in
-  Printf.printf "  bytes: text %d, v1 %d, v2 %d, v3 %d (v3 = %.1f%% of v1)\n" st s1 s2
-    s3
-    (100.0 *. float_of_int s3 /. float_of_int s1);
-  if s3 >= s1 then fail "v3 (%d B) is not smaller than v1 (%d B)" s3 s1;
-  (* cross-format differential: every carrier yields the same snapshot *)
+  let s3 = size v3 and st = size txt in
+  Printf.printf "  bytes: text %d, v3 %d (%.2f B/record, bound %d)\n" st s3
+    (float_of_int s3 /. float_of_int n)
+    format_max_v3_bytes;
+  if !seed = 42 && s3 > format_max_v3_bytes then
+    fail "v3 (%d B) exceeds its bound (%d B)" s3 format_max_v3_bytes;
+  (* cross-format differential: both carriers yield the same snapshot *)
   let snap path =
     Snapshot.to_string
       (pipe_run ~stages:[ Stage.filter filter ] (Source.file path)).Sink.coverage
   in
-  let ref_snap = snap txt in
-  List.iter
-    (fun (name, path) ->
-      if snap path <> ref_snap then fail "%s snapshot diverges from text" name)
-    [ ("v1", v1); ("v2", v2); ("v3", v3) ];
+  if snap v3 <> snap txt then fail "v3 snapshot diverges from text";
   (* scanner differential: fast and reference agree on every line *)
   let diverged = ref 0 in
   List.iter
@@ -1171,15 +1121,12 @@ let format_bench () =
       match Iocov_trace.Binary_io.open_stream ic with
       | Error msg -> fail "v3 open_stream: %s" msg
       | Ok st ->
+        let dense = Coverage.Dense.create () in
         let (), dt =
           timed_wall (fun () ->
               let continue = ref true in
               while !continue do
-                match
-                  Iocov_trace.Binary_io.drain_batch st
-                    ~on_call:(fun _ _ -> ())
-                    ~max:8192 ()
-                with
+                match Iocov_trace.Binary_io.drain_batch_dense st ~dense ~max:8192 () with
                 | Ok d ->
                   if d.Iocov_trace.Binary_io.dr_produced = 0 then continue := false
                 | Error msg ->
@@ -1325,7 +1272,7 @@ let serve_bench () =
   let write_trace events =
     let path = Filename.temp_file "iocov_bench" ".trace" in
     let oc = open_out_bin path in
-    let w = Iocov_trace.Binary_io.writer ~version:3 oc in
+    let w = Iocov_trace.Binary_io.writer oc in
     List.iter (Iocov_trace.Binary_io.sink w) events;
     Iocov_trace.Binary_io.flush w;
     close_out oc;

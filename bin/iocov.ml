@@ -34,14 +34,10 @@ let print_sections sections = List.iter (fun (_, text) -> print_endline text) se
 
 (* --- the run ledger: one manifest record per completed run --- *)
 
-let counters_name = function
-  | Replay.Dense -> "dense"
-  | Replay.Reference -> "reference"
-
 (* Root spans completed so far become the record's per-stage durations;
    a failed append is a warning, never a failed run. *)
-let ledger_append ~ledger ?seed ?tenant ?config ~subcommand ~label ~flags ~counters
-    ~events ~kept ~lost ~wall_s coverage =
+let ledger_append ~ledger ?seed ?tenant ?config ~subcommand ~label ~flags ~events ~kept
+    ~lost ~wall_s coverage =
   match ledger with
   | None -> ()
   | Some dir ->
@@ -50,7 +46,7 @@ let ledger_append ~ledger ?seed ?tenant ?config ~subcommand ~label ~flags ~count
     in
     let r =
       Ledger.make ~time:(Obs.Clock.now ()) ?seed ?tenant ?config ~subcommand ~label
-        ~flags ~jobs:1 ~counters:(counters_name counters) ~events ~kept ~lost ~wall_s
+        ~flags ~jobs:1 ~counters:"dense" ~events ~kept ~lost ~wall_s
         ~stages coverage
     in
     (match Ledger.append ~dir r with
@@ -95,12 +91,12 @@ let print_result (r : Runner.result) =
   print_endline (Report.untested_summary ~name:(Runner.suite_name r.Runner.suite) r.Runner.coverage)
 
 let suite_cmd =
-  let run obs suite seed scale faults counters progress ledger points config_diff =
+  let run obs suite seed scale faults progress ledger points config_diff =
     Opts.with_obs obs (fun () ->
         check_config_diff ~config_diff points;
         let rows =
-          Runner.run_lattice ~seed ~scale ~faults ~counters
-            ?progress:(Opts.progress_conf progress) ~points suite
+          Runner.run_lattice ~seed ~scale ~faults ?progress:(Opts.progress_conf progress)
+            ~points suite
         in
         let flags =
           ("scale", string_of_float scale)
@@ -128,7 +124,7 @@ let suite_cmd =
         List.iter
           (fun (point, (r : Runner.result)) ->
             ledger_append ~ledger ~seed ~config:(ledger_config point)
-              ~subcommand:"suite" ~label:(Runner.suite_name suite) ~flags ~counters
+              ~subcommand:"suite" ~label:(Runner.suite_name suite) ~flags
               ~events:r.Runner.events_total ~kept:r.Runner.events_kept
               ~lost:0 ~wall_s:r.Runner.elapsed_s r.Runner.coverage)
           rows)
@@ -140,7 +136,7 @@ let suite_cmd =
     (Cmd.info "suite" ~doc:"Run one simulated tester under the tracer and report coverage.")
     Term.(
       const run $ Opts.obs_term $ suite_pos $ Opts.seed $ Opts.scale $ Opts.faults
-      $ Opts.counters $ Opts.progress_term $ Opts.ledger_term
+      $ Opts.progress_term $ Opts.ledger_term
       $ Opts.configs_term $ Opts.config_diff)
 
 (* --- trace: run a suite and store the raw trace --- *)
@@ -186,8 +182,7 @@ let trace_cmd =
 (* --- analyze a stored trace --- *)
 
 let analyze_cmd =
-  let run obs file patterns mount save counters ingest ckpt resume limit progress
-      ledger =
+  let run obs file patterns mount save ingest ckpt resume limit progress ledger =
     Opts.with_obs obs @@ fun () ->
     let resume =
       match resume with
@@ -230,7 +225,7 @@ let analyze_cmd =
     in
     let budget = match ingest with Replay.Lenient b -> Some b | _ -> None in
     let config =
-      Pipe.Driver.config ~counters ~ingest ?limit ?resume
+      Pipe.Driver.config ~ingest ?limit ?resume
         ?progress:(Opts.progress_conf ?budget progress) ()
     in
     let t0 = Obs.Clock.now () in
@@ -248,7 +243,7 @@ let analyze_cmd =
         @ (match resume with Some (p, _) -> [ ("resume", p) ] | None -> [])
       in
       ledger_append ~ledger ~subcommand:"analyze" ~label:product.Sink.label ~flags
-        ~counters ~events:product.Sink.events ~kept:product.Sink.kept
+        ~events:product.Sink.events ~kept:product.Sink.kept
         ~lost:(c.Anomaly.records_skipped + c.Anomaly.events_abandoned)
         ~wall_s:(Obs.Clock.now () -. t0) product.Sink.coverage
     | Error msg -> die "%s" msg
@@ -286,15 +281,15 @@ let analyze_cmd =
     (Cmd.info "analyze" ~doc:"Compute input/output coverage from a stored trace file.")
     Term.(
       const run $ Opts.obs_term $ file_pos $ patterns_arg $ mount_arg $ save_arg
-      $ Opts.counters $ Opts.ingest_term $ Opts.checkpoint_term
+      $ Opts.ingest_term $ Opts.checkpoint_term
       $ resume_arg $ limit_arg $ Opts.progress_term $ Opts.ledger_term)
 
 (* --- compare: the paper's evaluation --- *)
 
 let compare_cmd =
-  let run obs seed scale counters =
+  let run obs seed scale =
     Opts.with_obs obs @@ fun () ->
-    let cm, xf = Runner.run_both ~seed ~scale ~counters () in
+    let cm, xf = Runner.run_both ~seed ~scale () in
     let name_a = "CrashMonkey" and name_b = "xfstests" in
     let cov_a = cm.Runner.coverage and cov_b = xf.Runner.coverage in
     print_endline (Report.figure2 ~name_a ~cov_a ~name_b ~cov_b);
@@ -308,15 +303,15 @@ let compare_cmd =
   Cmd.v
     (Cmd.info "compare"
        ~doc:"Run CrashMonkey and xfstests and print Figures 2-5 and Table 1.")
-    Term.(const run $ Opts.obs_term $ Opts.seed $ Opts.scale $ Opts.counters)
+    Term.(const run $ Opts.obs_term $ Opts.seed $ Opts.scale)
 
 (* --- tcd --- *)
 
 let tcd_cmd =
-  let run obs seed scale counters arg_name =
+  let run obs seed scale arg_name =
     Opts.with_obs obs @@ fun () ->
     let arg = arg_class_of_name arg_name in
-    let cm, xf = Runner.run_both ~seed ~scale ~counters () in
+    let cm, xf = Runner.run_both ~seed ~scale () in
     let freqs cov =
       Array.of_list (List.map snd (Coverage.input_series cov arg))
     in
@@ -338,7 +333,7 @@ let tcd_cmd =
   Cmd.v
     (Cmd.info "tcd" ~doc:"Test Coverage Deviation sweep for one tracked argument.")
     Term.(
-      const run $ Opts.obs_term $ Opts.seed $ Opts.scale $ Opts.counters $ arg_name)
+      const run $ Opts.obs_term $ Opts.seed $ Opts.scale $ arg_name)
 
 (* --- adequacy: the under/over-testing classifier --- *)
 
@@ -472,7 +467,7 @@ let report_cmd =
 (* --- syz: input coverage of a Syzkaller program --- *)
 
 let syz_cmd =
-  let run obs counters ledger file =
+  let run obs ledger file =
     Opts.with_obs obs @@ fun () ->
     let text = In_channel.with_open_text file In_channel.input_all in
     let header =
@@ -491,13 +486,12 @@ let syz_cmd =
     let t0 = Obs.Clock.now () in
     match
       Pipe.Driver.run
-        ~config:(Pipe.Driver.config ~counters ())
         ~sinks:[ header; Sink.summary; Sink.untested; caveat ]
         (Pipe.Source.syz ~label:file text)
     with
     | Ok { product; sections } ->
       print_sections sections;
-      ledger_append ~ledger ~subcommand:"syz" ~label:file ~flags:[] ~counters
+      ledger_append ~ledger ~subcommand:"syz" ~label:file ~flags:[]
         ~events:product.Sink.events ~kept:product.Sink.kept ~lost:0
         ~wall_s:(Obs.Clock.now () -. t0) product.Sink.coverage
     | Error msg -> Printf.eprintf "error: %s\n" msg
@@ -506,19 +500,19 @@ let syz_cmd =
   Cmd.v
     (Cmd.info "syz"
        ~doc:"Measure the input coverage of a Syzkaller program log (syzlang format).")
-    Term.(const run $ Opts.obs_term $ Opts.counters $ Opts.ledger_term $ file_pos)
+    Term.(const run $ Opts.obs_term $ Opts.ledger_term $ file_pos)
 
 (* --- metrics: run a suite, dump the self-observability registry --- *)
 
 let metrics_cmd =
-  let run obs suite seed scale faults counters json out =
+  let run obs suite seed scale faults json out =
     Opts.with_obs obs @@ fun () ->
     (* Start from a clean registry so two invocations with the same
        seed/scale/faults produce identical counters (timings aside). *)
     Obs.Metrics.reset Obs.Metrics.default;
     Obs.Span.reset ();
     Obs.Log.reset_seq ();
-    let r = Runner.run ~seed ~scale ~faults ~counters suite in
+    let r = Runner.run ~seed ~scale ~faults suite in
     Printf.printf "%s: %d workloads, %s traced records, %.2fs\n\n"
       (Runner.suite_name r.Runner.suite) r.Runner.workloads
       (Iocov_util.Ascii.si_count r.Runner.events_total)
@@ -560,7 +554,7 @@ let metrics_cmd =
              and histograms, plus the span-tree profile of the run.")
     Term.(
       const run $ Opts.obs_term $ suite_arg $ Opts.seed $ Opts.scale $ Opts.faults
-      $ Opts.counters $ json_arg $ out_arg)
+      $ json_arg $ out_arg)
 
 (* --- runs: inspect the persistent run ledger --- *)
 
@@ -756,7 +750,7 @@ let serve_cmd =
             ?config:o.Serve_server.o_config ~subcommand:"serve"
             ~label:(match socket with Some s -> s | None -> "files")
             ~flags:[ ("mount", mount) ]
-            ~counters:Replay.Dense ~events:st.Serve_hub.st_events
+            ~events:st.Serve_hub.st_events
             ~kept:st.Serve_hub.st_kept ~lost:st.Serve_hub.st_lost
             ~wall_s:(Obs.Clock.now () -. t0)
             o.Serve_server.o_coverage)
@@ -900,8 +894,7 @@ let crash_cmd =
   let module Engine = Iocov_crash.Engine in
   let module Vc = Iocov_vfs.Config in
   let module Partition = Iocov_core.Partition in
-  let run obs workloads bound modes torn faults target theta save counters ledger
-      points =
+  let run obs workloads bound modes torn faults target theta save ledger points =
     Opts.with_obs obs @@ fun () ->
     let all_scenarios = Engine.scenarios @ Iocov_suites.Crashmonkey.crash_scenarios in
     let scenarios =
@@ -958,10 +951,9 @@ let crash_cmd =
             (Printf.sprintf "%s: %d workload records kept, %d outside the mount"
                p.Sink.label p.Sink.kept p.Sink.dropped))
     in
-    let config = Pipe.Driver.config ~counters () in
     let t0 = Obs.Clock.now () in
     match
-      Pipe.Driver.run ~config
+      Pipe.Driver.run
         ~stages:[ Pipe.Stage.filter (Iocov_trace.Filter.mount_point Engine.mount) ]
         ~sinks:[ header ]
         (Pipe.Source.live ~label:"crash" feed)
@@ -1074,7 +1066,7 @@ let crash_cmd =
         match points with [ point ] -> Some (ledger_config point) | _ -> None
       in
       ledger_append ~ledger ?config ~subcommand:"crash" ~label:"crash-engine" ~flags
-        ~counters ~events:product.Sink.events ~kept:product.Sink.kept ~lost:0
+        ~events:product.Sink.events ~kept:product.Sink.kept ~lost:0
         ~wall_s:(Obs.Clock.now () -. t0) coverage;
       (* unexpected violations are an engine bug; injected ones are the
          differential's success and exit clean *)
@@ -1122,10 +1114,8 @@ let crash_cmd =
          & info [ "save" ] ~docv:"FILE"
              ~doc:"Write the coverage (crash cells included) as a snapshot file.")
   in
-  let run obs workloads bound modes no_torn faults target theta save counters ledger
-      points =
-    run obs workloads bound modes (not no_torn) faults target theta save counters ledger
-      points
+  let run obs workloads bound modes no_torn faults target theta save ledger points =
+    run obs workloads bound modes (not no_torn) faults target theta save ledger points
   in
   Cmd.v
     (Cmd.info "crash"
@@ -1133,8 +1123,8 @@ let crash_cmd =
              and report post-crash outcome coverage.")
     Term.(
       const run $ Opts.obs_term $ workloads_arg $ bound_arg $ modes_arg $ no_torn_arg
-      $ Opts.faults $ target_arg $ theta_arg $ save_arg $ Opts.counters
-      $ Opts.ledger_term $ Opts.configs_term)
+      $ Opts.faults $ target_arg $ theta_arg $ save_arg $ Opts.ledger_term
+      $ Opts.configs_term)
 
 let main =
   Cmd.group

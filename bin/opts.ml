@@ -1,9 +1,9 @@
 (* Shared command-line options.
 
    Every subcommand that runs a pipeline takes the same knobs — seed,
-   scale, counter backend, fault injection, lenient ingestion,
-   checkpointing, log/metrics output.  They are defined once here so
-   the flags parse, print, and document identically everywhere. *)
+   scale, fault injection, lenient ingestion, checkpointing,
+   log/metrics output.  They are defined once here so the flags parse,
+   print, and document identically everywhere. *)
 
 open Cmdliner
 module Runner = Iocov_suites.Runner
@@ -25,28 +25,6 @@ let scale =
         ~docv:"SCALE"
         ~doc:"Workload scale factor; 1.0 is a quick shape-complete run, larger values \
               approach the paper's absolute frequencies.")
-
-let counters_conv =
-  let parse = function
-    | "dense" -> Ok Replay.Dense
-    | "reference" -> Ok Replay.Reference
-    | s -> Error (`Msg (Printf.sprintf "unknown counter backend %S (dense|reference)" s))
-  in
-  let print ppf c =
-    Format.pp_print_string ppf
-      (match c with Replay.Dense -> "dense" | Replay.Reference -> "reference")
-  in
-  Arg.conv (parse, print)
-
-let counters =
-  Arg.(
-    value
-    & opt counters_conv Replay.Dense
-    & info [ "counters" ]
-        ~docv:"BACKEND"
-        ~doc:"Coverage counter backend: $(b,dense) (the default — compiled partition \
-              plan, flat integer counters on the hot path) or $(b,reference) (hashed \
-              histograms — the differential oracle).  Results are byte-identical.")
 
 let fault_conv =
   let parse s =

@@ -1,5 +1,5 @@
 (* End-to-end fault-tolerance demo (DESIGN.md §12): trace a suite to a
-   v2 binary file, damage it, and show the three recovery layers —
+   binary file, damage it, and show the three recovery layers —
    lenient skip-and-resync ingestion with an error budget, exact loss
    accounting, and checkpointed replay whose resumed coverage is
    byte-identical to an uninterrupted run.
@@ -45,15 +45,15 @@ let () =
   let scale = if Array.length Sys.argv > 1 then float_of_string Sys.argv.(1) else 0.05 in
   let filter = Filter.mount_point Ltp.mount in
   with_temp ".trace" @@ fun trace ->
-  (* 1. trace the LTP suite straight into a v2 binary file; small
-     chapters keep the blast radius of the damage we are about to do
-     tightly bounded *)
+  (* 1. trace the LTP suite straight into a binary file; small chapters
+     keep the blast radius of the damage we are about to do tightly
+     bounded *)
   let oc = open_out_bin trace in
-  (* v2 pinned: this demo is about the per-record-CRC blast radius.
-     The v3 default amortizes the CRC over multi-record frames, so one
-     flip voids a whole frame — far over this demo's 1% budget on a
+  (* one-record frames: this demo is about the per-record-CRC blast
+     radius.  The default amortizes the CRC over 256-record frames, so
+     one flip voids a whole frame — far over this demo's 1% budget on a
      trace this small. *)
-  let w = Binary_io.writer ~version:2 ~chapter:64 oc in
+  let w = Binary_io.writer ~chapter:64 ~frame:1 oc in
   let coverage = Coverage.create () in
   let _failures, _stats = Ltp.run ~seed:7 ~scale ~sink:(Binary_io.sink w) ~coverage () in
   Binary_io.flush w;
@@ -72,8 +72,8 @@ let () =
   Printf.printf "traced %d events to %s\n" total trace;
   expect "strict run is complete" (Anomaly.is_clean reference.Replay.completeness);
 
-  (* 3. checkpointed replay: stop halfway, resume on the reference
-     counter backend, demand a byte-identical result *)
+  (* 3. checkpointed replay: stop halfway, resume, demand a
+     byte-identical result *)
   print_endline "interrupt and resume:";
   with_temp ".ckpt" (fun ckpt ->
       let half = total / 2 in
@@ -91,9 +91,7 @@ let () =
         Printf.eprintf "checkpoint load failed: %s\n" msg;
         exit 1
       | Ok ck -> (
-        match
-          Replay.analyze_file ~counters:Replay.Reference ~resume:(ckpt, ck) ~filter trace
-        with
+        match Replay.analyze_file ~resume:(ckpt, ck) ~filter trace with
         | Ok o ->
           expect "resumed run saw every event" (o.Replay.events = total);
           expect "resumed coverage byte-identical"

@@ -59,7 +59,7 @@ let synth_events ~seed n =
 
 let write_trace path events =
   let oc = open_out_bin path in
-  let w = Binary_io.writer ~version:3 oc in
+  let w = Binary_io.writer oc in
   List.iter (Binary_io.sink w) events;
   Binary_io.flush w;
   close_out oc

@@ -61,7 +61,9 @@ let save ~path t =
       p "kept %d\n" t.kept;
       p "batches %d\n" t.batches;
       let c = t.cursor in
-      p "cursor %d %d %d %d %d %d %d\n" c.Binary_io.c_version c.c_offset c.c_seq
+      (* the trace format version leads the line, so a checkpoint of an
+         older format is refused by name *)
+      p "cursor %d %d %d %d %d %d %d\n" Binary_io.version c.Binary_io.c_offset c.c_seq
         c.c_last_ts c.c_chapter c.c_last_pid c.c_skip;
       p "strings %d\n" (Array.length c.c_strings);
       Array.iter (function Some s -> p "S %S\n" s | None -> p "L\n") c.c_strings;
@@ -121,25 +123,24 @@ let load path =
           let* l = line "batches" in
           let* batches = scan l "batches %d" Fun.id in
           let* l = line "cursor" in
-          (* the 7-int form must be tried first: a 5-int scan of a 7-int
-             line would silently drop the pid base and frame skip *)
-          let* c_version, c_offset, c_seq, c_last_ts, c_chapter, c_last_pid, c_skip =
-            match
-              scan l "cursor %d %d %d %d %d %d %d" (fun a b c d e f g ->
-                  (a, b, c, d, e, f, g))
-            with
-            | Ok _ as full -> full
-            | Error _ ->
-              Result.map
-                (fun (a, b, c, d, e) -> (a, b, c, d, e, 0, 0))
-                (scan l "cursor %d %d %d %d %d" (fun a b c d e -> (a, b, c, d, e)))
+          let* version = scan l "cursor %d" Fun.id in
+          let* () =
+            if version = Binary_io.version then Ok ()
+            else
+              Error
+                (Printf.sprintf
+                   "checkpoint of a v%d trace: only v%d checkpoints resume; \
+                    re-run the replay"
+                   version Binary_io.version)
+          in
+          let* _, c_offset, c_seq, c_last_ts, c_chapter, c_last_pid, c_skip =
+            scan l "cursor %d %d %d %d %d %d %d" (fun a b c d e f g ->
+                (a, b, c, d, e, f, g))
           in
           let* l = line "strings" in
           let* n_strings = scan l "strings %d" Fun.id in
           if events < 0 || kept < 0 || batches < 0 || c_offset < 0 || c_seq < 1 || c_skip < 0
           then Error "checkpoint counters out of range"
-          else if c_version < 1 || c_version > 3 then
-            Error (Printf.sprintf "unsupported trace version %d in checkpoint" c_version)
           else if n_strings < 0 || n_strings > max_strings then
             Error (Printf.sprintf "implausible string table size %d" n_strings)
           else begin
@@ -202,8 +203,7 @@ let load path =
                   trace;
                   cursor =
                     {
-                      Binary_io.c_version;
-                      c_offset;
+                      Binary_io.c_offset;
                       c_seq;
                       c_last_ts;
                       c_last_pid;

@@ -18,13 +18,10 @@ let m_events =
   Metrics.counter Metrics.default "iocov_par_events_total"
     ~help:"Trace records processed by the replay engine."
 
-let m_observed kind =
+let m_observed =
   Metrics.counter Metrics.default "iocov_par_observed_events_total"
-    ~labels:[ ("counters", kind) ]
+    ~labels:[ ("counters", "dense") ]
     ~help:"Filtered records fed to a coverage accumulator, by counter backend."
-
-let m_observed_dense = m_observed "dense"
-let m_observed_reference = m_observed "reference"
 
 let m_abandoned =
   Metrics.counter Metrics.default "iocov_par_batches_abandoned_total"
@@ -60,24 +57,21 @@ type work =
 
 let work_size = function Events l -> List.length l | Lines l -> List.length l
 
-(* Counter backend of the accumulator.  [Dense] (the default) counts
-   into {!Coverage.Dense}'s flat array and converts to a reference
-   accumulator once at the end; [Reference] keeps the hashed histograms
-   on the hot path and serves as the differential oracle — both must
-   produce byte-identical snapshots. *)
-type counters = Dense | Reference
+(* The one counter backend: {!Coverage.Dense}'s flat array, converted
+   to a reference accumulator once at the end.  The type stays only so
+   that [?counters:Replay.Dense] call sites keep building. *)
+type counters = Dense
 
 (* Re-exported equation with {!Binary_io.mode}: the same value both
    selects the trace decoder's corruption handling and the pipeline's
    treatment of unparsable text lines and abandoned batches. *)
 type ingest = Binary_io.mode = Strict | Lenient of Anomaly.budget
 
-type acc = A_ref of Coverage.t | A_dense of Coverage.Dense.t
-
-(* The engine: one accumulator, the compiled stage chain, and the run's
-   tallies, all owned by the calling domain. *)
+(* The engine: one dense accumulator, the compiled stage chain, and the
+   run's tallies, all owned by the calling domain.  The accumulator is
+   unmetered; [finalize] credits the converted coverage in one batch. *)
 type state = {
-  acc : acc;
+  dense : Coverage.Dense.t;
   keep : stage;
   ingest : ingest;
   mutable s_events : int;
@@ -100,16 +94,9 @@ let compile_keep ?filter ?stage () =
   | None, Some s -> s
   | Some f, Some s -> fun events -> s (Filter.keep_all f events)
 
-let make_state ~counters ~ingest ?filter ?stage () =
-  let acc =
-    match counters with
-    | Reference -> A_ref (Coverage.create ())
-    (* dense accumulators are inherently unmetered; [finalize] credits
-       the converted accumulator in one batch *)
-    | Dense -> A_dense (Coverage.Dense.create ())
-  in
+let make_state ~ingest ?filter ?stage () =
   {
-    acc;
+    dense = Coverage.Dense.create ();
     keep = compile_keep ?filter ?stage ();
     ingest;
     s_events = 0;
@@ -128,15 +115,9 @@ let note st a =
   if st.s_anomaly_count <= Anomaly.max_kept_anomalies then
     st.s_anomalies <- a :: st.s_anomalies
 
-(* One backend dispatch per batch, not per event. *)
 let observe_batch st kept n_kept =
-  match st.acc with
-  | A_ref cov ->
-    Event.iter_tracked kept (Coverage.observe cov);
-    Metrics.Counter.add m_observed_reference n_kept
-  | A_dense d ->
-    Event.iter_tracked kept (Coverage.Dense.observe d);
-    Metrics.Counter.add m_observed_dense n_kept
+  Event.iter_tracked kept (Coverage.Dense.observe st.dense);
+  Metrics.Counter.add m_observed n_kept
 
 let parse_lines lines =
   let errors = ref [] in
@@ -217,8 +198,7 @@ let engine_completeness st =
   }
 
 (* The accumulator as a reference coverage, credited to the global
-   counters exactly once: a reference accumulator was metered per
-   event already, a dense one is converted and metered in one batch. *)
+   counters exactly once: converted and metered in one batch. *)
 let finalize ~producer st =
   let strict_failure =
     match st.ingest with
@@ -231,14 +211,8 @@ let finalize ~producer st =
   match strict_failure with
   | Some msg -> Error msg
   | None -> (
-    let coverage =
-      match st.acc with
-      | A_ref cov -> cov
-      | A_dense d ->
-        let cov = Coverage.Dense.to_reference ~metered:true d in
-        Coverage.meter_counts cov;
-        cov
-    in
+    let coverage = Coverage.Dense.to_reference ~metered:true st.dense in
+    Coverage.meter_counts coverage;
     let events = st.s_events in
     let completeness =
       {
@@ -271,7 +245,7 @@ let finalize ~producer st =
         })
 
 (* A read-only window onto the accumulator: cells are read in place (an
-   array index on the dense backend), so a progress snapshot never
+   array index into the dense counts), so a progress snapshot never
    copies or converts coverage on the hot path. *)
 type view = {
   v_cells : int -> int;  (* plan cell id -> observation count *)
@@ -284,13 +258,9 @@ let view_of_coverage cov ~events =
   { v_cells = (fun id -> Coverage.cell_count cov Plan.cells.(id)); v_events = events }
 
 let view_state st () =
-  match st.acc with
-  | A_ref cov -> view_of_coverage cov ~events:st.s_events
-  | A_dense d -> { v_cells = Coverage.Dense.cell_count d; v_events = st.s_events }
+  { v_cells = Coverage.Dense.cell_count st.dense; v_events = st.s_events }
 
-let coverage_of_acc = function
-  | A_ref cov -> cov
-  | A_dense d -> Coverage.Dense.to_reference ~metered:false d
+let coverage_so_far st = Coverage.Dense.to_reference ~metered:false st.dense
 
 (* The push side of a replay: run each work item as it arrives, then
    tick [watch] with the cumulative count of records pushed. *)
@@ -303,10 +273,10 @@ let pusher ?watch st =
 
 (* --- entry points --- *)
 
-let analyze_events ?(batch = default_batch) ?(counters = Dense) ?(ingest = Strict) ?watch
-    ?filter ?stage events =
+let analyze_events ?(batch = default_batch) ?(ingest = Strict) ?watch ?filter ?stage
+    events =
   if batch <= 0 then invalid_arg "Replay.analyze_events: batch must be positive";
-  let st = make_state ~counters ~ingest ?filter ?stage () in
+  let st = make_state ~ingest ?filter ?stage () in
   let push = pusher ?watch st in
   let rec take n acc rest =
     if n = 0 then (List.rev acc, rest)
@@ -335,7 +305,7 @@ let write_checkpoint ~spec ~trace_path ~base ~stream st =
   (match base with
    | Some (ck : Checkpoint.t) -> Coverage.merge_into ~dst:coverage ck.Checkpoint.coverage
    | None -> ());
-  Coverage.merge_into ~dst:coverage (coverage_of_acc st.acc);
+  Coverage.merge_into ~dst:coverage (coverage_so_far st);
   let base_events, base_kept, base_batches, base_comp =
     match base with
     | Some ck ->
@@ -367,12 +337,12 @@ let write_checkpoint ~spec ~trace_path ~base ~stream st =
     ~args:[ ("events", string_of_int events) ]
     "checkpoint-write"
 
-(* The fused path: v3 records map to dense plan cells inside the
-   decoder ({!Binary_io.drain_batch_dense}) — no [Event.t] list is ever
-   built, no [Model.call] is ever materialized.  Metering, watch ticks,
-   and checkpoints are batch-for-batch identical to the event-list path,
-   so snapshots and ledgers cannot tell the two apart. *)
-let run_fused ~batch ?watch ~remaining ~filter ~maybe_checkpoint ~d st stream =
+(* The fused path: records map to dense plan cells inside the decoder
+   ({!Binary_io.drain_batch_dense}) — no [Event.t] list is ever built,
+   no [Model.call] is ever materialized.  Metering, watch ticks, and
+   checkpoints are batch-for-batch identical to the event-list path, so
+   snapshots and ledgers cannot tell the two apart. *)
+let run_fused ~batch ?watch ~remaining ~filter ~maybe_checkpoint st stream =
   let keep_hint = Option.map (fun f hint -> Filter.matches_hint f hint) filter in
   let tracing = Trace_event.enabled () in
   let rec loop () =
@@ -380,7 +350,8 @@ let run_fused ~batch ?watch ~remaining ~filter ~maybe_checkpoint ~d st stream =
     else begin
       let t_start = if tracing then Clock.now () else 0.0 in
       match
-        Binary_io.drain_batch_dense stream ?keep_hint ~dense:d ~max:(min batch !remaining) ()
+        Binary_io.drain_batch_dense stream ?keep_hint ~dense:st.dense
+          ~max:(min batch !remaining) ()
       with
       | Error _ as e -> e
       | Ok dr when dr.Binary_io.dr_produced = 0 -> Ok ()
@@ -391,7 +362,7 @@ let run_fused ~batch ?watch ~remaining ~filter ~maybe_checkpoint ~d st stream =
         st.s_batches <- st.s_batches + 1;
         Metrics.Counter.incr m_batches;
         Metrics.Counter.add m_events dr.Binary_io.dr_produced;
-        Metrics.Counter.add m_observed_dense dr.Binary_io.dr_kept;
+        Metrics.Counter.add m_observed dr.Binary_io.dr_kept;
         if keep_hint <> None then
           Filter.meter ~kept:dr.Binary_io.dr_kept ~no_hint:dr.Binary_io.dr_no_hint
             ~no_match:dr.Binary_io.dr_no_match;
@@ -413,8 +384,9 @@ let run_fused ~batch ?watch ~remaining ~filter ~maybe_checkpoint ~d st stream =
   in
   loop ()
 
-(* The classic binary path (v1/v2 traces, the reference backend, or an
-   extra stage): decode a batch of events, run it, checkpoint. *)
+(* The event path, for a binary trace under an extra stage (a stage
+   transforms events, so they must exist): decode a batch of events,
+   run it, checkpoint. *)
 let run_decoded ~batch ?watch ~remaining ~maybe_checkpoint st stream =
   let push = pusher ?watch st in
   let rec loop () =
@@ -446,13 +418,13 @@ let run_text ~batch ?watch ~remaining st ic =
   in
   loop ()
 
-let analyze_ic ~batch ~counters ~ingest ?watch ~checkpoint ~resume ~limit ?filter ?stage
-    ~trace_path ic =
+let analyze_ic ~batch ~ingest ?watch ~checkpoint ~resume ~limit ?filter ?stage ~trace_path
+    ic =
   if batch <= 0 then invalid_arg "Replay.analyze_channel: batch must be positive";
   (match limit with
    | Some n when n < 0 -> invalid_arg "Replay.analyze_channel: limit must be non-negative"
    | _ -> ());
-  let st = make_state ~counters ~ingest ?filter ?stage () in
+  let st = make_state ~ingest ?filter ?stage () in
   let remaining = ref (match limit with Some n -> n | None -> max_int) in
   if Binary_io.is_binary_trace ic then begin
     let stream =
@@ -474,10 +446,10 @@ let analyze_ic ~batch ~counters ~ingest ?watch ~checkpoint ~resume ~limit ?filte
       let fed =
         Span.with_ ~name:"par/replay" (fun () ->
             let r =
-              match (st.acc, stage) with
-              | A_dense d, None when Binary_io.stream_version stream = 3 ->
-                run_fused ~batch ?watch ~remaining ~filter ~maybe_checkpoint ~d st stream
-              | _ -> run_decoded ~batch ?watch ~remaining ~maybe_checkpoint st stream
+              match stage with
+              | None ->
+                run_fused ~batch ?watch ~remaining ~filter ~maybe_checkpoint st stream
+              | Some _ -> run_decoded ~batch ?watch ~remaining ~maybe_checkpoint st stream
             in
             (match r with
              | Ok () -> maybe_checkpoint ~force:(checkpoint <> None)
@@ -495,7 +467,7 @@ let analyze_ic ~batch ~counters ~ingest ?watch ~checkpoint ~resume ~limit ?filte
 
 (* Fold a resumed prefix into a suffix outcome.  Coverage merging is
    commutative and associative, so prefix + suffix is byte-identical to
-   the uninterrupted run — under either counter backend. *)
+   the uninterrupted run. *)
 let merge_resumed ~from (ck : Checkpoint.t) (o : outcome) =
   let coverage = Coverage.create () in
   Coverage.merge_into ~dst:coverage ck.Checkpoint.coverage;
@@ -516,13 +488,13 @@ let merge_resumed ~from (ck : Checkpoint.t) (o : outcome) =
     completeness;
   }
 
-let analyze_channel ?(batch = default_batch) ?(counters = Dense) ?(ingest = Strict) ?watch
-    ?limit ?filter ?stage ic =
-  analyze_ic ~batch ~counters ~ingest ?watch ~checkpoint:None ~resume:None ~limit ?filter
-    ?stage ~trace_path:"<channel>" ic
+let analyze_channel ?(batch = default_batch) ?(ingest = Strict) ?watch ?limit ?filter
+    ?stage ic =
+  analyze_ic ~batch ~ingest ?watch ~checkpoint:None ~resume:None ~limit ?filter ?stage
+    ~trace_path:"<channel>" ic
 
-let analyze_file ?(batch = default_batch) ?(counters = Dense) ?(ingest = Strict) ?watch
-    ?checkpoint ?resume ?limit ?filter ?stage path =
+let analyze_file ?(batch = default_batch) ?(ingest = Strict) ?watch ?checkpoint ?resume
+    ?limit ?filter ?stage path =
   match checkpoint with
   | Some spec when spec.ckpt_every <= 0 -> Error "checkpoint interval must be positive"
   | _ -> (
@@ -542,8 +514,8 @@ let analyze_file ?(batch = default_batch) ?(counters = Dense) ?(ingest = Strict)
             Error "resume requires a binary trace"
           | _ -> (
             match
-              analyze_ic ~batch ~counters ~ingest ?watch ~checkpoint ~resume ~limit ?filter
-                ?stage ~trace_path:path ic
+              analyze_ic ~batch ~ingest ?watch ~checkpoint ~resume ~limit ?filter ?stage
+                ~trace_path:path ic
             with
             | Error _ as e -> e
             | Ok o -> (
@@ -560,10 +532,9 @@ type session = {
   mutable buf_n : int;
 }
 
-let session ?pool:_ ?(batch = default_batch) ?(counters = Dense) ?(ingest = Strict) ?filter
-    ?stage () =
+let session ?pool:_ ?(batch = default_batch) ?(ingest = Strict) ?filter ?stage () =
   if batch <= 0 then invalid_arg "Replay.session: batch must be positive";
-  { st = make_state ~counters ~ingest ?filter ?stage (); batch_size = batch; buf = []; buf_n = 0 }
+  { st = make_state ~ingest ?filter ?stage (); batch_size = batch; buf = []; buf_n = 0 }
 
 let flush s =
   if s.buf_n > 0 then begin
@@ -579,9 +550,7 @@ let sink s e =
 
 let progress s =
   flush s;
-  match s.st.acc with
-  | A_ref cov -> Coverage.copy cov
-  | A_dense d -> Coverage.Dense.to_reference ~metered:false d
+  coverage_so_far s.st
 
 let progress_view s =
   flush s;

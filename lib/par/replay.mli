@@ -11,18 +11,18 @@
     a trace decoder, or a live tracer) hands it batches of work; each
     batch is parsed if it is text, filtered with the
     {!Iocov_trace.Filter.t} and any extra {!stage}, and accumulated
-    into one {!Iocov_core.Coverage} accumulator.  Binary v3 traces on
-    the dense backend skip the event list entirely: records map to
-    plan cells inside the decoder
+    into one dense accumulator ({!Iocov_core.Coverage.Dense}).  Binary
+    traces without an extra stage skip the event list entirely: records
+    map to plan cells inside the decoder
     ({!Iocov_trace.Binary_io.drain_batch_dense}).
 
     {b Determinism contract.}  The coverage is byte-identical to a
-    per-event observe of the same trace regardless of batch size,
-    counter backend, trace format, or interruption and resume —
-    property-tested in [test/test_par.ml], [test/test_dense.ml], and
+    per-event {!Iocov_core.Coverage.observe} of the same trace
+    regardless of batch size, trace format, or interruption and resume
+    — property-tested in [test/test_par.ml], [test/test_dense.ml], and
     [test/test_pipe.ml].  Global metric counter totals are likewise
-    identical: a dense accumulator is credited once, after conversion,
-    via {!Iocov_core.Coverage.meter_counts}.
+    identical: the accumulator is credited once, after conversion, via
+    {!Iocov_core.Coverage.meter_counts}.
 
     {b Fault tolerance} (DESIGN.md §12).  Three layers compose:
     {ul
@@ -43,11 +43,10 @@ type counters =
   | Dense
       (** Count into {!Iocov_core.Coverage.Dense} — flat integer arrays
           indexed by compiled {!Iocov_core.Plan} cell IDs,
-          allocation-free observe.  Converted losslessly to the
-          reference shape at the end of the run; the default. *)
-  | Reference
-      (** Use the hashed-histogram {!Iocov_core.Coverage.t} directly —
-          the differential oracle for the dense path. *)
+          allocation-free observe, converted losslessly to the reference
+          shape at the end of the run.  The only backend: the type is
+          kept so that callers passing [~counters:Dense] keep
+          building. *)
 
 type ingest = Iocov_trace.Binary_io.mode =
   | Strict
@@ -77,20 +76,20 @@ type stage = Iocov_trace.Event.t list -> Iocov_trace.Event.t list
     deterministic.  Omitted, or the identity, the engine behaves exactly
     as before the pipe layer existed — which is what keeps the
     byte-identical coverage contract.  A stage forces the event-list
-    path on v3 traces. *)
+    path on binary traces. *)
 
 type view = {
   v_cells : int -> int;  (** observation count by {!Iocov_core.Plan} cell id *)
   v_events : int;        (** events analyzed so far *)
 }
 (** A read-only window onto an accumulator: cells are read {e in place}
-    (an array index on the dense backend), so consuming a view never
+    (an array index into the dense counts), so consuming a view never
     copies or converts coverage on the hot path.  Valid only until the
     next event is analyzed — consume it inside the callback. *)
 
 val view_of_coverage : Iocov_core.Coverage.t -> events:int -> view
-(** View a finished (reference) accumulator — how the driver serves the
-    final progress snapshot. *)
+(** View a finished coverage — how the driver serves the final progress
+    snapshot. *)
 
 type watch = pushed:int -> peek:(unit -> view) -> unit
 (** The progress hook (the [--progress] sink's feed): called after every
@@ -99,15 +98,15 @@ type watch = pushed:int -> peek:(unit -> view) -> unit
     Must not raise. *)
 
 val analyze_events :
-  ?batch:int -> ?counters:counters -> ?ingest:ingest -> ?watch:watch ->
-  ?filter:Iocov_trace.Filter.t -> ?stage:stage -> Iocov_trace.Event.t list -> outcome
+  ?batch:int -> ?ingest:ingest -> ?watch:watch -> ?filter:Iocov_trace.Filter.t ->
+  ?stage:stage -> Iocov_trace.Event.t list -> outcome
 (** Replay an in-memory event list.  [batch] must be positive;
-    [counters] defaults to [Dense]; [ingest] to [Strict].  [filter]
-    omitted keeps every record; [stage] runs after the filter.  Raises
-    [Failure] if a strict run abandons a batch. *)
+    [ingest] defaults to [Strict].  [filter] omitted keeps every
+    record; [stage] runs after the filter.  Raises [Failure] if a
+    strict run abandons a batch. *)
 
 val analyze_channel :
-  ?batch:int -> ?counters:counters -> ?ingest:ingest -> ?watch:watch -> ?limit:int ->
+  ?batch:int -> ?ingest:ingest -> ?watch:watch -> ?limit:int ->
   ?filter:Iocov_trace.Filter.t -> ?stage:stage -> in_channel -> (outcome, string) result
 (** Replay a trace from a channel, auto-detecting binary
     ({!Iocov_trace.Binary_io}) versus text ({!Iocov_trace.Format_io}).
@@ -123,7 +122,7 @@ type checkpoint_spec = {
 }
 
 val analyze_file :
-  ?batch:int -> ?counters:counters -> ?ingest:ingest -> ?watch:watch ->
+  ?batch:int -> ?ingest:ingest -> ?watch:watch ->
   ?checkpoint:checkpoint_spec -> ?resume:string * Checkpoint.t -> ?limit:int ->
   ?filter:Iocov_trace.Filter.t -> ?stage:stage -> string -> (outcome, string) result
 (** {!analyze_channel} on a file path, plus checkpointed replay.
@@ -131,9 +130,9 @@ val analyze_file :
     [checkpoint] periodically freezes the decode cursor and the
     accumulated coverage to a file; it requires a binary trace, and a
     final checkpoint is written when the feed ends.  [resume = (path,
-    ck)] continues from a loaded {!Checkpoint} under either counter
-    backend and folds the checkpointed prefix into the outcome; the
-    final report is byte-identical to an uninterrupted run's.  When both
+    ck)] continues from a loaded {!Checkpoint} and folds the
+    checkpointed prefix into the outcome; the final report is
+    byte-identical to an uninterrupted run's.  When both
     are given, the new checkpoints carry the combined progress, so a run
     can crash and resume repeatedly. *)
 
@@ -146,8 +145,8 @@ val analyze_file :
 type session
 
 val session :
-  ?pool:Pool.t -> ?batch:int -> ?counters:counters -> ?ingest:ingest ->
-  ?filter:Iocov_trace.Filter.t -> ?stage:stage -> unit -> session
+  ?pool:Pool.t -> ?batch:int -> ?ingest:ingest -> ?filter:Iocov_trace.Filter.t ->
+  ?stage:stage -> unit -> session
 (** [pool] is accepted and ignored (see {!Pool}). *)
 
 val sink : session -> Iocov_trace.Event.t -> unit

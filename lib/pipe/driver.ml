@@ -14,7 +14,6 @@ let runs_total kind =
 
 type config = {
   batch : int;
-  counters : Replay.counters;
   ingest : Replay.ingest;
   limit : int option;
   resume : (string * Checkpoint.t) option;
@@ -24,17 +23,16 @@ type config = {
 let default =
   {
     batch = Replay.default_batch;
-    counters = Replay.Dense;
     ingest = Replay.Strict;
     limit = None;
     resume = None;
     progress = None;
   }
 
-let config ?(jobs = 1) ?(batch = default.batch) ?(counters = default.counters)
+let config ?(jobs = 1) ?(batch = default.batch) ?counters:(_ : Replay.counters option)
     ?(ingest = default.ingest) ?limit ?resume ?progress () =
   if jobs <> 1 then invalid_arg "Driver.config: jobs must be 1";
-  { batch; counters; ingest; limit; resume; progress }
+  { batch; ingest; limit; resume; progress }
 
 type run = { product : Sink.product; sections : (string * string) list }
 
@@ -87,25 +85,18 @@ let atomic_snapshot path cov =
     raise e
 
 (* Syzlang programs carry no return values and are tiny: feed input-only
-   coverage directly, on the configured counter backend, matching the
-   engine's metering discipline (dense accumulates unmetered, credited
-   once after conversion). *)
-let run_syz ~counters ~label text =
+   coverage directly, matching the engine's metering discipline (dense
+   accumulates unmetered, credited once after conversion). *)
+let run_syz ~label text =
   match Syzlang.parse_program text with
   | Error msg -> Error msg
   | Ok program ->
     let coverage =
-      match counters with
-      | Replay.Reference ->
-        let cov = Coverage.create () in
-        List.iter (Coverage.observe_input_only cov) program.Syzlang.calls;
-        cov
-      | Replay.Dense ->
-        let d = Coverage.Dense.create () in
-        List.iter (Coverage.Dense.observe_input_only d) program.Syzlang.calls;
-        let cov = Coverage.Dense.to_reference ~metered:false d in
-        Coverage.meter_counts cov;
-        cov
+      let d = Coverage.Dense.create () in
+      List.iter (Coverage.Dense.observe_input_only d) program.Syzlang.calls;
+      let cov = Coverage.Dense.to_reference ~metered:false d in
+      Coverage.meter_counts cov;
+      cov
     in
     let calls = List.length program.Syzlang.calls in
     let notes =
@@ -134,8 +125,7 @@ let watch_stride = 64
 
 let run_live ~cfg ~filter ~stage ~ckpt ~watch ~label feed =
   let s =
-    Replay.session ~batch:cfg.batch ~counters:cfg.counters ~ingest:cfg.ingest ?filter
-      ?stage ()
+    Replay.session ~batch:cfg.batch ~ingest:cfg.ingest ?filter ?stage ()
   in
   let emit =
     match ckpt with
@@ -200,7 +190,7 @@ let execute ~cfg ~stages ~ckpt ~watch source =
     let* () = reject_resume "syzlang programs" in
     let* () = reject_ckpt "syzlang programs" in
     if stages <> [] then Error "stages do not apply to syzlang sources (input-only)"
-    else run_syz ~counters:cfg.counters ~label text
+    else run_syz ~label text
   | Source.Events { label; events } ->
     let* () = reject_resume "event lists" in
     let* () = reject_ckpt "event lists" in
@@ -208,15 +198,15 @@ let execute ~cfg ~stages ~ckpt ~watch source =
     (try
        Ok
          (product_of ~label
-            (Replay.analyze_events ~batch:cfg.batch ~counters:cfg.counters
-               ~ingest:cfg.ingest ?watch ?filter ?stage events))
+            (Replay.analyze_events ~batch:cfg.batch ~ingest:cfg.ingest ?watch ?filter
+               ?stage events))
      with Failure msg -> Error msg)
   | Source.Channel { label; ic } ->
     let* () = reject_resume "channels" in
     let* () = reject_ckpt "channels" in
     Result.map (product_of ~label)
-      (Replay.analyze_channel ~batch:cfg.batch ~counters:cfg.counters
-         ~ingest:cfg.ingest ?watch ?limit:cfg.limit ?filter ?stage ic)
+      (Replay.analyze_channel ~batch:cfg.batch ~ingest:cfg.ingest ?watch ?limit:cfg.limit
+         ?filter ?stage ic)
   | Source.File { path } ->
     let checkpoint =
       Option.map
@@ -224,9 +214,8 @@ let execute ~cfg ~stages ~ckpt ~watch source =
         ckpt
     in
     Result.map (product_of ~label:path)
-      (Replay.analyze_file ~batch:cfg.batch ~counters:cfg.counters
-         ~ingest:cfg.ingest ?watch ?checkpoint ?resume:cfg.resume
-         ?limit:cfg.limit ?filter ?stage path)
+      (Replay.analyze_file ~batch:cfg.batch ~ingest:cfg.ingest ?watch ?checkpoint
+         ?resume:cfg.resume ?limit:cfg.limit ?filter ?stage path)
   | Source.Live { label; feed } ->
     let* () = reject_resume "live sources" in
     run_live ~cfg ~filter ~stage ~ckpt ~watch ~label feed

@@ -3,12 +3,11 @@
     Every consumer — live suite runs ({!Iocov_suites.Runner}), stored
     trace replay ([iocov analyze]), the benches, the examples —
     describes {e what} to run as [source → stages → sinks] and hands
-    {e how} to run it to this driver: batch size, counter backend,
-    strict/lenient ingestion with error budgets, limits,
-    checkpoint/resume, and progress.  Execution is
-    {!Iocov_par.Replay}'s single-domain engine, so the determinism
-    contract carries over verbatim: the coverage is byte-identical at
-    any batch size or counter backend.
+    {e how} to run it to this driver: batch size, strict/lenient
+    ingestion with error budgets, limits, checkpoint/resume, and
+    progress.  Execution is {!Iocov_par.Replay}'s single-domain engine,
+    so the determinism contract carries over verbatim: the coverage is
+    byte-identical at any batch size.
 
     One traversal feeds every sink — coverage, TCD, completeness,
     report sections, gauges, snapshots come out of a single pass over
@@ -16,7 +15,6 @@
 
 type config = {
   batch : int;       (** events per work batch *)
-  counters : Iocov_par.Replay.counters;
   ingest : Iocov_par.Replay.ingest;
   limit : int option;  (** stop after this many records *)
   resume : (string * Iocov_par.Checkpoint.t) option;
@@ -28,17 +26,18 @@ type config = {
 }
 
 val default : config
-(** Batch {!Iocov_par.Replay.default_batch}, dense counters, strict
-    ingest, no limit, no resume, no progress. *)
+(** Batch {!Iocov_par.Replay.default_batch}, strict ingest, no limit,
+    no resume, no progress. *)
 
 val config :
   ?jobs:int -> ?batch:int -> ?counters:Iocov_par.Replay.counters ->
   ?ingest:Iocov_par.Replay.ingest -> ?limit:int ->
   ?resume:string * Iocov_par.Checkpoint.t -> ?progress:Progress.conf -> unit ->
   config
-(** {!default} with overrides.  [jobs] is accepted only so that older
-    callers keep building: it raises [Invalid_argument] unless it is
-    1. *)
+(** {!default} with overrides.  [jobs] and [counters] are accepted
+    only so that older callers keep building: [jobs] raises
+    [Invalid_argument] unless it is 1, and [counters] is ignored (dense
+    is the only backend). *)
 
 type run = {
   product : Sink.product;   (** what the single pass produced *)

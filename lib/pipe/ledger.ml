@@ -56,6 +56,7 @@ let bitmap cov = hex_of_bytes (Coverage.cell_bitmap cov)
 let make ?time ?seed ?tenant ?config ~subcommand ~label ~flags ~jobs ~counters ~events
     ~kept ~lost ~wall_s ~stages cov =
   if jobs <> 1 then invalid_arg "Ledger.make: jobs must be 1";
+  if counters <> "dense" then invalid_arg "Ledger.make: counters must be \"dense\"";
   {
     r_id = "";  (* assigned by append *)
     r_time = time;
@@ -219,18 +220,53 @@ let load ~dir =
         loop ();
         { records = List.rev !records; bad_lines = !bad })
 
+(* [N] of an id [rN], read from index [i]; 0 for any other id. *)
+let rec id_digits id i acc =
+  if i = String.length id then acc
+  else
+    match id.[i] with
+    | '0' .. '9' as c -> id_digits id (i + 1) ((10 * acc) + Char.code c - 48)
+    | _ -> 0
+
+(* The next id is one past the largest readable [rN], not the count of
+   readable records: with a damaged line in the middle, a count would
+   hand out an id that is already taken. *)
+let next_id records =
+  let number id = if String.length id > 1 && id.[0] = 'r' then id_digits id 1 0 else 0 in
+  1 + List.fold_left (fun m r -> max m (number r.r_id)) 0 records
+
+(* A crash mid-append leaves a final line without its newline. *)
+let ends_mid_line p =
+  match open_in_bin p with
+  | exception Sys_error _ -> false
+  | ic ->
+    Fun.protect
+      ~finally:(fun () -> close_in_noerr ic)
+      (fun () ->
+        let n = in_channel_length ic in
+        n > 0
+        && begin
+          seek_in ic (n - 1);
+          input_char ic <> '\n'
+        end)
+
 (* Appends are a single [output_string] of one line on a channel opened
    in append mode — atomic for any realistic record size on POSIX, and
-   a crash can at worst truncate the final line, which [load] absorbs. *)
+   a crash can at worst truncate the final line, which [load] absorbs.
+   After such a crash the line starts with the missing newline, so the
+   new record is not glued onto the torn bytes. *)
 let append ~dir r =
   (try if not (Sys.file_exists dir) then Sys.mkdir dir 0o755 with Sys_error _ -> ());
   let existing = load ~dir in
-  let r = { r with r_id = Printf.sprintf "r%d" (List.length existing.records + 1) } in
+  let r = { r with r_id = Printf.sprintf "r%d" (next_id existing.records) } in
+  let line =
+    (if ends_mid_line (path ~dir) then "\n" else "") ^ Json.to_string (to_json r) ^ "\n"
+  in
   match
     Out_channel.with_open_gen
       [ Open_append; Open_creat; Open_text ]
       0o644 (path ~dir)
-      (fun oc -> Out_channel.output_string oc (Json.to_string (to_json r) ^ "\n"))
+      (fun oc -> Out_channel.output_string oc line)
   with
   | () -> Ok r
   | exception Sys_error msg -> Error msg

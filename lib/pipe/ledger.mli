@@ -1,7 +1,7 @@
 (** The persistent run ledger ([.iocov/runs.jsonl], DESIGN.md §14).
 
     Every pipeline run appends one JSON-lines manifest record —
-    subcommand, flags, seed, jobs, counter backend, event and loss
+    subcommand, flags, seed, jobs, counters, event and loss
     counts, wall and per-stage durations, and a coverage fingerprint
     (CRC-32 digest of the canonical snapshot plus a dense one-bit-per-
     cell bitmap over the {!Iocov_core.Plan} universe).  [iocov runs]
@@ -56,8 +56,9 @@ val make :
 (** Build a record (id empty until {!append} assigns one).  [tenant]
     marks records appended by serve sessions; the list view shows it as
     a column, so per-tenant runs are diffable like any others.  [jobs]
-    must be 1 ([Invalid_argument] otherwise); it is kept so that older
-    callers keep building. *)
+    must be 1 and [counters] ["dense"] ([Invalid_argument] otherwise);
+    both are kept so that older callers keep building, and older
+    records that name other values still load. *)
 
 val to_json : record -> Iocov_util.Json.t
 val of_json : Iocov_util.Json.t -> (record, string) result
@@ -70,8 +71,10 @@ val load : dir:string -> loaded
     tail after a crash, foreign garbage) are counted in [bad_lines]. *)
 
 val append : dir:string -> record -> (record, string) result
-(** Create [dir] if needed, assign the next id, append one line.
-    Returns the record with its id. *)
+(** Create [dir] if needed, assign the next id (one past the largest
+    readable [rN]), append one line.  A torn final line left by a crash
+    is closed off first, so the new record stays readable.  Returns the
+    record with its id. *)
 
 val last : int -> loaded -> loaded
 (** Keep only the newest [n] records — [runs list --last N].  Ids are

@@ -13,9 +13,9 @@ type t =
   | Events of { label : string; events : Iocov_trace.Event.t list }
       (** An in-memory event list (tests, benches, synthetic traces). *)
   | File of { path : string }
-      (** A stored trace file.  Text vs binary (v1, v2, or the default
-          v3) is auto-detected from the magic; strict vs lenient decode comes
-          from the driver's [ingest]. *)
+      (** A stored trace file.  Text vs binary is auto-detected from the
+          magic (a retired v1/v2 binary trace is refused by version);
+          strict vs lenient decode comes from the driver's [ingest]. *)
   | Channel of { label : string; ic : in_channel }
       (** Like [File], minus checkpoint/resume (no stable path). *)
   | Live of { label : string; feed : (Iocov_trace.Event.t -> unit) -> unit }

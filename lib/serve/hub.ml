@@ -223,8 +223,8 @@ let commit s ~produced ~kept ~no_hint ~no_match ~comp =
   Metrics.Counter.incr m_batches;
   Metrics.Counter.add m_events produced
 
-(* v1/v2 fallback: the batched event decoder plus hint classification —
-   the same verdicts [drain_batch_dense] computes inline for v3. *)
+(* Decoded events (text ingest) with hint classification — the same
+   verdicts [drain_batch_dense] computes inline for binary streams. *)
 let ingest_event_array s events =
   let kept = ref 0 and no_hint = ref 0 and no_match = ref 0 in
   Array.iter
@@ -255,7 +255,7 @@ let ingest_event_array s events =
 
 let ingest_step s stream =
   if s.s_closed then Error "session is closed"
-  else if Binary_io.stream_version stream = 3 then
+  else
     match
       Binary_io.drain_batch_dense stream ?keep_hint:s.s_keep ~dense:s.s_dense
         ~max:s.s_batch ()
@@ -267,17 +267,6 @@ let ingest_step s stream =
           ~no_hint:d.dr_no_hint ~no_match:d.dr_no_match
           ~comp:(Binary_io.completeness stream);
       Ok d.Binary_io.dr_produced
-  else
-    match Binary_io.read_batch stream ~max:s.s_batch with
-    | Error _ as e -> e
-    | Ok events ->
-      let produced = Array.length events in
-      if produced > 0 then begin
-        let kept, no_hint, no_match = ingest_event_array s events in
-        commit s ~produced ~kept ~no_hint ~no_match
-          ~comp:(Binary_io.completeness stream)
-      end;
-      Ok produced
 
 let rec ingest_stream s stream =
   match ingest_step s stream with

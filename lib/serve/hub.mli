@@ -66,8 +66,8 @@ val open_session : t -> tenant:string -> ?mount:string -> unit -> session
 val ingest_step : session -> Binary_io.stream -> (int, string) result
 (** Drain one batch from the stream into the session shard and commit
     it to the tenant.  Returns the number of records produced; [Ok 0]
-    means EOF.  v3 streams take the fused dense path; v1/v2 fall back
-    to the batched event decoder.  After an [Error] the stream is
+    means EOF.  Records decode straight into the shard through
+    {!Binary_io.drain_batch_dense}.  After an [Error] the stream is
     failed and the session's partial progress remains committed. *)
 
 val ingest_stream : session -> Binary_io.stream -> (unit, string) result

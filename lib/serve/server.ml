@@ -228,7 +228,7 @@ let handle_connection hub ~shutdown ~batch ~handshake_timeout fd =
 (* --- file-tail ingestion ---
 
    The stream latches EOF, so tailing re-opens the file and resumes at
-   the frozen cursor — sound because the v3 writer appends whole frames
+   the frozen cursor — sound because the trace writer appends whole frames
    ([flush] never leaves a torn one). *)
 
 let tail_file hub ~shutdown ~follow ~tenant path =
@@ -420,7 +420,12 @@ let client_ingest ~socket ~tenant ?mount ?config path =
                 hs_config = config;
               }
             in
-            output_string oc (Protocol.handshake_line hs ^ "\n");
+            (* A server that refuses the stream early (a retired trace
+               format, a config clash) replies and hangs up while the
+               file is still being sent.  With SIGPIPE ignored the send
+               fails with EPIPE instead of killing the client, which
+               then stops sending and reads the reply. *)
+            Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
             let buf = Bytes.create 65536 in
             let rec pump () =
               let n = input file buf 0 (Bytes.length buf) in
@@ -429,10 +434,13 @@ let client_ingest ~socket ~tenant ?mount ?config path =
                 pump ()
               end
             in
-            pump ();
-            flush oc;
-            (* half-close: the server sees EOF and replies *)
-            Unix.shutdown fd Unix.SHUTDOWN_SEND;
+            (try
+               output_string oc (Protocol.handshake_line hs ^ "\n");
+               pump ();
+               flush oc;
+               (* half-close: the server sees EOF and replies *)
+               Unix.shutdown fd Unix.SHUTDOWN_SEND
+             with Sys_error _ | Unix.Unix_error _ -> ());
             Protocol.read_frame ic))
 
 let client_query ~socket ?tenant requests =

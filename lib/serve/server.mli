@@ -3,7 +3,7 @@
 
     One listener thread accepts connections; each connection gets its
     own thread speaking {!Protocol}.  Ingest connections stream trace
-    bytes through a hub session (the fused dense path for v3); query
+    bytes through a hub session (the fused dense path); query
     connections answer request lines from epoch snapshots, so a slow
     report never pauses any tenant's ingestion.  A [shutdown] request
     stops the listener, waits for in-flight streams, and returns the
@@ -56,7 +56,10 @@ val client_ingest :
   (string, string) result
 (** Stream one local trace file to the daemon; returns the server's
     ingest summary line.  [config] names the lattice point the stream's
-    coverage belongs to; the server validates it and pins the tenant. *)
+    coverage belongs to; the server validates it and pins the tenant.
+    When the server refuses the stream before reading all of it, the
+    result is its error reply.  Sets SIGPIPE to ignored, as {!run}
+    does. *)
 
 val client_query :
   socket:string -> ?tenant:string -> string list -> (string list, string) result

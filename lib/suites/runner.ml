@@ -65,19 +65,13 @@ let exec ?dispatch ?config ~seed ~scale ~faults ~coverage suite =
       stats.Ltp.events_kept,
       stats.Ltp.testcases_run )
 
-let counters_name = function
-  | Replay.Dense -> "dense"
-  | Replay.Reference -> "reference"
-
-let run ?(seed = 42) ?(scale = 1.0) ?(faults = [])
-    ?(counters = Replay.Dense) ?progress ?config suite =
+let run ?(seed = 42) ?(scale = 1.0) ?(faults = []) ?progress ?config suite =
   Log.info "suite run starting"
     ~fields:
       [ ("suite", Log.str (suite_name suite));
         ("seed", Log.int seed);
         ("scale", Log.float scale);
-        ("faults", Log.int (List.length faults));
-        ("counters", Log.str (counters_name counters)) ];
+        ("faults", Log.int (List.length faults)) ];
   (* The root span doubles as the run's wall clock: [elapsed_s] is the
      root's duration, so profile tree and result always agree. *)
   let (coverage, failures, events_total, events_kept, workloads), root =
@@ -101,7 +95,7 @@ let run ?(seed = 42) ?(scale = 1.0) ?(faults = [])
           events_total := et;
           workloads := w
         in
-        let config = Iocov_pipe.Driver.config ~counters ?progress () in
+        let config = Iocov_pipe.Driver.config ?progress () in
         match
           Iocov_pipe.Driver.run ~config
             ~stages:[ Iocov_pipe.Stage.mount (mount_of suite) ]
@@ -139,9 +133,8 @@ let run ?(seed = 42) ?(scale = 1.0) ?(faults = [])
     elapsed_s = root.Span.duration_s;
   }
 
-let run_both ?seed ?scale ?faults ?counters () =
-  ( run ?seed ?scale ?faults ?counters Crashmonkey,
-    run ?seed ?scale ?faults ?counters Xfstests )
+let run_both ?seed ?scale ?faults () =
+  (run ?seed ?scale ?faults Crashmonkey, run ?seed ?scale ?faults Xfstests)
 
 let detects r = r.failures <> []
 
@@ -155,9 +148,10 @@ let config_of_point (point : Iocov_vfs.Config.point) =
   then None
   else Some point.Iocov_vfs.Config.pt_config
 
-let run_lattice ?seed ?scale ?faults ?counters ?progress ~points suite =
+let run_lattice ?seed ?scale ?faults ?counters:(_ : Replay.counters option) ?progress
+    ~points suite =
   List.map
     (fun (point : Iocov_vfs.Config.point) ->
       let config = config_of_point point in
-      (point, run ?seed ?scale ?faults ?counters ?progress ?config suite))
+      (point, run ?seed ?scale ?faults ?progress ?config suite))
     points

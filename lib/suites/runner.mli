@@ -21,20 +21,17 @@ type result = {
 
 val run :
   ?seed:int -> ?scale:float -> ?faults:Iocov_vfs.Fault.t list ->
-  ?counters:Iocov_par.Replay.counters -> ?progress:Iocov_pipe.Progress.conf ->
-  ?config:Iocov_vfs.Config.t -> suite -> result
+  ?progress:Iocov_pipe.Progress.conf -> ?config:Iocov_vfs.Config.t -> suite -> result
 (** Run one suite from scratch.  Deterministic for a fixed seed, scale,
     and fault set.
 
     Every run executes as one streaming pipeline (DESIGN.md §13): the
     suite is an [Iocov_pipe.Source.live] feed, the mount filter a
     stage, and [Iocov_pipe.Driver] runs the replay engine on the
-    calling domain.  [counters] picks the accumulator backend (default
-    [Dense]; [Reference] is the hashed differential oracle).
-    [progress] attaches a live progress sink to the pipeline
-    ({!Iocov_pipe.Progress}).  The resulting coverage is byte-identical
-    under either backend and equal to an offline replay of the suite's
-    trace — only wall-clock changes.
+    calling domain.  [progress] attaches a live progress sink to the
+    pipeline ({!Iocov_pipe.Progress}).  The resulting coverage is
+    byte-identical to an offline replay of the suite's trace — only
+    wall-clock changes.
 
     [config] pins one file-system configuration for every test in the
     suite (a config-lattice point); omitted, each suite keeps its own
@@ -54,14 +51,13 @@ val run_lattice :
 (** One {!run} per lattice point, in order — the [(config × cell)]
     sweep.  Each point's run is independent and deterministic, so the
     sweep composes into a {!Iocov_core.Coverage.Matrix} by feeding each
-    result's coverage to its point's shard. *)
+    result's coverage to its point's shard.  [counters] is accepted and
+    ignored, so that older callers keep building. *)
 
 val run_both :
-  ?seed:int -> ?scale:float -> ?faults:Iocov_vfs.Fault.t list ->
-  ?counters:Iocov_par.Replay.counters -> unit -> result * result
+  ?seed:int -> ?scale:float -> ?faults:Iocov_vfs.Fault.t list -> unit -> result * result
 (** (CrashMonkey, xfstests) with the same settings — the paper's
-    evaluation pair.  {!Ltp} is the third, extension suite.  [counters]
-    is threaded to both runs. *)
+    evaluation pair.  {!Ltp} is the third, extension suite. *)
 
 val detects : result -> bool
 (** True when the run's oracles flagged at least one violation — "the

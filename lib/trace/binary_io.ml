@@ -21,34 +21,31 @@ let m_bytes_skipped =
 
 (* --- format constants --- *)
 
-let magic_v1 = "IOCT\001"
-let magic_v2 = "IOCT\002"
-let magic_v3 = "IOCT\003"
-let magic_len = String.length magic_v2
+(* "IOCT" then the format version byte.  Only v3 is read or written;
+   the prefix alone still identifies an iocov trace, so a v1/v2 file is
+   refused by name instead of being misread as text. *)
+let magic_prefix = "IOCT"
+let version = 3
+let magic = magic_prefix ^ String.make 1 (Char.chr version)
+let magic_len = String.length magic
 
-(* v2/v3 frame: sync marker, payload length, CRC-32 of the payload, then
-   the payload.  The marker is what lenient ingestion scans for when
-   resyncing; a false positive in record bytes is harmless because a
-   candidate frame is only accepted when its CRC checks out.
-
-   v2 carries one record per frame; v3 amortizes the framing over many
-   records per frame (the payload header adds a record count) and
-   encodes its records more compactly — see the .mli for the layouts. *)
+(* Frame envelope: sync marker, payload length, CRC-32 of the payload,
+   then the payload.  The marker is what lenient ingestion scans for
+   when resyncing; a false positive in record bytes is harmless because
+   a candidate frame is only accepted when its CRC checks out.  See the
+   .mli for the payload layout. *)
 let sync0 = 0xF5
 let sync1 = 0x9E
 let max_frame = 1 lsl 24
 
-let default_chapter = 1024
-
-(* v3 frames are multi-record, so a corrupt frame already bounds its own
+(* Frames are multi-record, so a corrupt frame already bounds its own
    loss; the chapter only bounds lost-reference blast radius.  The
    default is the maximum chapter size (2^20 records), so a typical
-   trace interns each string once, like v1's global table — dictionary
-   re-introduction on every 1024-record chapter is what made v2 73%
-   fatter than v1. *)
-let default_chapter_v3 = 1 lsl 20
+   trace interns each string once — re-introducing the dictionary on
+   every small chapter costs bytes on every hot string. *)
+let default_chapter = 1 lsl 20
 
-(* Records per v3 frame.  Large enough to amortize the ~16-byte frame
+(* Records per frame.  Large enough to amortize the ~16-byte frame
    overhead to noise, small enough that a torn frame loses little and a
    resumed decode re-skips at most this many records. *)
 let default_frame_records = 256
@@ -130,24 +127,20 @@ let chan_varbits oc n =
   in
   go n
 
-(* --- byte sources ---
+(* --- the frame arena ---
 
-   v1 records are decoded straight off the channel; v2/v3 records are
-   decoded out of the CRC-checked frame payload, held in a reusable
-   [Bytes.t] arena that is refilled frame after frame — the stream
-   performs one [really_input] per frame and no per-frame allocation.
-   One reader serves all versions through a two-way source dispatch. *)
+   Records are decoded out of the CRC-checked frame payload, held in a
+   reusable [Bytes.t] arena that is refilled frame after frame — the
+   stream performs one [really_input] per frame and no per-frame
+   allocation. *)
 
 (* The arena fields live flat in the reader (not behind an option):
-   [read_byte] runs once per encoded byte, and the flat layout makes its
-   framed fast path a bounds check and an [unsafe_get] with no pointer
-   chase or option match — together with the raised [-inline] threshold
-   this is what keeps the fused drain in the nanoseconds-per-record
-   range. *)
+   [read_byte] runs once per encoded byte, and the flat layout makes it
+   a bounds check and an [unsafe_get] with no pointer chase or option
+   match — together with the raised [-inline] threshold this is what
+   keeps the fused drain in the nanoseconds-per-record range. *)
 type reader = {
-  ic : in_channel;
-  framed : bool;  (* v2/v3: decode from the frame-payload arena *)
-  mutable sb : Bytes.t;  (* the arena (unused for v1) *)
+  mutable sb : Bytes.t;  (* the arena *)
   mutable slen : int;
   mutable spos : int;
   mutable strings : string option array;  (* [None] = lost in a corrupt frame *)
@@ -155,35 +148,21 @@ type reader = {
 }
 
 let read_byte r =
-  if r.framed then begin
-    let p = r.spos in
-    if p >= r.slen then raise (Corrupt "unexpected end of record");
-    r.spos <- p + 1;
-    Char.code (Bytes.unsafe_get r.sb p)
-  end
-  else
-    match In_channel.input_byte r.ic with
-    | Some b -> b
-    | None -> raise (Corrupt "unexpected end of trace")
+  let p = r.spos in
+  if p >= r.slen then raise (Corrupt "unexpected end of record");
+  r.spos <- p + 1;
+  Char.code (Bytes.unsafe_get r.sb p)
 
 let read_exact r len =
-  if r.framed then begin
-    let p = r.spos in
-    if p + len > r.slen then raise (Corrupt "unexpected end of record");
-    r.spos <- p + len;
-    Bytes.sub_string r.sb p len
-  end
-  else
-    try really_input_string r.ic len
-    with End_of_file -> raise (Corrupt "unexpected end of trace")
+  let p = r.spos in
+  if p + len > r.slen then raise (Corrupt "unexpected end of record");
+  r.spos <- p + len;
+  Bytes.sub_string r.sb p len
 
 (* Advance past [len] bytes without materializing them. *)
 let skip_exact r len =
-  if r.framed then begin
-    if r.spos + len > r.slen then raise (Corrupt "unexpected end of record");
-    r.spos <- r.spos + len
-  end
-  else ignore (read_exact r len)
+  if r.spos + len > r.slen then raise (Corrupt "unexpected end of record");
+  r.spos <- r.spos + len
 
 (* A top-level loop, not a nested closure: without flambda a nested
    [let rec] capturing [r] allocates on every call, and a record decode
@@ -206,16 +185,15 @@ let read_svarint r = unzigzag (read_uvarint r)
 
 type writer = {
   oc : out_channel;
-  version : int;
   chapter_size : int;
-  frame_records : int;  (* v3: records per frame *)
-  enc : enc;  (* record bytes of the pending frame (v2/v3) / record (v1) *)
+  frame_records : int;
+  enc : enc;  (* record bytes of the pending frame *)
   head : enc;  (* scratch for the frame's payload header *)
   env : enc;  (* scratch for the frame envelope: sync, length, CRC, header *)
   table : (string, int) Hashtbl.t;
   mutable next_index : int;
   mutable last_ts : int;
-  mutable last_pid : int;  (* v3 delta base *)
+  mutable last_pid : int;
   mutable chapter : int;
   mutable in_chapter : int;
   mutable pending : int;  (* records encoded in [enc], awaiting a frame *)
@@ -244,6 +222,9 @@ let intern_string r s =
 
 let max_string = 1 lsl 20
 
+let lost_ref index =
+  Lost_ref (Printf.sprintf "string %d was introduced in a corrupt frame" index)
+
 let read_string r =
   let tag = read_uvarint r in
   if tag = 0 then begin
@@ -258,14 +239,15 @@ let read_string r =
     if index >= r.count then raise (Corrupt "string reference out of range");
     match r.strings.(index) with
     | Some s -> s
-    | None ->
-      raise (Lost_ref (Printf.sprintf "string %d was introduced in a corrupt frame" index))
+    | None -> raise (lost_ref index)
   end
 
 (* Like {!read_string}, but never resolves: introductions are interned
-   (their bytes skipped in place), references only bounds-checked.  The
-   resume skip path and the fused drain's dropped records use it to
-   keep the table in lockstep without touching string contents. *)
+   (their bytes skipped in place), references checked without reading
+   the string.  The resume skip path and the fused drain use it to keep
+   the table in lockstep without touching string contents.  A reference
+   to a lost entry raises [Lost_ref] exactly as {!read_string} does, so
+   both decoders lose the same records after a lenient skip. *)
 let pass_string ~intern r =
   let tag = read_uvarint r in
   if tag = 0 then begin
@@ -273,7 +255,11 @@ let pass_string ~intern r =
     if len > max_string then raise (Corrupt "string too long");
     if intern then intern_string r (Some (read_exact r len)) else skip_exact r len
   end
-  else if tag - 1 >= r.count then raise (Corrupt "string reference out of range")
+  else begin
+    let index = tag - 1 in
+    if index >= r.count then raise (Corrupt "string reference out of range");
+    match r.strings.(index) with Some _ -> () | None -> raise (lost_ref index)
+  end
 
 (* --- enums --- *)
 
@@ -454,29 +440,19 @@ let pass_call ~intern r =
 
 let max_chapter_size = 1 lsl 20
 
-let writer ?(version = 3) ?chapter ?(frame = default_frame_records) oc =
-  let chapter =
-    match chapter with
-    | Some c -> c
-    | None -> if version >= 3 then default_chapter_v3 else default_chapter
-  in
+let writer ?(chapter = default_chapter) ?(frame = default_frame_records) oc =
   if chapter <= 0 || chapter > max_chapter_size then
     invalid_arg "Binary_io.writer: chapter out of range";
   if frame <= 0 then invalid_arg "Binary_io.writer: frame must be positive";
-  (match version with
-   | 1 -> output_string oc magic_v1
-   | 2 | 3 ->
-     output_string oc (if version = 2 then magic_v2 else magic_v3);
-     (* the chapter size is part of the header so a reader can map a
-        frame's (chapter, in-chapter) pair to an absolute record
-        number — the basis for exact loss accounting *)
-     chan_varbits oc chapter
-   | v -> invalid_arg (Printf.sprintf "Binary_io.writer: unsupported version %d" v));
+  output_string oc magic;
+  (* the chapter size is part of the header so a reader can map a
+     frame's (chapter, in-chapter) pair to an absolute record number —
+     the basis for exact loss accounting *)
+  chan_varbits oc chapter;
   {
     oc;
-    version;
     chapter_size = chapter;
-    frame_records = (if version = 3 then min frame chapter else 1);
+    frame_records = min frame chapter;
     enc = enc_create 4096;
     head = enc_create 64;
     env = enc_create 64;
@@ -491,53 +467,26 @@ let writer ?(version = 3) ?chapter ?(frame = default_frame_records) oc =
     frame_base = 0;
   }
 
-(* v1/v2 record bytes: clamped uvarint timestamp delta, absolute pid. *)
-let encode_record w (e : Event.t) =
-  enc_uvarint w.enc (max 0 (e.timestamp_ns - w.last_ts));
-  w.last_ts <- e.timestamp_ns;
-  enc_uvarint w.enc e.pid;
-  write_string w e.comm;
-  (match e.payload with
-   | Event.Tracked call ->
-     write_byte w 0;
-     write_call w call
-   | Event.Aux { name; detail } ->
-     write_byte w 1;
-     write_string w name;
-     write_string w detail);
-  (match e.outcome with
-   | Model.Ret n ->
-     write_byte w 0;
-     enc_svarint w.enc n
-   | Model.Err errno ->
-     write_byte w 1;
-     write_byte w (errno_index errno));
-  match e.path_hint with
-  | Some hint ->
-    write_byte w 1;
-    write_string w hint
-  | None -> write_byte w 0
-
-(* v3 record flags byte: the three per-record shape choices packed into
+(* Record flags byte: the three per-record shape choices packed into
    one byte instead of three tag bytes. *)
-let v3_flag_aux = 0x01     (* payload is Aux, not a tracked call *)
-let v3_flag_err = 0x02     (* outcome is Err errno, not Ret n *)
-let v3_flag_hint = 0x04    (* a path hint follows the flags byte *)
+let flag_aux = 0x01     (* payload is Aux, not a tracked call *)
+let flag_err = 0x02     (* outcome is Err errno, not Ret n *)
+let flag_hint = 0x04    (* a path hint follows the flags byte *)
 
-(* v3 record bytes: exact zigzag deltas for both monotone-ish fields,
-   one flags byte replacing the per-field tags, and the hint hoisted
-   ahead of the payload so a filtering decoder can drop a record before
+(* Record bytes: exact zigzag deltas for both monotone-ish fields, one
+   flags byte replacing the per-field tags, and the hint hoisted ahead
+   of the payload so a filtering decoder can drop a record before
    building its call. *)
-let encode_record_v3 w (e : Event.t) =
+let encode_record w (e : Event.t) =
   enc_svarint w.enc (e.timestamp_ns - w.last_ts);
   w.last_ts <- e.timestamp_ns;
   enc_svarint w.enc (e.pid - w.last_pid);
   w.last_pid <- e.pid;
   write_string w e.comm;
   let flags =
-    (match e.payload with Event.Tracked _ -> 0 | Event.Aux _ -> v3_flag_aux)
-    lor (match e.outcome with Model.Ret _ -> 0 | Model.Err _ -> v3_flag_err)
-    lor (match e.path_hint with None -> 0 | Some _ -> v3_flag_hint)
+    (match e.payload with Event.Tracked _ -> 0 | Event.Aux _ -> flag_aux)
+    lor (match e.outcome with Model.Ret _ -> 0 | Model.Err _ -> flag_err)
+    lor (match e.path_hint with None -> 0 | Some _ -> flag_hint)
   in
   write_byte w flags;
   (match e.path_hint with Some hint -> write_string w hint | None -> ());
@@ -564,7 +513,7 @@ let emit_frame w =
     enc_uvarint head w.chapter;
     enc_uvarint head w.frame_first;
     enc_uvarint head w.frame_base;
-    if w.version = 3 then enc_uvarint head w.pending;
+    enc_uvarint head w.pending;
     let crc =
       Crc32.update
         (Crc32.update 0 (Bytes.unsafe_to_string head.eb) ~pos:0 ~len:head.elen)
@@ -590,7 +539,7 @@ let emit_frame w =
 
 (* chapter rollover: restart the string table so a corrupt frame can
    only orphan references until the next chapter, not to the end of
-   the trace.  v3 frames never span a chapter — the pending frame is
+   the trace.  Frames never span a chapter — the pending frame is
    flushed first, so every frame decodes against one table. *)
 let rollover w =
   if w.in_chapter >= w.chapter_size then begin
@@ -602,22 +551,15 @@ let rollover w =
   end
 
 let write_event w (e : Event.t) =
-  if w.version = 1 then begin
-    encode_record w e;
-    enc_output w.oc w.enc;
-    w.enc.elen <- 0
-  end
-  else begin
-    rollover w;
-    if w.pending = 0 then begin
-      w.frame_first <- w.in_chapter;
-      w.frame_base <- w.next_index
-    end;
-    if w.version = 3 then encode_record_v3 w e else encode_record w e;
-    w.in_chapter <- w.in_chapter + 1;
-    w.pending <- w.pending + 1;
-    if w.pending >= w.frame_records then emit_frame w
-  end
+  rollover w;
+  if w.pending = 0 then begin
+    w.frame_first <- w.in_chapter;
+    w.frame_base <- w.next_index
+  end;
+  encode_record w e;
+  w.in_chapter <- w.in_chapter + 1;
+  w.pending <- w.pending + 1;
+  if w.pending >= w.frame_records then emit_frame w
 
 let sink = write_event
 
@@ -626,51 +568,6 @@ let flush w =
   Stdlib.flush w.oc
 
 (* --- events, reader side --- *)
-
-(* Shared decode of everything after the timestamp (v1/v2 layout). *)
-let read_event_rest r ~seq ~ts =
-  let pid = read_uvarint r in
-  let comm = read_string r in
-  let payload =
-    match read_byte r with
-    | 0 -> Event.Tracked (read_call r)
-    | 1 ->
-      let name = read_string r in
-      let detail = read_string r in
-      Event.Aux { name; detail }
-    | _ -> raise (Corrupt "bad payload tag")
-  in
-  let outcome =
-    match read_byte r with
-    | 0 -> Model.Ret (read_svarint r)
-    | 1 -> Model.Err (errno_of_index (read_byte r))
-    | _ -> raise (Corrupt "bad outcome tag")
-  in
-  let path_hint =
-    match read_byte r with
-    | 0 -> None
-    | 1 -> Some (read_string r)
-    | _ -> raise (Corrupt "bad hint tag")
-  in
-  { Event.seq; timestamp_ns = ts; pid; comm; payload; outcome; path_hint }
-
-(* [first] is the already-consumed first byte of the timestamp varint —
-   the v1 EOF probe that decides whether another record exists. *)
-let read_event_v1 r ~seq ~last_ts ~first =
-  let ts =
-    last_ts
-    +
-    let rec go shift acc b =
-      let acc = acc lor ((b land 0x7F) lsl shift) in
-      if b land 0x80 = 0 then acc else go (shift + 7) acc (read_byte r)
-    in
-    go 0 0 first
-  in
-  read_event_rest r ~seq ~ts
-
-let read_event_v2 r ~seq ~last_ts =
-  let ts = last_ts + read_uvarint r in
-  read_event_rest r ~seq ~ts
 
 (* --- streaming decode --- *)
 
@@ -682,17 +579,16 @@ type mode = Strict | Lenient of Anomaly.budget
    O(batch) memory. *)
 type stream = {
   ic : in_channel;
-  version : int;
   mode : mode;
-  chapter_size : int;  (* from the v2/v3 header; 0 for v1 *)
+  chapter_size : int;  (* from the header *)
   sr : reader;
   mutable seq : int;
-  mutable next_record : int;  (* 0-based absolute index expected next (v2/v3) *)
+  mutable next_record : int;  (* 0-based absolute index expected next *)
   mutable last_ts : int;
-  mutable last_pid : int;  (* v3 delta base *)
+  mutable last_pid : int;
   mutable chapter : int;
-  mutable frame_start : int;  (* byte offset of the current v3 frame *)
-  mutable frame_count : int;  (* records in the current v3 frame *)
+  mutable frame_start : int;  (* byte offset of the current frame *)
+  mutable frame_count : int;  (* records in the current frame *)
   mutable frame_left : int;  (* records of it not yet delivered *)
   mutable memo : Bytes.t;  (* fused drain: per-string-index hint verdicts *)
   mutable failed : bool;
@@ -707,16 +603,13 @@ type stream = {
   mutable anomalies : Anomaly.t list;  (* newest first, capped *)
 }
 
-let make_stream ?(mode = Strict) ic ~version ~chapter_size =
+let make_stream ~mode ic ~chapter_size =
   {
     ic;
-    version;
     mode;
     chapter_size;
     sr =
       {
-        ic;
-        framed = version >= 2;
         sb = Bytes.create 4096;
         slen = 0;
         spos = 0;
@@ -757,17 +650,19 @@ let read_header_uvarint ic =
 
 let open_stream ?(mode = Strict) ic =
   match really_input_string ic magic_len with
-  | header when header = magic_v2 || header = magic_v3 -> (
-    let version = if header = magic_v2 then 2 else 3 in
+  | header when header = magic -> (
     match read_header_uvarint ic with
     | Some cs when cs > 0 && cs <= max_chapter_size ->
-      Ok (make_stream ~mode ic ~version ~chapter_size:cs)
+      Ok (make_stream ~mode ic ~chapter_size:cs)
     | _ -> Error "corrupt trace header (bad chapter size)")
-  | header when header = magic_v1 -> Ok (make_stream ~mode ic ~version:1 ~chapter_size:0)
+  | header when String.starts_with ~prefix:magic_prefix header ->
+    Error
+      (Printf.sprintf
+         "v%d binary trace: only v%d is read; re-trace with `iocov trace --binary`"
+         (Char.code header.[magic_len - 1])
+         version)
   | _ -> Error "not a binary iocov trace (bad magic)"
   | exception End_of_file -> Error "not a binary iocov trace (bad magic)"
-
-let stream_version st = st.version
 
 let note st ?offset kind detail =
   st.anomaly_count <- st.anomaly_count + 1;
@@ -790,7 +685,7 @@ let completeness st =
     anomalies = List.rev st.anomalies;
   }
 
-(* --- v2/v3 framing --- *)
+(* --- framing --- *)
 
 type frame_read =
   | Frame_eof
@@ -839,54 +734,6 @@ let read_frame st =
         end
       end
     with End_of_file -> Frame_bad "truncated frame")
-
-type decoded =
-  | Decoded of Event.t
-  | Skipped of Anomaly.kind * string  (* frame consumed but record unusable *)
-
-(* Decode a CRC-valid v2 frame payload: chapter id, string-table base
-   count, record.  The base count is the self-healing hook — if frames
-   were lost, it tells us how many string introductions went with them,
-   and the placeholders make later references to them fail loudly
-   (Lost_reference) instead of resolving to the wrong string. *)
-let decode_frame st =
-  let r = st.sr in
-  try
-    let chapter = read_uvarint r in
-    let in_chapter = read_uvarint r in
-    let base = read_uvarint r in
-    if in_chapter >= st.chapter_size then raise (Corrupt "in-chapter index out of range");
-    (* (chapter, in-chapter) pins this frame to an absolute record
-       number; a gap against the expected index is the exact count of
-       records destroyed with the frames between — however many resync
-       regions it took to get here *)
-    let idx = (chapter * st.chapter_size) + in_chapter in
-    if idx < st.next_record then raise (Corrupt "record index regression");
-    let gap = idx - st.next_record in
-    if gap > 0 then begin
-      (match st.mode with
-       | Strict -> raise (Corrupt (Printf.sprintf "%d records missing before this frame" gap))
-       | Lenient _ -> bump_skipped st gap)
-    end;
-    st.next_record <- idx + 1;
-    if chapter <> st.chapter then begin
-      (* writer restarted its table (or we lost the frames in between) *)
-      st.chapter <- chapter;
-      r.count <- 0
-    end;
-    if base > r.count then
-      for _ = r.count + 1 to base do
-        intern_string r None
-      done
-    else if base < r.count then raise (Corrupt "string table regression");
-    let e = read_event_v2 r ~seq:(idx + 1) ~last_ts:st.last_ts in
-    st.seq <- idx + 2;
-    st.last_ts <- e.Event.timestamp_ns;
-    st.produced <- st.produced + 1;
-    Decoded e
-  with
-  | Corrupt msg -> Skipped (Anomaly.Corrupt_record, msg)
-  | Lost_ref msg -> Skipped (Anomaly.Lost_reference, msg)
 
 (* Scan forward for the next CRC-valid frame.  Every candidate either
    validates or advances the scan position by at least one byte, so the
@@ -939,62 +786,10 @@ let skip_tail st ~from =
   st.truncated <- true;
   st.eof <- true
 
-(* The v2 record pump: one event, or [None] at end of stream.  Strict
-   mode turns the first defect into [Stream_error] with its offset;
-   lenient mode skips, resyncs, and keeps the ledger. *)
-let rec next_v2 st =
-  if st.eof then None
-  else begin
-    let start = pos_in st.ic in
-    match read_frame st with
-    | Frame_eof ->
-      st.eof <- true;
-      None
-    | Frame_ok -> consume_payload st ~start
-    | Frame_bad reason -> (
-      match st.mode with
-      | Strict ->
-        st.failed <- true;
-        raise (Stream_error (Printf.sprintf "offset %d: %s" start reason))
-      | Lenient _ -> (
-        (* don't count records here: the lost count is unknowable until
-           the next intact frame's index gap reveals it exactly *)
-        note st ~offset:start Anomaly.Corrupt_record reason;
-        match resync st ~from:(start + 1) with
-        | None ->
-          note st ~offset:start Anomaly.Truncated "no further intact frame";
-          skip_tail st ~from:start;
-          None
-        | Some cand ->
-          st.bytes_skipped <- st.bytes_skipped + (cand - start);
-          Metrics.Counter.add m_bytes_skipped (cand - start);
-          consume_payload st ~start:cand))
-  end
-
-and consume_payload st ~start =
-  match decode_frame st with
-  | Decoded e ->
-    (* an index gap discovered on this frame may have pushed the ledger
-       over the budget even though the frame itself is fine *)
-    check_budget st ~final:false;
-    Some e
-  | Skipped (kind, reason) -> (
-    match st.mode with
-    | Strict ->
-      st.failed <- true;
-      raise (Stream_error (Printf.sprintf "offset %d: %s" start reason))
-    | Lenient _ ->
-      note st ~offset:start kind reason;
-      bump_skipped st 1;
-      check_budget st ~final:false;
-      next_v2 st)
-
-(* --- v3 framing: many records per frame --- *)
-
-(* Parse the header of the CRC-valid v3 frame in the arena and settle
-   the loss ledger against its first record index.  On return the frame
-   is current: [frame_left] records await decoding at [frame.spos]. *)
-let begin_frame_v3 st =
+(* Parse the header of the CRC-valid frame in the arena and settle the
+   loss ledger against its first record index.  On return the frame is
+   current: [frame_left] records await decoding at [frame.spos]. *)
+let begin_frame st =
   let r = st.sr in
   let chapter = read_uvarint r in
   let first = read_uvarint r in
@@ -1045,7 +840,7 @@ let record_failure st kind reason =
 
 (* Make a frame current: resolve EOF, structural damage (resync), and
    header defects until [frame_left > 0] or the stream ends. *)
-let rec ensure_frame_v3 st =
+let rec ensure_frame st =
   if st.eof then false
   else if st.frame_left > 0 then true
   else begin
@@ -1054,7 +849,7 @@ let rec ensure_frame_v3 st =
     | Frame_eof ->
       st.eof <- true;
       false
-    | Frame_ok -> header_v3 st ~start
+    | Frame_ok -> enter_frame st ~start
     | Frame_bad reason -> (
       match st.mode with
       | Strict ->
@@ -1070,12 +865,12 @@ let rec ensure_frame_v3 st =
         | Some cand ->
           st.bytes_skipped <- st.bytes_skipped + (cand - start);
           Metrics.Counter.add m_bytes_skipped (cand - start);
-          header_v3 st ~start:cand))
+          enter_frame st ~start:cand))
   end
 
-and header_v3 st ~start =
+and enter_frame st ~start =
   st.frame_start <- start;
-  match begin_frame_v3 st with
+  match begin_frame st with
   | () ->
     check_budget st ~final:false;
     true
@@ -1089,10 +884,10 @@ and header_v3 st ~start =
          unknowable here — the next intact frame's index gap counts it *)
       note st ~offset:start Anomaly.Corrupt_record reason;
       check_budget st ~final:false;
-      ensure_frame_v3 st)
+      ensure_frame st)
 
-(* Decode the next record of the current v3 frame into an event. *)
-let decode_record_v3 st =
+(* Decode the next record of the current frame into an event. *)
+let decode_record st =
   let r = st.sr in
   let idx = st.next_record in
   let ts = st.last_ts + read_svarint r in
@@ -1101,10 +896,10 @@ let decode_record_v3 st =
   let flags = read_byte r in
   if flags > 7 then raise (Corrupt "bad record flags");
   let path_hint =
-    if flags land v3_flag_hint <> 0 then Some (read_string r) else None
+    if flags land flag_hint <> 0 then Some (read_string r) else None
   in
   let payload =
-    if flags land v3_flag_aux = 0 then Event.Tracked (read_call r)
+    if flags land flag_aux = 0 then Event.Tracked (read_call r)
     else begin
       let name = read_string r in
       let detail = read_string r in
@@ -1112,7 +907,7 @@ let decode_record_v3 st =
     end
   in
   let outcome =
-    if flags land v3_flag_err = 0 then Model.Ret (read_svarint r)
+    if flags land flag_err = 0 then Model.Ret (read_svarint r)
     else Model.Err (errno_of_index (read_byte r))
   in
   st.last_ts <- ts;
@@ -1123,63 +918,21 @@ let decode_record_v3 st =
   st.produced <- st.produced + 1;
   { Event.seq = idx + 1; timestamp_ns = ts; pid; comm; payload; outcome; path_hint }
 
-let rec next_v3 st =
-  if ensure_frame_v3 st then begin
-    match decode_record_v3 st with
+(* The record pump: one event, or [None] at end of stream.  Strict mode
+   turns the first defect into [Stream_error] with its offset; lenient
+   mode skips, resyncs, and keeps the ledger. *)
+let rec next_event st =
+  if ensure_frame st then begin
+    match decode_record st with
     | e -> Some e
     | exception Corrupt msg ->
       record_failure st Anomaly.Corrupt_record msg;
-      next_v3 st
+      next_event st
     | exception Lost_ref msg ->
       record_failure st Anomaly.Lost_reference msg;
-      next_v3 st
+      next_event st
   end
   else None
-
-(* The v1 pump: no frames, no checksums — corruption is detected only
-   when a field fails to decode, and with no sync markers there is
-   nothing to resync on.  Lenient mode records the damage and treats
-   the rest of the stream as lost. *)
-let next_v1 st =
-  if st.eof then None
-  else begin
-    let start = pos_in st.ic in
-    match In_channel.input_byte st.ic with
-    | None ->
-      st.eof <- true;
-      None
-    | Some first -> (
-      match read_event_v1 st.sr ~seq:st.seq ~last_ts:st.last_ts ~first with
-      | e ->
-        st.seq <- st.seq + 1;
-        st.last_ts <- e.Event.timestamp_ns;
-        st.produced <- st.produced + 1;
-        Some e
-      | exception (Corrupt msg | Lost_ref msg) -> (
-        match st.mode with
-        | Strict ->
-          st.failed <- true;
-          raise (Stream_error (Printf.sprintf "offset %d: %s" start msg))
-        | Lenient _ ->
-          note st ~offset:start Anomaly.Corrupt_record
-            (msg ^ " (v1 trace: no sync markers, rest of stream unrecoverable)");
-          bump_skipped st 1;
-          skip_tail st ~from:start;
-          None)
-      | exception End_of_file -> (
-        match st.mode with
-        | Strict ->
-          st.failed <- true;
-          raise (Stream_error "truncated binary trace")
-        | Lenient _ ->
-          note st ~offset:start Anomaly.Truncated "trace ends mid-record";
-          bump_skipped st 1;
-          skip_tail st ~from:start;
-          None))
-  end
-
-let next_event st =
-  match st.version with 1 -> next_v1 st | 2 -> next_v2 st | _ -> next_v3 st
 
 let wrap_stream_errors st f =
   try f () with
@@ -1212,7 +965,7 @@ let read_batch st ~max =
         if st.eof then check_budget st ~final:true;
         Ok (Array.of_list (List.rev !batch)))
 
-(* --- the fused drain: records to calls without events --- *)
+(* --- the fused drain: wire fields to dense cells, no events --- *)
 
 (* Hint verdict memo, one byte per string-table index of the current
    chapter: 0 unknown, 1 keep, 2 drop.  A verdict can only be cached
@@ -1244,9 +997,9 @@ type drained = {
 
 (* Hint verdict of one record, consuming its optional hint field:
    1 keep, 2 drop (hint rejected), 3 drop (no hint under a filter). *)
-let classify_v3 st ~keep_hint ~flags =
+let classify st ~keep_hint ~flags =
   let r = st.sr in
-  if flags land v3_flag_hint = 0 then
+  if flags land flag_hint = 0 then
     (* no hint: a filter drops the record, no filter keeps it *)
     match keep_hint with None -> 1 | Some _ -> 3
   else
@@ -1273,9 +1026,7 @@ let classify_v3 st ~keep_hint ~flags =
         | c when c = memo_drop -> 2
         | _ -> (
           match r.strings.(i) with
-          | None ->
-            raise
-              (Lost_ref (Printf.sprintf "string %d was introduced in a corrupt frame" i))
+          | None -> raise (lost_ref i)
           | Some s ->
             let keep = f s in
             memo_set st i (if keep then memo_keep else memo_drop);
@@ -1284,48 +1035,21 @@ let classify_v3 st ~keep_hint ~flags =
 
 (* Pass over a dropped (or aux) record's payload and outcome, keeping
    only the string table in step. *)
-let pass_rest_v3 r ~flags =
-  (if flags land v3_flag_aux = 0 then pass_call ~intern:true r
+let pass_rest r ~flags =
+  (if flags land flag_aux = 0 then pass_call ~intern:true r
    else begin
      pass_string ~intern:true r;
      pass_string ~intern:true r
    end);
-  if flags land v3_flag_err = 0 then ignore (read_svarint r) else ignore (read_byte r)
+  if flags land flag_err = 0 then ignore (read_svarint r) else ignore (read_byte r)
 
-let finish_record_v3 st ~idx ~ts ~pid =
+let finish_record st ~idx ~ts ~pid =
   st.last_ts <- ts;
   st.last_pid <- pid;
   st.next_record <- idx + 1;
   st.seq <- idx + 2;
   st.frame_left <- st.frame_left - 1;
   st.produced <- st.produced + 1
-
-(* One v3 record, fused: classify by hint first, then either decode the
-   call straight into [on_call] or pass over the record keeping only
-   the string table in step.  Aux records are classified (they count as
-   kept/dropped like any record) but never reach [on_call]. *)
-let drain_record_v3 st ~keep_hint ~on_call =
-  let r = st.sr in
-  let idx = st.next_record in
-  let ts = st.last_ts + read_svarint r in
-  let pid = st.last_pid + read_svarint r in
-  pass_string ~intern:true r;  (* comm *)
-  let flags = read_byte r in
-  if flags > 7 then raise (Corrupt "bad record flags");
-  let verdict = classify_v3 st ~keep_hint ~flags in
-  (if verdict = 1 && flags land v3_flag_aux = 0 then begin
-     let call = read_call r in
-     let outcome =
-       if flags land v3_flag_err = 0 then Model.Ret (read_svarint r)
-       else Model.Err (errno_of_index (read_byte r))
-     in
-     on_call call outcome
-   end
-   else pass_rest_v3 r ~flags);
-  finish_record_v3 st ~idx ~ts ~pid;
-  verdict
-
-(* --- the plan-direct drain: wire fields to dense cells, no calls --- *)
 
 (* wire variant index → plan cell / base / has-an-offset-field,
    precomputed so the plan-direct dispatch is three array reads *)
@@ -1341,7 +1065,7 @@ let dense_variant_offset =
 let dense_errnos = List.length Errno.all
 
 let read_outcome_cell r ~flags base =
-  if flags land v3_flag_err = 0 then Plan.ret_output_cell base (read_svarint r)
+  if flags land flag_err = 0 then Plan.ret_output_cell base (read_svarint r)
   else begin
     let i = read_byte r in
     (* the wire errno index is {!Errno.index}, which is also the plan's
@@ -1472,8 +1196,11 @@ let drain_tracked_dense st d ~flags =
     inc (Plan.getxattr_size_slot size);
     inc ocell
 
-(* {!drain_record_v3} with the call layer fused away: a kept tracked
-   record goes straight to dense plan-cell bumps. *)
+(* One record, fused: classify by hint first, then either decode a kept
+   tracked record straight into dense plan-cell bumps or pass over the
+   record keeping only the string table in step.  Aux records are
+   classified (they count as kept/dropped like any record) but bump no
+   cell. *)
 let drain_record_dense st ~keep_hint d =
   let r = st.sr in
   let idx = st.next_record in
@@ -1482,64 +1209,27 @@ let drain_record_dense st ~keep_hint d =
   pass_string ~intern:true r;  (* comm *)
   let flags = read_byte r in
   if flags > 7 then raise (Corrupt "bad record flags");
-  let verdict = classify_v3 st ~keep_hint ~flags in
-  (if verdict = 1 && flags land v3_flag_aux = 0 then drain_tracked_dense st d ~flags
-   else pass_rest_v3 r ~flags);
-  finish_record_v3 st ~idx ~ts ~pid;
+  let verdict = classify st ~keep_hint ~flags in
+  (if verdict = 1 && flags land flag_aux = 0 then drain_tracked_dense st d ~flags
+   else pass_rest r ~flags);
+  finish_record st ~idx ~ts ~pid;
   verdict
 
-let check_drain st ~name ~keep_hint ~max =
-  if max <= 0 then invalid_arg (name ^ ": max must be positive");
-  if st.version <> 3 then invalid_arg (name ^ ": v3 streams only");
-  if keep_hint <> None && st.memo = Bytes.empty then st.memo <- Bytes.make 256 memo_unknown
-
-let drain_batch st ?keep_hint ~on_call ~max () =
-  check_drain st ~name:"Binary_io.drain_batch" ~keep_hint ~max;
+let drain_batch_dense st ?keep_hint ~dense ~max () =
+  if max <= 0 then invalid_arg "Binary_io.drain_batch_dense: max must be positive";
+  if keep_hint <> None && st.memo = Bytes.empty then
+    st.memo <- Bytes.make 256 memo_unknown;
   if st.failed then Error "reading past a decode error"
   else
     wrap_stream_errors st (fun () ->
         let produced = ref 0 and kept = ref 0 and no_hint = ref 0 and no_match = ref 0 in
         let continue = ref true in
         while !continue && !produced < max do
-          if ensure_frame_v3 st then begin
+          if ensure_frame st then begin
             (* one exception handler per frame run, not per record — a
                mid-frame failure voids the rest of the frame anyway
                (see {!record_failure}), so nothing after the failing
                record would have decoded either way *)
-            let budget = min st.frame_left (max - !produced) in
-            match
-              for _ = 1 to budget do
-                let verdict = drain_record_v3 st ~keep_hint ~on_call in
-                incr produced;
-                if verdict = 1 then incr kept
-                else if verdict = 2 then incr no_match
-                else incr no_hint
-              done
-            with
-            | () -> ()
-            | exception Corrupt msg -> record_failure st Anomaly.Corrupt_record msg
-            | exception Lost_ref msg -> record_failure st Anomaly.Lost_reference msg
-          end
-          else continue := false
-        done;
-        if st.eof then check_budget st ~final:true;
-        Ok
-          {
-            dr_produced = !produced;
-            dr_kept = !kept;
-            dr_no_hint = !no_hint;
-            dr_no_match = !no_match;
-          })
-
-let drain_batch_dense st ?keep_hint ~dense ~max () =
-  check_drain st ~name:"Binary_io.drain_batch_dense" ~keep_hint ~max;
-  if st.failed then Error "reading past a decode error"
-  else
-    wrap_stream_errors st (fun () ->
-        let produced = ref 0 and kept = ref 0 and no_hint = ref 0 and no_match = ref 0 in
-        let continue = ref true in
-        while !continue && !produced < max do
-          if ensure_frame_v3 st then begin
             let budget = min st.frame_left (max - !produced) in
             match
               for _ = 1 to budget do
@@ -1580,12 +1270,13 @@ let fold_channel ic ~init ~f =
 let read_channel ic =
   Result.map List.rev (fold_channel ic ~init:[] ~f:(fun acc e -> e :: acc))
 
+(* Any version byte after the prefix counts: a v1/v2 file must reach
+   {!open_stream}, which refuses it by name. *)
 let is_binary_trace ic =
   let pos = In_channel.pos ic in
   let result =
     try
-      let header = really_input_string ic magic_len in
-      header = magic_v1 || header = magic_v2 || header = magic_v3
+      String.starts_with ~prefix:magic_prefix (really_input_string ic magic_len)
     with End_of_file -> false
   in
   In_channel.seek ic pos;
@@ -1594,7 +1285,6 @@ let is_binary_trace ic =
 (* --- cursors: suspend and resume a decode --- *)
 
 type cursor = {
-  c_version : int;
   c_offset : int;
   c_seq : int;
   c_last_ts : int;
@@ -1605,9 +1295,8 @@ type cursor = {
 }
 
 let cursor st =
-  let mid_frame = st.version = 3 && st.frame_left > 0 in
+  let mid_frame = st.frame_left > 0 in
   {
-    c_version = st.version;
     c_offset = (if mid_frame then st.frame_start else pos_in st.ic);
     c_seq = st.seq;
     c_last_ts = st.last_ts;
@@ -1622,19 +1311,19 @@ let cursor st =
    introduced, so introductions pass by without interning and the
    deltas are discarded — the cursor carries the authoritative
    [last_ts]/[last_pid]. *)
-let skip_record_v3 r =
+let skip_record r =
   ignore (read_uvarint r);  (* ts delta *)
   ignore (read_uvarint r);  (* pid delta *)
   pass_string ~intern:false r;  (* comm *)
   let flags = read_byte r in
   if flags > 7 then raise (Corrupt "bad record flags");
-  if flags land v3_flag_hint <> 0 then pass_string ~intern:false r;
-  (if flags land v3_flag_aux = 0 then pass_call ~intern:false r
+  if flags land flag_hint <> 0 then pass_string ~intern:false r;
+  (if flags land flag_aux = 0 then pass_call ~intern:false r
    else begin
      pass_string ~intern:false r;
      pass_string ~intern:false r
    end);
-  if flags land v3_flag_err = 0 then ignore (read_svarint r)
+  if flags land flag_err = 0 then ignore (read_svarint r)
   else ignore (read_byte r)
 
 (* Re-enter the frame a mid-frame cursor points at: re-read it, verify
@@ -1659,7 +1348,7 @@ let reenter_frame st cur =
       then Error "checkpoint does not match the trace frame"
       else begin
         for _ = 1 to cur.c_skip do
-          skip_record_v3 r
+          skip_record r
         done;
         st.frame_start <- cur.c_offset;
         st.frame_count <- count;
@@ -1674,14 +1363,8 @@ let resume_stream ?(mode = Strict) ic cur =
   | Error _ as e -> e
   | Ok st ->
     let header_end = pos_in ic in
-    if st.version <> cur.c_version then
-      Error
-        (Printf.sprintf "checkpoint is for a v%d trace but the file is v%d" cur.c_version
-           st.version)
-    else if cur.c_offset < header_end || cur.c_offset > Int64.to_int (In_channel.length ic) then
+    if cur.c_offset < header_end || cur.c_offset > Int64.to_int (In_channel.length ic) then
       Error (Printf.sprintf "checkpoint offset %d is outside the trace" cur.c_offset)
-    else if cur.c_skip > 0 && st.version <> 3 then
-      Error "checkpoint skips into a frame of a single-record format"
     else begin
       seek_in ic cur.c_offset;
       st.seq <- cur.c_seq;

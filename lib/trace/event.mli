@@ -35,5 +35,4 @@ val base : t -> Iocov_syscall.Model.base option
 val iter_tracked :
   t list -> (Iocov_syscall.Model.call -> Iocov_syscall.Model.outcome -> unit) -> unit
 (** Apply [f call outcome] to every tracked record, skipping [Aux]
-    records — the batch-observe loop of the replay pipeline, shared by
-    both counter backends. *)
+    records — the batch-observe loop of the replay pipeline. *)

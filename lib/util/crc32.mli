@@ -1,5 +1,5 @@
 (** CRC-32 (IEEE 802.3, reflected, polynomial [0xEDB88320]) — the
-    per-record integrity check of the v2 binary trace format.
+    per-frame integrity check of the binary trace format.
 
     The checksum lives in the low 32 bits of a native [int]; values are
     always in [\[0, 2^32)].  The standard test vector holds:

@@ -5,6 +5,9 @@
 # and run the benchmark's self-check plus one short run per workload.
 set -eu
 cd "$(dirname "$0")/.."
+root=$(pwd)
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
 
 echo "== dune build =="
 dune build
@@ -13,13 +16,12 @@ echo "== dune runtest =="
 dune runtest
 
 echo "== trace format gate =="
-# fails if v3 is not smaller than v1, or any cross-format/scanner
-# differential diverges
-dune exec bench/main.exe -- --format-bench > /dev/null
+# fails if the v3 trace grows past its byte bound, or the text/v3 or
+# scanner differential diverges; run from $tmp, like every bench step,
+# so nothing it writes lands in the checkout
+(cd "$tmp" && "$root/_build/default/bench/main.exe" --format-bench > /dev/null)
 
 echo "== flight-recorder CLI smoke =="
-tmp=$(mktemp -d)
-trap 'rm -rf "$tmp"' EXIT
 dune exec bin/iocov.exe -- trace xfstests --binary -o "$tmp/t.bin" --seed 7 \
   --scale 0.05 > /dev/null
 dune exec bin/iocov.exe -- analyze "$tmp/t.bin" \
@@ -90,8 +92,10 @@ dune exec bin/iocov.exe -- crash --bound 6 --workload append-fsync \
 
 echo "== config lattice gate =="
 # matrix observe throughput, lazy shard memory, and the off-default
-# errno surface (>= 5 errno cells reachable only off the default point)
-dune exec bench/main.exe -- --config-bench > /dev/null
+# errno surface (>= 5 errno cells reachable only off the default point);
+# E18 writes BENCH_config.json into its working directory, so it runs in
+# $tmp and leaves the committed file alone
+(cd "$tmp" && "$root/_build/default/bench/main.exe" --config-bench > /dev/null)
 
 echo "== config lattice CLI smoke =="
 # a two-point sweep prints the per-config matrix and the differential

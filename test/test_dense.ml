@@ -292,28 +292,23 @@ let test_dense_to_reference_merges_with_reference () =
   Coverage.merge_into ~dst (Coverage.Dense.to_reference b);
   check_string "mixed merge" (Snapshot.to_string all) (Snapshot.to_string dst)
 
-(* --- the pipeline differential: both backends --- *)
+(* --- the pipeline differential: the engine's dense accumulator
+   against a per-event observe into the hashed reference histograms --- *)
 
 let test_pipeline_differential () =
   let filter = Filter.mount_point "/mnt/test" in
   List.iter
     (fun seed ->
       let events = gen_events ~seed 10_000 in
-      let oracle = Replay.analyze_events ~counters:Replay.Reference ~filter events in
-      let oracle_snap = Snapshot.to_string oracle.Replay.coverage in
-      let oracle_report = Report.suite_summary ~name:"fuzz" oracle.Replay.coverage in
-      List.iter
-        (fun counters ->
-          let o = Replay.analyze_events ~batch:256 ~counters ~filter events in
-          let tag =
-            Printf.sprintf "seed=%d %s" seed
-              (match counters with Replay.Dense -> "dense" | Replay.Reference -> "reference")
-          in
-          check_string (tag ^ " snapshot") oracle_snap (Snapshot.to_string o.Replay.coverage);
-          check_string (tag ^ " report") oracle_report
-            (Report.suite_summary ~name:"fuzz" o.Replay.coverage);
-          check_int (tag ^ " kept") oracle.Replay.kept o.Replay.kept)
-        [ Replay.Dense; Replay.Reference ])
+      let oracle, oracle_kept = Test_par.sequential_coverage filter events in
+      let o = Replay.analyze_events ~batch:256 ~filter events in
+      let tag = Printf.sprintf "seed=%d" seed in
+      check_string (tag ^ " snapshot") (Snapshot.to_string oracle)
+        (Snapshot.to_string o.Replay.coverage);
+      check_string (tag ^ " report")
+        (Report.suite_summary ~name:"fuzz" oracle)
+        (Report.suite_summary ~name:"fuzz" o.Replay.coverage);
+      check_int (tag ^ " kept") oracle_kept o.Replay.kept)
     [ 42; 1337 ]
 
 let suites =

@@ -259,10 +259,41 @@ let test_ledger_truncated_tail () =
       let { Ledger.records; bad_lines } = Ledger.load ~dir in
       check_int "intact prefix kept" 1 (List.length records);
       check_int "torn tail counted" 1 bad_lines;
-      (* the ledger keeps accepting appends after the tear *)
-      match Ledger.append ~dir (sample_record ~label:"v.bin" ()) with
-      | Ok r -> check_string "next id after recovery" "r2" r.Ledger.r_id
-      | Error msg -> Alcotest.fail msg)
+      (* the ledger keeps accepting appends after the tear, and the new
+         record is not glued onto the torn bytes *)
+      (match Ledger.append ~dir (sample_record ~label:"v.bin" ()) with
+       | Ok r -> check_string "next id after recovery" "r2" r.Ledger.r_id
+       | Error msg -> Alcotest.fail msg);
+      let { Ledger.records; bad_lines } = Ledger.load ~dir in
+      check_int "new record readable" 2 (List.length records);
+      check_int "torn line still counted" 1 bad_lines;
+      check_bool "reload finds the new record" true
+        ((Option.get (Ledger.find records "r2")).Ledger.r_label = "v.bin"))
+
+(* A damaged line in the middle must not make the next append reuse an
+   id that a later record already holds. *)
+let test_ledger_garbage_middle_line () =
+  with_temp_dir (fun dir ->
+      ignore (Ledger.append ~dir (sample_record ()));
+      ignore (Ledger.append ~dir (sample_record ~label:"u.bin" ()));
+      ignore (Ledger.append ~dir (sample_record ~label:"w.bin" ()));
+      let file = Ledger.path ~dir in
+      let lines =
+        String.split_on_char '\n' (In_channel.with_open_text file In_channel.input_all)
+      in
+      Out_channel.with_open_text file (fun oc ->
+          Out_channel.output_string oc
+            (String.concat "\n"
+               (List.mapi (fun i l -> if i = 1 then "{\"schema\": garbage" else l) lines)));
+      (match Ledger.append ~dir (sample_record ~label:"v.bin" ()) with
+       | Ok r -> check_string "id after the largest" "r4" r.Ledger.r_id
+       | Error msg -> Alcotest.fail msg);
+      let { Ledger.records; bad_lines } = Ledger.load ~dir in
+      check_int "bad middle line counted" 1 bad_lines;
+      check_bool "r3 is still the old record" true
+        ((Option.get (Ledger.find records "r3")).Ledger.r_label = "w.bin");
+      check_bool "r4 is the new one" true
+        ((Option.get (Ledger.find records "r4")).Ledger.r_label = "v.bin"))
 
 let test_ledger_missing_dir_empty () =
   let { Ledger.records; bad_lines } = Ledger.load ~dir:"/nonexistent/iocov" in
@@ -316,6 +347,7 @@ let suites =
       [ Alcotest.test_case "json round-trip" `Quick test_ledger_roundtrip;
         Alcotest.test_case "append and load" `Quick test_ledger_append_load;
         Alcotest.test_case "truncated tail" `Quick test_ledger_truncated_tail;
+        Alcotest.test_case "garbage middle line" `Quick test_ledger_garbage_middle_line;
         Alcotest.test_case "missing dir" `Quick test_ledger_missing_dir_empty;
         Alcotest.test_case "diff identical" `Quick test_diff_identical;
         Alcotest.test_case "diff gained/lost" `Quick test_diff_gained_and_lost;

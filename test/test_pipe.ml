@@ -1,11 +1,11 @@
 (* Differential tests for the unified streaming pipeline (DESIGN.md §13):
    every consumer routed through Iocov_pipe.Driver must produce coverage
-   byte-identical to the pre-pipe path it replaced — live suite runs vs
-   direct observation, file replay vs Replay.analyze_file, binary v1/v2/v3,
-   both counter backends — plus lenient-mode completeness equivalence,
-   multi-sink single-pass analysis, stages, the configuration errors the
-   driver must report as values, and the "all roads, one digest"
-   property over every way a coverage result can be produced. *)
+   byte-identical to a per-event observe into the hashed reference
+   accumulator — live suite runs vs direct observation, text and binary
+   file replay vs a sequential fold — plus multi-sink single-pass
+   analysis, stages, the configuration errors the driver must report as
+   values, and the "all roads, one digest" property over every way a
+   coverage result can be produced, on clean and on damaged traces. *)
 
 module Event = Iocov_trace.Event
 module Filter = Iocov_trace.Filter
@@ -40,9 +40,8 @@ let ok_run = function
   | Ok (r : Driver.run) -> r
   | Error msg -> Alcotest.failf "pipeline failed: %s" msg
 
-let backends = [ (Replay.Dense, "dense"); (Replay.Reference, "reference") ]
-
-(* --- live suite runs: Runner-through-driver vs direct observation --- *)
+(* --- live suite runs: Runner-through-driver (dense) vs direct
+   observation (reference histograms) --- *)
 
 let direct_suite_coverage suite ~seed ~scale =
   (* the pre-pipe classic path: the suite observes straight into a
@@ -67,21 +66,17 @@ let test_suite_differential () =
     (fun suite ->
       let seed = 42 and scale = 0.2 in
       let oracle_cov, oracle_kept = direct_suite_coverage suite ~seed ~scale in
-      let oracle = snap oracle_cov in
-      List.iter
-        (fun (counters, cname) ->
-          let r = Runner.run ~seed ~scale ~counters suite in
-          let tag = Printf.sprintf "%s %s" (Runner.suite_name suite) cname in
-          check_string (tag ^ " snapshot") oracle (snap r.Runner.coverage);
-          check_int (tag ^ " kept") oracle_kept r.Runner.events_kept)
-        backends)
+      let r = Runner.run ~seed ~scale suite in
+      let tag = Runner.suite_name suite in
+      check_string (tag ^ " snapshot") (snap oracle_cov) (snap r.Runner.coverage);
+      check_int (tag ^ " kept") oracle_kept r.Runner.events_kept)
     [ Runner.Crashmonkey; Runner.Xfstests; Runner.Ltp ]
 
-(* --- file replay: driver vs Replay.analyze_file, binary v1/v2 --- *)
+(* --- file replay: driver vs a sequential fold, text and binary --- *)
 
-let write_binary ?version path events =
+let write_binary ?frame path events =
   let oc = open_out_bin path in
-  let w = Binary_io.writer ?version oc in
+  let w = Binary_io.writer ?frame oc in
   List.iter (Binary_io.sink w) events;
   Binary_io.flush w;
   close_out oc
@@ -90,35 +85,32 @@ let write_text path events =
   Out_channel.with_open_text path (fun oc ->
       List.iter (Format_io.sink_channel oc) events)
 
+let pass_through = Stage.map ~name:"pass" Option.some
+
 let test_file_differential () =
   let events = synth_events ~seed:11 3_000 in
+  let oracle_cov, oracle_kept = Test_par.sequential_coverage filter events in
   List.iter
     (fun (fmt, write) ->
       with_temp_file (fun path ->
           write path events;
-          (* the pre-pipe path: the engine called directly *)
-          let oracle =
-            match Replay.analyze_file ~counters:Replay.Reference ~filter path with
-            | Ok o -> o
-            | Error msg -> Alcotest.failf "%s oracle: %s" fmt msg
-          in
+          (* binary traces take the fused drain; a pass-through stage
+             forces the event path *)
           List.iter
-            (fun (counters, cname) ->
-              let config = Driver.config ~batch:256 ~counters () in
+            (fun (road, stages) ->
+              let config = Driver.config ~batch:256 () in
               let r =
-                ok_run (Driver.run ~config ~stages:[ Stage.filter filter ] (Source.file path))
+                ok_run
+                  (Driver.run ~config ~stages:(Stage.filter filter :: stages)
+                     (Source.file path))
               in
-              let tag = Printf.sprintf "%s %s" fmt cname in
-              check_string (tag ^ " snapshot")
-                (snap oracle.Replay.coverage)
+              let tag = Printf.sprintf "%s %s" fmt road in
+              check_string (tag ^ " snapshot") (snap oracle_cov)
                 (snap r.Driver.product.Sink.coverage);
-              check_int (tag ^ " kept") oracle.Replay.kept r.Driver.product.Sink.kept;
-              check_int (tag ^ " events") oracle.Replay.events r.Driver.product.Sink.events)
-            backends))
-    [ ("text", write_text);
-      ("binary-v1", write_binary ~version:1);
-      ("binary-v2", write_binary ~version:2);
-      ("binary-v3", write_binary ~version:3) ]
+              check_int (tag ^ " kept") oracle_kept r.Driver.product.Sink.kept;
+              check_int (tag ^ " events") 3_000 r.Driver.product.Sink.events)
+            [ ("direct", []); ("staged", [ pass_through ]) ]))
+    [ ("text", write_text); ("binary", write_binary ?frame:None) ]
 
 (* --- lenient ingestion: completeness ledgers must agree --- *)
 
@@ -142,14 +134,16 @@ let check_completeness tag (a : Anomaly.completeness) (b : Anomaly.completeness)
   check_int (tag ^ " bytes_skipped") a.Anomaly.bytes_skipped b.Anomaly.bytes_skipped;
   check_bool (tag ^ " truncated") a.Anomaly.truncated b.Anomaly.truncated
 
+(* One-record frames, one flip: the driver's fused drain against the
+   engine's event path, which a pass-through stage forces. *)
 let test_lenient_differential () =
   let events = synth_events ~seed:23 2_000 in
   with_temp_file (fun path ->
-      write_binary ~version:2 path events;
+      write_binary ~frame:1 path events;
       flip_byte path 600;
       let ingest = Replay.Lenient Anomaly.Unlimited in
       let oracle =
-        match Replay.analyze_file ~counters:Replay.Reference ~ingest ~filter path with
+        match Replay.analyze_file ~stage:Fun.id ~ingest ~filter path with
         | Ok o -> o
         | Error msg -> Alcotest.failf "lenient oracle: %s" msg
       in
@@ -214,7 +208,7 @@ let test_stage_map () =
       (fun e -> Filter.keeps filter e && drop_writes e <> None)
       events
   in
-  let oracle = Replay.analyze_events ~counters:Replay.Reference kept_events in
+  let oracle, _ = Test_par.sequential_coverage filter kept_events in
   let r =
     ok_run
       (Driver.run
@@ -224,8 +218,7 @@ let test_stage_map () =
              Stage.map ~name:"drop-writes" drop_writes; Stage.meter "post" ]
          (Source.events events))
   in
-  check_string "map snapshot" (snap oracle.Replay.coverage)
-    (snap r.Driver.product.Sink.coverage)
+  check_string "map snapshot" (snap oracle) (snap r.Driver.product.Sink.coverage)
 
 (* --- syzlang source: driver vs direct input-only observation --- *)
 
@@ -245,20 +238,13 @@ let test_syz_differential () =
   in
   let oracle = Coverage.create () in
   List.iter (Coverage.observe_input_only oracle) program.Iocov_trace.Syzlang.calls;
-  List.iter
-    (fun (counters, cname) ->
-      let r =
-        ok_run
-          (Driver.run ~config:(Driver.config ~counters ()) (Source.syz syz_text))
-      in
-      check_string (cname ^ " snapshot") (snap oracle)
-        (snap r.Driver.product.Sink.coverage);
-      check_int (cname ^ " calls") (List.length program.Iocov_trace.Syzlang.calls)
-        r.Driver.product.Sink.events;
-      check_int (cname ^ " skips noted")
-        (List.length program.Iocov_trace.Syzlang.skipped)
-        (List.length r.Driver.product.Sink.notes))
-    backends
+  let r = ok_run (Driver.run (Source.syz syz_text)) in
+  check_string "snapshot" (snap oracle) (snap r.Driver.product.Sink.coverage);
+  check_int "calls" (List.length program.Iocov_trace.Syzlang.calls)
+    r.Driver.product.Sink.events;
+  check_int "skips noted"
+    (List.length program.Iocov_trace.Syzlang.skipped)
+    (List.length r.Driver.product.Sink.notes)
 
 (* --- live checkpointing: periodic atomic coverage snapshots --- *)
 
@@ -308,6 +294,19 @@ let test_driver_errors () =
        (Driver.run ~stages:[ Stage.filter filter ] (Source.syz "close(3)")));
   check_bool "missing trace file" true
     (is_error (Driver.run (Source.file "/nonexistent/iocov.trace")))
+
+(* [iocov analyze] of a retired-format trace: the file source sees the
+   trace magic and the decoder refuses the version, where a text parse
+   would have misreported it. *)
+let test_old_format_refused () =
+  with_temp_file (fun path ->
+      Out_channel.with_open_bin path (fun oc ->
+          output_string oc "IOCT\x02\x80\x08\xf5\x9e");
+      match Driver.run ~stages:[ Stage.filter filter ] (Source.file path) with
+      | Ok _ -> Alcotest.fail "a v2 trace was analyzed"
+      | Error msg ->
+        check_string "refusal"
+          "v2 binary trace: only v3 is read; re-trace with `iocov trace --binary`" msg)
 
 (* --- limit truncates event-list sources --- *)
 
@@ -434,6 +433,103 @@ let all_roads_prop =
         roads;
       true)
 
+(* The roads that can read a damaged trace, over a v3 trace with 1–4
+   bytes flipped past its 8-byte header (magic and the default chapter
+   size), all lenient: the fused file replay, the event path a
+   pass-through stage forces, serve ingestion, and a replay killed at a
+   random record and resumed.  They must agree on the digest and on
+   every completeness tally. *)
+
+let damaged_case_gen =
+  QCheck.Gen.(
+    tup5
+      (oneofl [ Runner.Crashmonkey; Runner.Xfstests; Runner.Ltp ])
+      (int_bound 999)
+      (map (fun k -> float_of_int k /. 100.0) (int_range 1 5))
+      (float_bound_inclusive 1.0)
+      (int_bound 999_999))
+
+let print_damaged_case (suite, seed, scale, kill, flip_seed) =
+  Printf.sprintf "%s seed=%d scale=%.2f kill=%.3f flip_seed=%d" (Runner.suite_name suite)
+    seed scale kill flip_seed
+
+let flip_random_bytes ~seed path =
+  let b = In_channel.with_open_bin path In_channel.input_all |> Bytes.of_string in
+  let header = 8 in
+  let rng = Iocov_util.Prng.create ~seed in
+  for _ = 1 to 1 + Iocov_util.Prng.int rng 4 do
+    let off = header + Iocov_util.Prng.int rng (Bytes.length b - header) in
+    let mask = 1 + Iocov_util.Prng.int rng 255 in
+    Bytes.set b off (Char.chr (Char.code (Bytes.get b off) lxor mask))
+  done;
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc b)
+
+let tally (c : Anomaly.completeness) =
+  Printf.sprintf "read %d, skipped %d, regions %d, bytes skipped %d, truncated %b"
+    c.Anomaly.events_read c.Anomaly.records_skipped c.Anomaly.corrupt_regions
+    c.Anomaly.bytes_skipped c.Anomaly.truncated
+
+let damaged_roads_prop =
+  QCheck.Test.make ~name:"damaged traces, one digest" ~count:6
+    (QCheck.make ~print:print_damaged_case damaged_case_gen)
+    (fun (suite, seed, scale, kill, flip_seed) ->
+      let mount = suite_mount suite in
+      let ingest = Replay.Lenient Anomaly.Unlimited in
+      let product what = function
+        | Ok { Driver.product; _ } -> product
+        | Error msg -> QCheck.Test.fail_reportf "%s: %s" what msg
+      in
+      let replay ?(config = Driver.config ~ingest ()) ?(sinks = []) what stages path =
+        product what
+          (Driver.run ~config ~stages:(Stage.mount mount :: stages) ~sinks (Source.file path))
+      in
+      let road p = (Ledger.digest p.Sink.coverage, tally p.Sink.completeness) in
+      with_temp_file @@ fun text ->
+      with_temp_file @@ fun v3 ->
+      with_temp_file @@ fun ckpt ->
+      ignore (write_traces ~seed ~scale suite ~text ~v3 : int);
+      flip_random_bytes ~seed:flip_seed v3;
+      let direct = replay "fused replay" [] v3 in
+      let staged = replay "event-path replay" [ pass_through ] v3 in
+      let limit = int_of_float (kill *. float_of_int direct.Sink.events) in
+      ignore
+        (replay "killed run"
+           ~config:(Driver.config ~ingest ~limit ())
+           ~sinks:[ Sink.checkpoint ~path:ckpt ~every:1000 ]
+           [] v3
+          : Sink.product);
+      let resumed =
+        match Checkpoint.load ckpt with
+        | Ok ck ->
+          replay "resumed run" ~config:(Driver.config ~ingest ~resume:(ckpt, ck) ()) [] v3
+        | Error msg -> QCheck.Test.fail_reportf "checkpoint: %s" msg
+      in
+      let served =
+        let hub = Hub.create ~mount () in
+        In_channel.with_open_bin v3 (fun ic ->
+            match Binary_io.open_stream ~mode:ingest ic with
+            | Error msg -> QCheck.Test.fail_reportf "open_stream: %s" msg
+            | Ok st ->
+              let s = Hub.open_session hub ~tenant:"t" () in
+              let rec drain () =
+                match Hub.ingest_step s st with
+                | Ok 0 -> ()
+                | Ok _ -> drain ()
+                | Error msg -> QCheck.Test.fail_reportf "ingest_step: %s" msg
+              in
+              drain ();
+              Hub.close_session s;
+              (Option.get (Hub.digest hub ~tenant:"t"), tally (Binary_io.completeness st)))
+      in
+      let expected = road direct in
+      List.iter
+        (fun (name, (digest, t)) ->
+          if (digest, t) <> expected then
+            QCheck.Test.fail_reportf "%s: digest %s (%s) <> fused replay: digest %s (%s)" name
+              digest t (fst expected) (snd expected))
+        [ ("event path", road staged); ("kill/resume", road resumed); ("serve", served) ];
+      true)
+
 (* --- pinned digests ---
 
    [pipe.roads] only checks that the roads agree with one another; a VFS
@@ -520,7 +616,7 @@ let suites =
       [ Alcotest.test_case "runner = direct observe, both backends" `Quick
           test_suite_differential ] );
     ( "pipe.trace",
-      [ Alcotest.test_case "driver = engine, text + binary v1/v2" `Quick
+      [ Alcotest.test_case "driver = engine, text + binary" `Quick
           test_file_differential;
         Alcotest.test_case "lenient ledger equivalence" `Quick
           test_lenient_differential ] );
@@ -534,8 +630,11 @@ let suites =
         Alcotest.test_case "limit truncates events" `Quick test_events_limit ] );
     ( "pipe.errors",
       [ Alcotest.test_case "bad configurations are Error values" `Quick
-          test_driver_errors ] );
-    ("pipe.roads", [ QCheck_alcotest.to_alcotest all_roads_prop ]);
+          test_driver_errors;
+        Alcotest.test_case "v1/v2 trace refused" `Quick test_old_format_refused ] );
+    ( "pipe.roads",
+      [ QCheck_alcotest.to_alcotest all_roads_prop;
+        QCheck_alcotest.to_alcotest damaged_roads_prop ] );
     ( "pipe.pinned",
       [ Alcotest.test_case "suite digests at three lattice points" `Quick
           test_pinned_suites;

@@ -1,7 +1,8 @@
 (* Tests for the fault-tolerant pipeline (DESIGN.md §12): CRC framing
-   and resync in the v2 binary format, exact loss accounting, error
+   and resync in the binary format, exact loss accounting, error
    budgets, batch abandonment, and checkpointed replay with
-   byte-identical resume. *)
+   byte-identical resume.  The corruption tests write one-record frames
+   ([~frame:1]), so one damaged frame loses exactly one record. *)
 
 module Anomaly = Iocov_util.Anomaly
 module Crc32 = Iocov_util.Crc32
@@ -24,9 +25,9 @@ let with_temp_file = Test_par.with_temp_file
 
 let filter = Filter.mount_point "/mnt/test"
 
-let write_binary ?version ?chapter ?frame path events =
+let write_binary ?chapter ?frame path events =
   let oc = open_out_bin path in
-  let w = Binary_io.writer ?version ?chapter ?frame oc in
+  let w = Binary_io.writer ?chapter ?frame oc in
   List.iter (Binary_io.sink w) events;
   Binary_io.flush w;
   close_out oc
@@ -143,38 +144,46 @@ let test_completeness_algebra () =
   check_int "skips sum" 2 m.Anomaly.records_skipped;
   check_int "anomalies concatenated" 1 (List.length m.Anomaly.anomalies)
 
-(* --- v2 format round-trips --- *)
+(* --- retired formats --- *)
 
-let test_v2_round_trip_chapters () =
-  let events = synth_events ~seed:40 500 in
-  with_temp_file (fun path ->
-      write_binary ~version:2 ~chapter:16 path events;
-      match read_all path with
-      | Error msg -> Alcotest.failf "clean v2 read failed: %s" msg
-      | Ok (got, c) ->
-        check_int "count" 500 (List.length got);
-        check_bool "records identical" true
-          (List.for_all2 (fun a b -> ignore_seq a = ignore_seq b) events got);
-        check_bool "ledger clean" true (Anomaly.is_clean c))
+(* Headers of the retired v1 (bare records) and v2 (one-record frames,
+   chapter size 1024) formats; only the header decides. *)
+let old_format_headers = [ (1, "IOCT\x01"); (2, "IOCT\x02\x80\x08") ]
 
-let test_v1_still_readable () =
-  let events = synth_events ~seed:41 300 in
-  with_temp_file (fun path ->
-      write_binary ~version:1 path events;
-      match read_all path with
-      | Error msg -> Alcotest.failf "v1 read failed: %s" msg
-      | Ok (got, c) ->
-        check_int "count" 300 (List.length got);
-        check_bool "records identical" true
-          (List.for_all2 (fun a b -> ignore_seq a = ignore_seq b) events got);
-        check_bool "ledger clean" true (Anomaly.is_clean c))
+let contains haystack needle =
+  let nh = String.length haystack and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub haystack i nn = needle || go (i + 1)) in
+  go 0
+
+let test_old_formats_refused () =
+  List.iter
+    (fun (version, header) ->
+      with_temp_file (fun path ->
+          write_file path (Bytes.of_string (header ^ "\x00\x01\x02\x03"));
+          let ic = open_in_bin path in
+          Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () ->
+              check_bool
+                (Printf.sprintf "v%d still looks like a binary trace" version)
+                true (Binary_io.is_binary_trace ic);
+              match Binary_io.open_stream ic with
+              | Ok _ -> Alcotest.failf "v%d stream opened" version
+              | Error msg ->
+                check_bool
+                  (Printf.sprintf "v%d error names the version" version)
+                  true
+                  (contains msg (Printf.sprintf "v%d binary trace" version));
+                check_bool
+                  (Printf.sprintf "v%d error says how to re-trace" version)
+                  true
+                  (contains msg "iocov trace --binary"))))
+    old_format_headers
 
 (* --- corruption recovery --- *)
 
 let test_strict_reports_first_offset () =
   let events = synth_events ~seed:42 200 in
   with_temp_file (fun path ->
-      write_binary ~version:2 ~chapter:16 path events;
+      write_binary ~chapter:16 ~frame:1 path events;
       let offs = frame_offsets path in
       let target = offs.(100) + 7 in
       flip_bytes path [ target ];
@@ -188,7 +197,7 @@ let test_strict_reports_first_offset () =
 let test_lenient_exact_single_flip () =
   let events = synth_events ~seed:43 300 in
   with_temp_file (fun path ->
-      write_binary ~version:2 ~chapter:16 path events;
+      write_binary ~chapter:16 ~frame:1 path events;
       let offs = frame_offsets path in
       (* CRC byte of a mid-trace frame: exactly one record damaged *)
       flip_bytes path [ offs.(150) + 4 ];
@@ -208,7 +217,7 @@ let test_lenient_exact_adjacent_frames () =
      introductions for later records are lost with them. *)
   let events = synth_events ~seed:44 300 in
   with_temp_file (fun path ->
-      write_binary ~version:2 ~chapter:16 path events;
+      write_binary ~chapter:16 ~frame:1 path events;
       let offs = frame_offsets path in
       flip_bytes path [ offs.(85) + 4; offs.(86) + 4 ];
       match read_all ~mode:(Binary_io.Lenient Anomaly.Unlimited) path with
@@ -223,7 +232,7 @@ let test_lenient_lost_reference_cascade () =
      the rest of its chapter; the next chapter restarts the table *)
   let events = synth_events ~seed:45 64 in
   with_temp_file (fun path ->
-      write_binary ~version:2 ~chapter:8 path events;
+      write_binary ~chapter:8 ~frame:1 path events;
       let offs = frame_offsets path in
       flip_bytes path [ offs.(8) + 7 ];
       match read_all ~mode:(Binary_io.Lenient Anomaly.Unlimited) path with
@@ -240,7 +249,7 @@ let test_lenient_lost_reference_cascade () =
 let test_lenient_truncated_tail () =
   let events = synth_events ~seed:46 200 in
   with_temp_file (fun path ->
-      write_binary ~version:2 ~chapter:16 path events;
+      write_binary ~chapter:16 ~frame:1 path events;
       let size = Bytes.length (read_file path) in
       truncate_file path (size - 5);
       (match read_all ~mode:(Binary_io.Lenient Anomaly.Unlimited) path with
@@ -257,7 +266,7 @@ let test_fuzz_bit_flips_never_raise () =
   let chapter = 16 in
   let events = synth_events ~seed:47 n in
   with_temp_file (fun clean_path ->
-      write_binary ~version:2 ~chapter clean_path events;
+      write_binary ~chapter ~frame:1 clean_path events;
       let clean = read_file clean_path in
       let size = Bytes.length clean in
       (* past the magic and the chapter-size varint *)
@@ -294,7 +303,7 @@ let test_fuzz_bit_flips_never_raise () =
 let test_budget_enforced () =
   let events = synth_events ~seed:48 300 in
   with_temp_file (fun path ->
-      write_binary ~version:2 ~chapter:16 path events;
+      write_binary ~chapter:16 ~frame:1 path events;
       let offs = frame_offsets path in
       flip_bytes path [ offs.(50) + 4; offs.(150) + 4 ];
       (* zero tolerance: fails on the first skip, online *)
@@ -339,7 +348,7 @@ let test_v3_round_trip_frames () =
     (fun (n, chapter, frame) ->
       let events = synth_events ~seed:60 n in
       with_temp_file (fun path ->
-          write_binary ~version:3 ~chapter ~frame path events;
+          write_binary ~chapter ~frame path events;
           match read_all path with
           | Error msg ->
             Alcotest.failf "clean v3 read failed (chapter=%d frame=%d): %s" chapter frame msg
@@ -351,6 +360,8 @@ let test_v3_round_trip_frames () =
             check_bool (label ^ " ledger clean") true (Anomaly.is_clean c)))
     [ (500, 16, 4);
       (500, 64, 64);
+      (* one-record frames, the smallest blast radius *)
+      (500, 16, 1);
       (* frame larger than the chapter: clamped, frames never span chapters *)
       (100, 1, 8);
       (300, 512, 256);
@@ -360,7 +371,7 @@ let test_v3_round_trip_frames () =
 let test_v3_frame_flip_exact_ledger () =
   let events = uniform_events 400 in
   with_temp_file (fun path ->
-      write_binary ~version:3 ~chapter:64 ~frame:8 path events;
+      write_binary ~chapter:64 ~frame:8 path events;
       let offs = frame_offsets path in
       (* offs.(8k) is the k-th frame's start; frame 20 holds records
          160..167, mid-chapter, so its loss is exactly its 8 records *)
@@ -382,7 +393,7 @@ let test_v3_truncated_tail () =
      (36 mod 8); tearing its last bytes loses exactly that frame *)
   let events = uniform_events 100 in
   with_temp_file (fun path ->
-      write_binary ~version:3 ~chapter:64 ~frame:8 path events;
+      write_binary ~chapter:64 ~frame:8 path events;
       let size = Bytes.length (read_file path) in
       truncate_file path (size - 5);
       (match read_all ~mode:(Binary_io.Lenient Anomaly.Unlimited) path with
@@ -411,7 +422,7 @@ let test_v3_oversized_strings () =
         })
   in
   with_temp_file (fun path ->
-      write_binary ~version:3 ~chapter:16 ~frame:4 path events;
+      write_binary ~chapter:16 ~frame:4 path events;
       match read_all path with
       | Error msg -> Alcotest.failf "oversized-string read failed: %s" msg
       | Ok (got, c) ->
@@ -426,7 +437,7 @@ let test_v3_fuzz_bit_flips_never_raise () =
   let frame = 4 in
   let events = synth_events ~seed:63 n in
   with_temp_file (fun clean_path ->
-      write_binary ~version:3 ~chapter ~frame clean_path events;
+      write_binary ~chapter ~frame clean_path events;
       let clean = read_file clean_path in
       let size = Bytes.length clean in
       let header_end = 7 in
@@ -459,45 +470,72 @@ let test_v3_fuzz_bit_flips_never_raise () =
                 (read >= n - (flips * (chapter + frame + 2))))
       done)
 
-let test_v3_drain_matches_read_batch () =
-  (* the fused decode path (drain_batch) against the materializing one:
-     same records, same keep/drop taxonomy, same coverage *)
-  let events = synth_events ~seed:64 2_000 in
+(* Both decoders over one file, lenient: the event path ([read_batch],
+   then filter and observe) and the fused dense drain must read, keep,
+   lose and count the same records. *)
+let check_drain_matches_events label path =
+  let mode = Binary_io.Lenient Anomaly.Unlimited in
+  let events, ev_comp =
+    match read_all ~mode path with
+    | Ok r -> r
+    | Error msg -> Alcotest.failf "%s: read_batch: %s" label msg
+  in
   let ref_cov, ref_kept = sequential_coverage filter events in
+  let ic = open_in_bin path in
+  Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () ->
+      match Binary_io.open_stream ~mode ic with
+      | Error msg -> Alcotest.failf "%s: open_stream: %s" label msg
+      | Ok st ->
+        let dense = Coverage.Dense.create () in
+        let keep_hint h = Filter.matches_hint filter h in
+        let produced = ref 0 and kept = ref 0 in
+        let no_hint = ref 0 and no_match = ref 0 in
+        let continue = ref true in
+        while !continue do
+          match Binary_io.drain_batch_dense st ~keep_hint ~dense ~max:256 () with
+          | Error msg -> Alcotest.failf "%s: drain_batch_dense: %s" label msg
+          | Ok d ->
+            if d.Binary_io.dr_produced = 0 then continue := false
+            else begin
+              produced := !produced + d.Binary_io.dr_produced;
+              kept := !kept + d.Binary_io.dr_kept;
+              no_hint := !no_hint + d.Binary_io.dr_no_hint;
+              no_match := !no_match + d.Binary_io.dr_no_match
+            end
+        done;
+        let comp = Binary_io.completeness st in
+        check_int (label ^ ": produced = events read") (List.length events) !produced;
+        check_int (label ^ ": kept = sequential kept") ref_kept !kept;
+        check_int (label ^ ": taxonomy accounts for every record") !produced
+          (!kept + !no_hint + !no_match);
+        check_int (label ^ ": records skipped") ev_comp.Anomaly.records_skipped
+          comp.Anomaly.records_skipped;
+        check_int (label ^ ": corrupt regions") ev_comp.Anomaly.corrupt_regions
+          comp.Anomaly.corrupt_regions;
+        check_int (label ^ ": bytes skipped") ev_comp.Anomaly.bytes_skipped
+          comp.Anomaly.bytes_skipped;
+        check_bool (label ^ ": truncated") ev_comp.Anomaly.truncated comp.Anomaly.truncated;
+        check_string (label ^ ": coverage identical") (Snapshot.to_string ref_cov)
+          (Snapshot.to_string (Coverage.Dense.to_reference dense));
+        comp)
+
+let test_v3_drain_matches_read_batch () =
+  let events = synth_events ~seed:64 2_000 in
   with_temp_file (fun path ->
       write_binary path events;
-      let ic = open_in_bin path in
-      Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () ->
-          match Binary_io.open_stream ic with
-          | Error msg -> Alcotest.failf "open_stream: %s" msg
-          | Ok st ->
-            let cov = Coverage.create () in
-            let keep_hint h = Filter.matches_hint filter h in
-            let produced = ref 0 and kept = ref 0 in
-            let no_hint = ref 0 and no_match = ref 0 in
-            let continue = ref true in
-            while !continue do
-              match
-                Binary_io.drain_batch st ~keep_hint ~on_call:(Coverage.observe cov)
-                  ~max:256 ()
-              with
-              | Error msg -> Alcotest.failf "drain_batch: %s" msg
-              | Ok d ->
-                if d.Binary_io.dr_produced = 0 then continue := false
-                else begin
-                  produced := !produced + d.Binary_io.dr_produced;
-                  kept := !kept + d.Binary_io.dr_kept;
-                  no_hint := !no_hint + d.Binary_io.dr_no_hint;
-                  no_match := !no_match + d.Binary_io.dr_no_match
-                end
-            done;
-            check_int "produced = written" 2_000 !produced;
-            check_int "kept = sequential kept" ref_kept !kept;
-            check_int "taxonomy accounts for every record" 2_000
-              (!kept + !no_hint + !no_match);
-            check_string "coverage identical" (Snapshot.to_string ref_cov)
-              (Snapshot.to_string cov);
-            check_bool "ledger clean" true (Anomaly.is_clean (Binary_io.completeness st))))
+      let comp = check_drain_matches_events "clean" path in
+      check_int "clean: every record read" 2_000 comp.Anomaly.events_read;
+      check_bool "clean: ledger clean" true (Anomaly.is_clean comp));
+  (* the first frame introduces the comm every record refers to: after
+     losing it, the rest of its chapter is lost on both decoders, even
+     though the drain never reads the comm string *)
+  with_temp_file (fun path ->
+      write_binary ~chapter:512 ~frame:64 path events;
+      let offs = frame_offsets path in
+      flip_bytes path [ offs.(0) + 4 ];
+      let comp = check_drain_matches_events "first frame lost" path in
+      check_int "first frame lost: its chapter is lost" 512 comp.Anomaly.records_skipped;
+      check_int "first frame lost: later chapters read" 1_488 comp.Anomaly.events_read)
 
 (* --- differential: lenient == strict on clean traces --- *)
 
@@ -507,27 +545,20 @@ let test_lenient_strict_identical_on_clean () =
   with_temp_file (fun path ->
       write_binary path events;
       List.iter
-        (fun counters ->
-          List.iter
-            (fun ingest ->
-              let ic = open_in_bin path in
-              let result = Replay.analyze_channel ~batch:128 ~counters ~ingest ~filter ic in
-              close_in ic;
-              match result with
-              | Error msg -> Alcotest.failf "replay failed: %s" msg
-              | Ok o ->
-                let label =
-                  Printf.sprintf "%s %s"
-                    (match counters with Replay.Dense -> "dense" | _ -> "reference")
-                    (match ingest with Replay.Strict -> "strict" | _ -> "lenient")
-                in
-                check_string (label ^ " coverage")
-                  (Snapshot.to_string ref_cov)
-                  (Snapshot.to_string o.Replay.coverage);
-                check_int (label ^ " kept") ref_kept o.Replay.kept;
-                check_bool (label ^ " clean") true (Anomaly.is_clean o.Replay.completeness))
-            [ Replay.Strict; Replay.Lenient Anomaly.Unlimited ])
-        [ Replay.Dense; Replay.Reference ])
+        (fun ingest ->
+          let ic = open_in_bin path in
+          let result = Replay.analyze_channel ~batch:128 ~ingest ~filter ic in
+          close_in ic;
+          match result with
+          | Error msg -> Alcotest.failf "replay failed: %s" msg
+          | Ok o ->
+            let label = match ingest with Replay.Strict -> "strict" | _ -> "lenient" in
+            check_string (label ^ " coverage")
+              (Snapshot.to_string ref_cov)
+              (Snapshot.to_string o.Replay.coverage);
+            check_int (label ^ " kept") ref_kept o.Replay.kept;
+            check_bool (label ^ " clean") true (Anomaly.is_clean o.Replay.completeness))
+        [ Replay.Strict; Replay.Lenient Anomaly.Unlimited ])
 
 let test_lenient_text_skips_bad_lines () =
   let events = synth_events ~seed:50 200 in
@@ -625,10 +656,11 @@ let test_checkpoint_resume_byte_identical () =
             | Error msg -> Alcotest.failf "checkpoint load failed: %s" msg
           in
           check_int "checkpoint cursor events" 1_500 ck.Checkpoint.events;
-          (* resume under both counter backends *)
+          (* resume on the fused drain, and on the event path a
+             pass-through stage forces *)
           List.iter
-            (fun (name, counters) ->
-              match Replay.analyze_file ~counters ~resume:(ck_path, ck) ~filter trace with
+            (fun (name, stage) ->
+              match Replay.analyze_file ?stage ~resume:(ck_path, ck) ~filter trace with
               | Error msg -> Alcotest.failf "resume failed: %s" msg
               | Ok o ->
                 let label = "resumed " ^ name in
@@ -638,7 +670,7 @@ let test_checkpoint_resume_byte_identical () =
                   (Snapshot.to_string o.Replay.coverage);
                 check_bool (label ^ " provenance") true
                   (o.Replay.completeness.Anomaly.resumed_from = Some ck_path))
-            [ ("dense", Replay.Dense); ("reference", Replay.Reference) ]))
+            [ ("fused", None); ("event path", Some Fun.id) ]))
 
 let test_checkpoint_rejects_bad_config () =
   let events = synth_events ~seed:56 100 in
@@ -670,6 +702,42 @@ let test_checkpoint_load_rejects_garbage () =
           check_bool "torn checkpoint is an Error" true
             (Result.is_error (Checkpoint.load ck_path))))
 
+(* A checkpoint's cursor line leads with the trace format version; a
+   v1/v2 cursor, in the 7-integer form or the older 5-integer one, is
+   refused by name. *)
+let test_old_checkpoints_refused () =
+  let events = synth_events ~seed:57 500 in
+  with_temp_file (fun trace ->
+      write_binary trace events;
+      with_temp_file (fun ck_path ->
+          (match
+             Replay.analyze_file
+               ~checkpoint:{ Replay.ckpt_path = ck_path; ckpt_every = 100 }
+               ~limit:250 ~filter trace
+           with
+          | Ok _ -> ()
+          | Error msg -> Alcotest.failf "checkpointed run failed: %s" msg);
+          let text = Bytes.to_string (read_file ck_path) in
+          check_bool "a v3 checkpoint loads" true (Result.is_ok (Checkpoint.load ck_path));
+          let lines = String.split_on_char '\n' text in
+          let cursor = List.find (fun l -> String.starts_with ~prefix:"cursor " l) lines in
+          let fields = String.split_on_char ' ' cursor in
+          List.iter
+            (fun (label, replacement) ->
+              write_file ck_path
+                (Bytes.of_string
+                   (String.concat "\n"
+                      (List.map (fun l -> if l = cursor then replacement else l) lines)));
+              match Checkpoint.load ck_path with
+              | Ok _ -> Alcotest.failf "%s checkpoint loaded" label
+              | Error msg ->
+                check_bool (label ^ " error names v2") true (contains msg "v2 trace"))
+            [ ( "7-integer v2",
+                String.concat " " ("cursor" :: "2" :: List.tl (List.tl fields)) );
+              ( "5-integer v2",
+                String.concat " "
+                  ("cursor" :: "2" :: List.filteri (fun i _ -> i >= 2 && i < 6) fields) ) ]))
+
 let test_limit_caps_events () =
   let events = synth_events ~seed:58 1_000 in
   with_temp_file (fun trace ->
@@ -683,7 +751,7 @@ let test_lenient_file_run_with_corruption () =
      trace, a percent budget, a run that completes and accounts *)
   let events = synth_events ~seed:59 2_000 in
   with_temp_file (fun trace ->
-      write_binary ~version:2 ~chapter:32 trace events;
+      write_binary ~chapter:32 ~frame:1 trace events;
       let offs = frame_offsets trace in
       flip_bytes trace [ offs.(400) + 4; offs.(1200) + 4 ];
       match
@@ -703,8 +771,7 @@ let suites =
         Alcotest.test_case "budget parsing" `Quick test_budget_parse;
         Alcotest.test_case "budget semantics" `Quick test_budget_allows;
         Alcotest.test_case "completeness algebra" `Quick test_completeness_algebra;
-        Alcotest.test_case "v2 chapter round-trip" `Quick test_v2_round_trip_chapters;
-        Alcotest.test_case "v1 back-compat" `Quick test_v1_still_readable ] );
+        Alcotest.test_case "v1/v2 traces refused" `Quick test_old_formats_refused ] );
     ( "robust.corruption",
       [ Alcotest.test_case "strict reports first offset" `Quick
           test_strict_reports_first_offset;
@@ -744,4 +811,6 @@ let suites =
           test_checkpoint_load_rejects_garbage;
         Alcotest.test_case "limit caps events" `Quick test_limit_caps_events;
         Alcotest.test_case "corrupt trace, budgeted run completes" `Quick
-          test_lenient_file_run_with_corruption ] ) ]
+          test_lenient_file_run_with_corruption;
+        Alcotest.test_case "v1/v2 checkpoints refused" `Quick
+          test_old_checkpoints_refused ] ) ]

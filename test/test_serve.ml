@@ -30,9 +30,9 @@ let contains haystack needle =
   let rec go i = i + nn <= nh && (String.sub haystack i nn = needle || go (i + 1)) in
   nn = 0 || go 0
 
-let write_binary ?(version = 3) path events =
+let write_binary path events =
   let oc = open_out_bin path in
-  let w = Binary_io.writer ~version oc in
+  let w = Binary_io.writer oc in
   List.iter (Binary_io.sink w) events;
   Binary_io.flush w;
   close_out oc
@@ -231,15 +231,6 @@ let test_hub_matches_offline () =
       let hub = Hub.create ~mount:"/mnt/test" () in
       ingest_trace hub ~tenant:"alice" path;
       check_string "serve digest = offline analyze" (offline_digest events)
-        (hub_digest hub ~tenant:"alice"))
-
-let test_hub_v2_fallback () =
-  let events = synth_events ~seed:42 3_000 in
-  with_temp_file (fun path ->
-      write_binary ~version:2 path events;
-      let hub = Hub.create ~mount:"/mnt/test" () in
-      ingest_trace hub ~tenant:"alice" path;
-      check_string "v2 stream digest = offline" (offline_digest events)
         (hub_digest hub ~tenant:"alice"))
 
 let test_hub_text_side () =
@@ -487,6 +478,40 @@ let shutdown_and_join ~socket (th, result) =
   match !result with
   | Error msg -> Alcotest.failf "server: %s" msg
   | Ok outcome -> outcome
+
+(* v1/v2 files carry the trace magic, so serve hands them to the binary
+   decoder, which must refuse them by version instead of ingesting
+   nothing or misreading them as text — in file mode, and over the
+   socket, where the server replies and hangs up while the client is
+   still sending (the megabyte of payload outlasts the socket buffer). *)
+let test_hub_old_format_refused () =
+  let check_refusal ~version what = function
+    | Ok _ -> Alcotest.failf "%s: v%d stream was ingested" what version
+    | Error msg ->
+      check_bool
+        (Printf.sprintf "%s: v%d refusal names the version" what version)
+        true
+        (contains msg (Printf.sprintf "v%d binary trace" version));
+      check_bool
+        (Printf.sprintf "%s: v%d refusal says how to re-trace" what version)
+        true
+        (contains msg "iocov trace --binary")
+  in
+  with_temp_dir @@ fun dir ->
+  let sock = Filename.concat dir "iocov.sock" in
+  let server = start_server { Server.default_config with socket = Some sock } in
+  List.iter
+    (fun (version, header) ->
+      let path = Filename.concat dir (Printf.sprintf "v%d.trace" version) in
+      Out_channel.with_open_bin path (fun oc ->
+          output_string oc header;
+          output_string oc (String.make (1 lsl 20) '\x00'));
+      check_refusal ~version "file mode"
+        (Server.run { Server.default_config with ingests = [ ("alice", path) ] });
+      check_refusal ~version "socket"
+        (Server.client_ingest ~socket:sock ~tenant:"alice" path))
+    [ (1, "IOCT\x01"); (2, "IOCT\x02\x80\x08") ];
+  ignore (shutdown_and_join ~socket:sock server : Server.outcome)
 
 let test_handshake_timeout_frees_slot () =
   with_temp_dir @@ fun dir ->
@@ -771,7 +796,7 @@ let suites =
     ( "serve.hub",
       [
         Alcotest.test_case "digest = offline analyze" `Quick test_hub_matches_offline;
-        Alcotest.test_case "v2 stream fallback" `Quick test_hub_v2_fallback;
+        Alcotest.test_case "v1/v2 stream refused" `Quick test_hub_old_format_refused;
         Alcotest.test_case "text-side ingest" `Quick test_hub_text_side;
         Alcotest.test_case "tenant isolation" `Quick test_hub_tenant_isolation;
         Alcotest.test_case "per-session mount override" `Quick
