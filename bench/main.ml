@@ -59,8 +59,8 @@ let () =
        "shorthand for --only serve (E16, multi-tenant mixed ingest/query workload; \
         exits non-zero if a tenant digest diverges from offline analyze)");
       ("--config-bench", Arg.Unit (fun () -> only := "config" :: !only),
-       "shorthand for --only config (E18, config-lattice matrix: observe throughput, \
-        lazy shard memory, and the off-default errno surface gate)");
+       "shorthand for --only config (E18, config lattice: the off-default errno \
+        surface gate)");
       ("--crash-bench", Arg.Unit (fun () -> only := "crash" :: !only),
        "shorthand for --only crash (E17, crash-state enumeration throughput and \
         outcome-cell coverage vs bound; exits non-zero on an oracle violation or \
@@ -303,17 +303,16 @@ let variant_ablation () =
     | Model.Sys_chdir | Model.Sys_setxattr | Model.Sys_getxattr -> true
     | _ -> false
   in
-  let sink e =
+  let on_record e =
     if Iocov_trace.Filter.keeps filter e then
       match e.Iocov_trace.Event.payload with
       | Iocov_trace.Event.Tracked call ->
-        if is_primary call then
-          Coverage.observe primary_only call e.Iocov_trace.Event.outcome
+        let outcome = e.Iocov_trace.Event.outcome in
+        Coverage.observe merged call outcome;
+        if is_primary call then Coverage.observe primary_only call outcome
       | Iocov_trace.Event.Aux _ -> ()
   in
-  let _ =
-    Iocov_suites.Xfstests.run ~seed:!seed ~scale:0.2 ~sink ~coverage:merged ()
-  in
+  ignore (Runner.emit ~seed:!seed ~scale:0.2 ~on_record Runner.Xfstests : string list * int);
   let rows =
     List.filter_map
       (fun arg ->
@@ -417,13 +416,21 @@ let s3_reduction () =
   heading "S3" "Extension: coverage-preserving test-suite reduction (greedy set cover)";
   let module Reduction = Iocov_core.Reduction in
   let items = ref [] in
-  let coverage = Coverage.create () in
+  let filter = Iocov_trace.Filter.mount_point Iocov_suites.Xfstests.mount in
   Printf.printf "running xfstests with per-test coverage attribution...\n%!";
-  let _ =
-    Iocov_suites.Xfstests.run ~seed:!seed ~scale:0.2
-      ~per_test:(fun name cov -> items := { Reduction.name; coverage = cov } :: !items)
-      ~coverage ()
+  (* each test boundary opens a fresh coverage; records go to the
+     latest one *)
+  let on_test name = items := { Reduction.name; coverage = Coverage.create () } :: !items in
+  let on_record e =
+    match (!items, e.Iocov_trace.Event.payload) with
+    | { Reduction.coverage; _ } :: _, Iocov_trace.Event.Tracked call
+      when Iocov_trace.Filter.keeps filter e ->
+      Coverage.observe coverage call e.Iocov_trace.Event.outcome
+    | _ -> ()
   in
+  ignore
+    (Runner.emit ~seed:!seed ~scale:0.2 ~on_test ~on_record Runner.Xfstests
+      : string list * int);
   let items = List.rev !items in
   let selection = Reduction.greedy items in
   Printf.printf
@@ -1593,83 +1600,16 @@ let crash_bench () =
   end;
   Printf.printf "crash gate: PASS\n%!"
 
-(* --- E18: the config lattice — matrix observe cost, lazy shards, and
-   the off-default errno surface --- *)
+(* --- E18: the config lattice — the off-default errno surface --- *)
 
 let config_bench () =
-  heading "E18"
-    "Config lattice: matrix observe throughput, lazy shard memory, off-default errno \
-     cells";
+  heading "E18" "Config lattice: off-default errno cells";
   let module Vc = Iocov_vfs.Config in
-  let module Plan = Iocov_core.Plan in
-  (* 1. observe throughput: one config's stream through a Matrix shard
-     vs a plain Dense accumulator — the lift must not tax the hot path *)
-  let n = 200_000 in
-  let events = synth_events n in
-  let rev_pairs = ref [] in
-  Event.iter_tracked events (fun c o -> rev_pairs := (c, o) :: !rev_pairs);
-  let pairs = Array.of_list (List.rev !rev_pairs) in
-  let m = Array.length pairs in
-  Printf.printf "lattice: %d points (digest %s); %s tracked observations per pass\n%!"
-    Vc.lattice_count Vc.lattice_digest (Ascii.si_count m);
-  let run_single () =
-    let d = Coverage.Dense.create () in
-    let (), dt =
-      timed_wall (fun () ->
-          Array.iter (fun (c, o) -> Coverage.Dense.observe d c o) pairs)
-    in
-    (d, dt)
-  in
-  let run_matrix () =
-    let mx = Coverage.Matrix.create ~configs:Vc.lattice_count in
-    let (), dt =
-      timed_wall (fun () ->
-          Array.iter
-            (fun (c, o) -> Coverage.Matrix.observe mx ~config_id:0 c o)
-            pairs)
-    in
-    (mx, dt)
-  in
-  ignore (run_single ());
-  ignore (run_matrix ());
-  let d, single_dt = run_single () in
-  let mx, matrix_dt = run_matrix () in
-  let single_rate = float_of_int m /. single_dt in
-  let matrix_rate = float_of_int m /. matrix_dt in
-  let ratio = matrix_rate /. single_rate in
-  let identical =
-    match Coverage.Matrix.to_reference mx with
-    | [ (0, shard0) ] -> Snapshot.equal (Coverage.Dense.to_reference d) shard0
-    | _ -> false
-  in
-  Printf.printf "  dense single-config: %.3fs (%s observes/s)\n" single_dt
-    (Ascii.si_count (int_of_float single_rate));
-  Printf.printf "  matrix shard 0:      %.3fs (%s observes/s), %.2fx of single\n"
-    matrix_dt (Ascii.si_count (int_of_float matrix_rate)) ratio;
-  Printf.printf "  shard-0 snapshot vs single-config: %s\n%!"
-    (if identical then "identical" else "DIFFERS");
-  (* 2. lazy shard memory: touch 3 of the 18 configs, the other 15 must
-     cost zero words *)
-  let sparse = Coverage.Matrix.create ~configs:Vc.lattice_count in
-  let touched = [ 0; 5; 9 ] in
-  List.iter
-    (fun config_id ->
-      Array.iteri
-        (fun i (c, o) ->
-          if i < 1000 then Coverage.Matrix.observe sparse ~config_id c o)
-        pairs)
-    touched;
-  let st = Coverage.Matrix.stats sparse in
-  let lazy_ok = st.Coverage.Matrix.m_allocated = List.length touched in
-  Printf.printf
-    "  lazy shards: %d/%d allocated after touching %d configs (%s counter words)\n%!"
-    st.Coverage.Matrix.m_allocated st.Coverage.Matrix.m_configs
-    (List.length touched)
-    (Ascii.si_count st.Coverage.Matrix.m_words);
-  (* 3. the off-default errno surface: sweep every suite across the full
-     lattice and collect errno output cells dark under the default point
-     but lit under some other — the config-dependent error surface a
-     single-config campaign cannot reach *)
+  Printf.printf "lattice: %d points (digest %s)\n%!" Vc.lattice_count Vc.lattice_digest;
+  (* sweep every suite across the full lattice and collect errno output
+     cells dark under the default point but lit under some other — the
+     config-dependent error surface a single-config campaign cannot
+     reach *)
   let points = Array.to_list Vc.lattice in
   let sweep_scale = 0.3 in
   let per_suite =
@@ -1699,25 +1639,15 @@ let config_bench () =
     union;
   let offdef = List.length union in
   Printf.printf "  union: %d distinct errno cells reachable only off-default\n%!" offdef;
-  let throughput_ok = ratio >= 0.2 in
   let surface_ok = offdef >= 5 in
   let body =
     Printf.sprintf
-      "{\n  \"schema\": \"iocov-bench-config/1\",\n  \"seed\": %d,\n  \
+      "{\n  \"schema\": \"iocov-bench-config/2\",\n  \"seed\": %d,\n  \
        \"lattice_points\": %d,\n  \"lattice_digest\": \"%s\",\n  \
-       \"tracked_observations\": %d,\n  \"single_thread\": {\n    \
-       \"dense\": { \"elapsed_s\": %.4f, \"observes_per_s\": %.0f },\n    \
-       \"matrix_shard\": { \"elapsed_s\": %.4f, \"observes_per_s\": %.0f },\n    \
-       \"matrix_vs_dense\": %.3f,\n    \"snapshot_identical\": %b\n  },\n  \
-       \"lazy_shards\": { \"touched\": %d, \"allocated\": %d, \"configs\": %d, \
-       \"counter_words\": %d },\n  \"sweep_scale\": %.2f,\n  \"suites\": [\n%s\n  ],\n  \
+       \"sweep_scale\": %.2f,\n  \"suites\": [\n%s\n  ],\n  \
        \"off_default_errno_cells\": [%s],\n  \
-       \"off_default_errno_count\": %d,\n  \"throughput_ok\": %b,\n  \
-       \"lazy_ok\": %b,\n  \"surface_ok\": %b\n}\n"
-      !seed Vc.lattice_count Vc.lattice_digest m single_dt single_rate matrix_dt
-      matrix_rate ratio identical (List.length touched)
-      st.Coverage.Matrix.m_allocated st.Coverage.Matrix.m_configs
-      st.Coverage.Matrix.m_words sweep_scale
+       \"off_default_errno_count\": %d,\n  \"surface_ok\": %b\n}\n"
+      !seed Vc.lattice_count Vc.lattice_digest sweep_scale
       (String.concat ",\n"
          (List.map
             (fun (suite, cells, dt) ->
@@ -1731,13 +1661,11 @@ let config_bench () =
             (fun id ->
               Printf.sprintf "\"%s\"" (Report.cell_label Iocov_core.Plan.cells.(id)))
             union))
-      offdef throughput_ok lazy_ok surface_ok
+      offdef surface_ok
   in
   write_json "BENCH_config.json" body;
-  if not (identical && throughput_ok && lazy_ok && surface_ok) then begin
-    Printf.printf
-      "config gate: FAIL (identical=%b throughput_ok=%b lazy_ok=%b surface_ok=%b)\n%!"
-      identical throughput_ok lazy_ok surface_ok;
+  if not surface_ok then begin
+    Printf.printf "config gate: FAIL (surface_ok=%b)\n%!" surface_ok;
     exit 1
   end;
   Printf.printf "config gate: PASS\n%!"

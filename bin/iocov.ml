@@ -144,22 +144,16 @@ let suite_cmd =
 let trace_cmd =
   let run obs suite seed scale file binary =
     Opts.with_obs obs @@ fun () ->
-    (* Re-run the suite with a file sink attached; the trace is raw
-       (unfiltered), as a kernel tracer would deliver it. *)
+    (* Re-run the suite with a file sink as its only consumer; the trace
+       is raw (unfiltered), as a kernel tracer would deliver it. *)
     let oc = if binary then open_out_bin file else open_out file in
-    let coverage = Coverage.create () in
     let writer = if binary then Some (Iocov_trace.Binary_io.writer oc) else None in
-    let sink =
+    let on_record =
       match writer with
       | Some w -> Iocov_trace.Binary_io.sink w
       | None -> Iocov_trace.Format_io.sink_channel oc
     in
-    (match suite with
-     | Runner.Crashmonkey ->
-       ignore (Iocov_suites.Crashmonkey.run ~seed ~scale ~sink ~coverage ())
-     | Runner.Xfstests ->
-       ignore (Iocov_suites.Xfstests.run ~seed ~scale ~sink ~coverage ())
-     | Runner.Ltp -> ignore (Iocov_suites.Ltp.run ~seed ~scale ~sink ~coverage ()));
+    ignore (Runner.emit ~seed ~scale ~on_record suite : string list * int);
     Option.iter Iocov_trace.Binary_io.flush writer;
     close_out oc;
     Printf.printf "wrote %s\n" file

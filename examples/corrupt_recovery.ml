@@ -12,7 +12,6 @@
 module Anomaly = Iocov_util.Anomaly
 module Filter = Iocov_trace.Filter
 module Binary_io = Iocov_trace.Binary_io
-module Coverage = Iocov_core.Coverage
 module Snapshot = Iocov_core.Snapshot
 module Report = Iocov_core.Report
 module Ltp = Iocov_suites.Ltp
@@ -54,8 +53,7 @@ let () =
      one flip voids a whole frame — far over this demo's 1% budget on a
      trace this small. *)
   let w = Binary_io.writer ~chapter:64 ~frame:1 oc in
-  let coverage = Coverage.create () in
-  let _failures, _stats = Ltp.run ~seed:7 ~scale ~sink:(Binary_io.sink w) ~coverage () in
+  let _failures, _stats = Ltp.emit ~seed:7 ~scale ~on_record:(Binary_io.sink w) () in
   Binary_io.flush w;
   close_out oc;
 

@@ -10,7 +10,6 @@
    runtest). *)
 
 module Ltp = Iocov_suites.Ltp
-module Coverage = Iocov_core.Coverage
 module Source = Iocov_pipe.Source
 module Stage = Iocov_pipe.Stage
 module Sink = Iocov_pipe.Sink
@@ -41,12 +40,7 @@ let () =
   (* One recorded run: timeline on, snapshots every 500 events, and a
      ledger record appended from the run's product. *)
   let recorded_run () =
-    let feed emit =
-      ignore
-        (Ltp.run ~seed:7 ~scale ~dispatch:emit
-           ~coverage:(Coverage.create ~metered:false ())
-           ())
-    in
+    let feed on_record = ignore (Ltp.emit ~seed:7 ~scale ~on_record () : string list * Ltp.stats) in
     let progress =
       { Progress.every = 500; format = Progress.Text;
         emit = (fun line -> progress_lines := line :: !progress_lines);

@@ -10,7 +10,6 @@
    product, so this doubles as a smoke test (wired into dune runtest). *)
 
 module Ltp = Iocov_suites.Ltp
-module Coverage = Iocov_core.Coverage
 module Report = Iocov_core.Report
 module Snapshot = Iocov_core.Snapshot
 module Source = Iocov_pipe.Source
@@ -30,15 +29,9 @@ let () =
   let scale = try float_of_string Sys.argv.(1) with _ -> 0.1 in
   let snap_path = Filename.temp_file "iocov_streaming" ".snap" in
   Fun.protect ~finally:(fun () -> Sys.remove snap_path) @@ fun () ->
-  (* The suite is just a source: its tracer dispatch is the live feed.
-     The suite's own observe path is bypassed with a throwaway
-     accumulator — the pipeline accumulates. *)
-  let feed emit =
-    ignore
-      (Ltp.run ~seed:7 ~scale ~dispatch:emit
-         ~coverage:(Coverage.create ~metered:false ())
-         ())
-  in
+  (* The suite is just a source: its record callback is the live feed,
+     and the pipeline filters and accumulates. *)
+  let feed on_record = ignore (Ltp.emit ~seed:7 ~scale ~on_record () : string list * Ltp.stats) in
   let pipeline =
     Driver.run
       ~config:(Driver.config ())

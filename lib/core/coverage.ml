@@ -383,76 +383,3 @@ let cell_bitmap t =
           (Char.chr (Char.code (Bytes.get bitmap (id / 8)) lor (1 lsl (id mod 8)))))
     Plan.cells;
   bitmap
-
-(* --- config-sharded matrix accumulator --- *)
-
-module Matrix = struct
-  type t = { shards : Dense.t option array }
-
-  type stats = { m_configs : int; m_allocated : int; m_words : int }
-
-  let create ~configs =
-    if configs <= 0 then invalid_arg "Coverage.Matrix.create: configs <= 0";
-    { shards = Array.make configs None }
-
-  let configs t = Array.length t.shards
-
-  let peek t config_id = t.shards.(config_id)
-
-  let shard t config_id =
-    match t.shards.(config_id) with
-    | Some d -> d
-    | None ->
-      let d = Dense.create () in
-      t.shards.(config_id) <- Some d;
-      d
-
-  let observe t ~config_id call outcome = Dense.observe (shard t config_id) call outcome
-
-  let observe_input_only t ~config_id call =
-    Dense.observe_input_only (shard t config_id) call
-
-  let stats t =
-    let allocated =
-      Array.fold_left
-        (fun n -> function Some _ -> n + 1 | None -> n)
-        0 t.shards
-    in
-    { m_configs = Array.length t.shards; m_allocated = allocated;
-      m_words = allocated * Plan.total }
-
-  let calls_observed t =
-    Array.fold_left
-      (fun n -> function Some d -> n + Dense.calls_observed d | None -> n)
-      0 t.shards
-
-  let cell_count t ~config_id cell =
-    match t.shards.(config_id) with
-    | Some d -> Dense.cell_count d cell
-    | None -> 0
-
-  let matrix_count t id =
-    cell_count t ~config_id:(Plan.Matrix.config_of id) (Plan.Matrix.cell_of id)
-
-  let merge_into ~dst src =
-    if Array.length dst.shards <> Array.length src.shards then
-      invalid_arg "Coverage.Matrix.merge_into: lattice size mismatch";
-    Array.iteri
-      (fun i -> function
-        | None -> ()
-        | Some s -> Dense.merge_into ~dst:(shard dst i) s)
-      src.shards
-
-  let snapshot t = { shards = Array.map (Option.map Dense.snapshot) t.shards }
-
-  let reset t = Array.iteri (fun i _ -> t.shards.(i) <- None) t.shards
-
-  let to_reference ?metered t =
-    let out = ref [] in
-    Array.iteri
-      (fun i -> function
-        | None -> ()
-        | Some d -> out := (i, Dense.to_reference ?metered d) :: !out)
-      t.shards;
-    List.rev !out
-end

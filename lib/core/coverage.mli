@@ -220,63 +220,3 @@ val cell_bitmap : t -> bytes
 (** One bit per plan cell (cell [id] at byte [id / 8], bit [id mod 8]),
     set iff the cell has been observed.  [(Plan.total + 7) / 8] bytes —
     the ledger's coverage fingerprint, diffable with XOR. *)
-
-(** {2 Config-sharded matrix accumulator}
-
-    {!Dense} lifted from [cell] to [(config × cell)]: one dense shard
-    per lattice point, allocated on first observation, so a 20-point
-    lattice costs one shard's memory on a one-config run.  Each shard
-    {e is} a {!Dense.t} — a single-config run through a matrix shard is
-    byte-identical to a plain dense run by construction, and all the
-    downstream machinery (snapshots, reports, TCD, adequacy) applies
-    per shard via {!Matrix.to_reference}. *)
-
-module Matrix : sig
-  type t
-
-  val create : configs:int -> t
-  (** [configs] is the lattice size; config IDs are valid in
-      [[0, configs)]. *)
-
-  val configs : t -> int
-
-  val shard : t -> int -> Dense.t
-  (** The per-config accumulator, allocating it on first use. *)
-
-  val peek : t -> int -> Dense.t option
-  (** The shard if it exists — never allocates. *)
-
-  val observe : t -> config_id:int -> Iocov_syscall.Model.call -> Iocov_syscall.Model.outcome -> unit
-  val observe_input_only : t -> config_id:int -> Iocov_syscall.Model.call -> unit
-
-  type stats = {
-    m_configs : int;   (** lattice size *)
-    m_allocated : int; (** shards actually allocated *)
-    m_words : int;     (** counter words held ([m_allocated × Plan.total]) *)
-  }
-
-  val stats : t -> stats
-  (** The lazy-allocation ledger: untouched configs must show up here as
-      unallocated (property-tested). *)
-
-  val calls_observed : t -> int
-
-  val cell_count : t -> config_id:int -> int -> int
-  (** Count of one plan cell under one config; 0 for unallocated shards. *)
-
-  val matrix_count : t -> int -> int
-  (** Count by dense matrix ID ({!Plan.Matrix.id}). *)
-
-  val merge_into : dst:t -> t -> unit
-  (** Shard-wise pointwise sum.  Both sides must be built over the same
-      lattice size; allocates in [dst] only the shards [src] has. *)
-
-  val snapshot : t -> t
-  (** Frozen deep copy of every allocated shard. *)
-
-  val reset : t -> unit
-  (** Drop every shard (back to nothing allocated). *)
-
-  val to_reference : ?metered:bool -> t -> (int * reference) list
-  (** Allocated shards as reference accumulators, ascending config ID. *)
-end

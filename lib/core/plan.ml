@@ -288,13 +288,3 @@ let cells =
         Partition.all_crash_outcomes)
     Partition.all_crash_modes;
   a
-
-(* --- matrix view --- *)
-
-module Matrix = struct
-  let width = total
-  let total ~configs = configs * width
-  let id ~config_id cell = (config_id * width) + cell
-  let config_of id = id / width
-  let cell_of id = id mod width
-end

@@ -100,31 +100,3 @@ val crash_outcome_count : int
 val arg_offset : Arg_class.arg -> int
 val base_offset : Iocov_syscall.Model.base -> int
 val bucket_slot : int -> int
-
-(** {2 Matrix view}
-
-    The plan composed with a config lattice: matrix IDs are dense over
-    [(config_id × cell_id)] pairs by pure arithmetic —
-    [id = config_id * total + cell] — with {e no} per-config tables.
-    The plan itself is config-invariant (the partition universe does not
-    depend on geometry); only the counts differ per config, which is
-    {!Coverage.Matrix}'s job.  This module deliberately knows nothing
-    about the lattice itself (the config type lives above this library):
-    any dense [config_id] range composes. *)
-
-module Matrix : sig
-  val width : int
-  (** Cells per config — equal to {!total}. *)
-
-  val total : configs:int -> int
-  (** Matrix IDs are valid in [[0, total ~configs)]. *)
-
-  val id : config_id:int -> int -> int
-  (** [id ~config_id cell] is the dense matrix ID of plan cell [cell]
-      under config [config_id]. *)
-
-  val config_of : int -> int
-  val cell_of : int -> int
-  (** Inverses: [config_of (id ~config_id cell) = config_id] and
-      [cell_of (id ~config_id cell) = cell]. *)
-end

@@ -1,10 +1,6 @@
 open Iocov_syscall
 open Iocov_vfs
 module Prng = Iocov_util.Prng
-module Coverage = Iocov_core.Coverage
-module Event = Iocov_trace.Event
-module Filter = Iocov_trace.Filter
-module Tracer = Iocov_trace.Tracer
 module Metrics = Iocov_obs.Metrics
 module Span = Iocov_obs.Span
 
@@ -20,8 +16,6 @@ let seq1_workloads = 300
 type stats = {
   workloads_run : int;
   crashes_simulated : int;
-  events_total : int;
-  events_kept : int;
 }
 
 (* --- CrashMonkey's open-flag vocabulary ---
@@ -342,30 +336,12 @@ let crash_scenarios =
       ("cm-setxattr-fdatasync",
        [ Setxattr (p "foo", "user.cm", 64); Fdatasync (p "foo") ]) ]
 
-let run ?(seed = 42) ?(scale = 1.0) ?(faults = []) ?config ?sink ?dispatch ?(seq2 = 0)
-    ~coverage () =
+let emit ?(seed = 42) ?(scale = 1.0) ?(faults = []) ?config ?on_test ?(seq2 = 0)
+    ~on_record () =
   let config =
     Config.with_faults faults (Option.value config ~default:Config.default)
   in
-  let ctx = Workload.init ~config ~comm ~mount ~seed () in
-  (* the raw sink sees every record, before mount-point filtering *)
-  (match sink with
-   | Some sink -> Tracer.on_event ctx.Workload.tracer sink
-   | None -> ());
-  let filter = Filter.mount_point mount in
-  let kept = ref 0 in
-  (match dispatch with
-   | Some d ->
-     (* the pipeline owns filtering and accumulation; [kept] stays 0
-        here and the caller takes it from the merge *)
-     Tracer.on_event ctx.Workload.tracer d
-   | None ->
-     Tracer.on_event ctx.Workload.tracer
-       (Filter.sink filter (fun e ->
-            incr kept;
-            match e.Event.payload with
-            | Event.Tracked call -> Coverage.observe coverage call e.Event.outcome
-            | Event.Aux _ -> ())));
+  let ctx = Workload.init ~config ~comm ?on_test ~on_record ~mount ~seed () in
   Workload.noise ctx;
   let crashes = ref 0 in
   let reps = max 1 (int_of_float (Float.round scale)) in
@@ -400,8 +376,10 @@ let run ?(seed = 42) ?(scale = 1.0) ?(faults = []) ?config ?sink ?dispatch ?(seq
     {
       workloads_run = (reps * List.length ops * List.length targets * 2) + seq2 + generic_count;
       crashes_simulated = !crashes;
-      events_total = Tracer.events_emitted ctx.Workload.tracer;
-      events_kept = !kept;
     }
   in
   (Workload.failures ctx, stats)
+
+let run ?seed ?scale ?faults ?config ?sink ?dispatch ?seq2 ~coverage () =
+  Workload.run_inline ~mount ?sink ?dispatch ~coverage (fun on_record ->
+      emit ?seed ?scale ?faults ?config ?seq2 ~on_record ())

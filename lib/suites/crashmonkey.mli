@@ -30,9 +30,21 @@ val crash_scenarios : Iocov_crash.Engine.scenario list
 type stats = {
   workloads_run : int;
   crashes_simulated : int;
-  events_total : int;  (** all traced syscalls, before filtering *)
-  events_kept : int;   (** records surviving the mount-point filter *)
 }
+
+val emit :
+  ?seed:int -> ?scale:float -> ?faults:Iocov_vfs.Fault.t list ->
+  ?config:Iocov_vfs.Config.t -> ?on_test:(string -> unit) -> ?seq2:int ->
+  on_record:(Iocov_trace.Event.t -> unit) -> unit -> string list * stats
+(** Run the suite as a pure event source: every raw traced record goes
+    to [on_record] and every workload's name to [on_test] as it starts
+    (see {!Workload.init}).  Returns the oracle failures
+    (crash-consistency violations and unexpected outcomes — empty on a
+    correct file system) and run statistics.  [scale] multiplies
+    per-workload iteration counts; [faults] are planted in the file
+    system under test; [seq2] adds that many sampled length-2 operation
+    sequences (the seq-2 workloads of CrashMonkey's bounded search; the
+    paper's evaluation runs seq-1 only, so the default is 0). *)
 
 val run :
   ?seed:int -> ?scale:float -> ?faults:Iocov_vfs.Fault.t list ->
@@ -40,17 +52,6 @@ val run :
   ?sink:(Iocov_trace.Event.t -> unit) ->
   ?dispatch:(Iocov_trace.Event.t -> unit) -> ?seq2:int ->
   coverage:Iocov_core.Coverage.t -> unit -> string list * stats
-(** Run the suite; coverage accumulates through the mount-point filter
-    into [coverage].  Returns the oracle failures (crash-consistency
-    violations and unexpected outcomes — empty on a correct file system)
-    and run statistics.  [scale] multiplies per-workload iteration
-    counts; [faults] are planted in the file system under test; [seq2]
-    adds that many sampled length-2 operation sequences (the seq-2
-    workloads of CrashMonkey's bounded search; the paper's evaluation
-    runs seq-1 only, so the default is 0).
-
-    [dispatch] hands every raw event to an external analysis pipeline
-    (e.g. [Iocov_par.Replay.sink]) {e instead of} the inline
-    filter-and-observe path: [coverage] is left untouched and
-    [events_kept] stays 0 — the caller takes both from the pipeline's
-    merge. *)
+(** {!emit} through {!Workload.run_inline}: coverage accumulates through
+    the mount-point filter into [coverage] unless [dispatch] takes the
+    records instead.  Kept while [perfbench/] still calls it. *)

@@ -1,10 +1,6 @@
 open Iocov_syscall
 open Iocov_vfs
 module Prng = Iocov_util.Prng
-module Coverage = Iocov_core.Coverage
-module Event = Iocov_trace.Event
-module Filter = Iocov_trace.Filter
-module Tracer = Iocov_trace.Tracer
 module Metrics = Iocov_obs.Metrics
 module Span = Iocov_obs.Span
 
@@ -16,11 +12,7 @@ let m_cases =
 let mount = "/mnt/ltp"
 let comm = "ltp"
 
-type stats = {
-  testcases_run : int;
-  events_total : int;
-  events_kept : int;
-}
+type stats = { testcases_run : int }
 
 type config_kind = Default | Small
 
@@ -446,12 +438,9 @@ let all_cases ~iters =
   open_cases @ read_write_cases @ lseek_cases @ truncate_cases @ metadata_cases
   @ xattr_cases @ functional_cases ~iters
 
-let run ?(seed = 99) ?(scale = 1.0) ?(faults = []) ?config ?sink ?dispatch ~coverage () =
+let emit ?(seed = 99) ?(scale = 1.0) ?(faults = []) ?config ?on_test ~on_record () =
   let master = Prng.create ~seed in
   let failures = ref [] in
-  let events_total = ref 0 in
-  let events_kept = ref 0 in
-  let filter = Filter.mount_point mount in
   let iters = max 1 (int_of_float (120.0 *. scale)) in
   let cases = all_cases ~iters in
   Span.with_ ~name:"ltp/cases" (fun () ->
@@ -465,29 +454,15 @@ let run ?(seed = 99) ?(scale = 1.0) ?(faults = []) ?config ?sink ?dispatch ~cove
       in
       let config = Config.with_faults faults base in
       let ctx =
-        Workload.init ~config ~comm ~mount ~seed:(Int64.to_int (Prng.next_int64 master)) ()
+        Workload.init ~config ~comm ?on_test ~on_record ~mount
+          ~seed:(Int64.to_int (Prng.next_int64 master)) ()
       in
-      (match sink with
-       | Some sink -> Tracer.on_event ctx.Workload.tracer sink
-       | None -> ());
-      (match dispatch with
-       | Some d ->
-         (* the pipeline owns filtering and accumulation; [events_kept]
-            stays 0 here and the caller takes it from the merge *)
-         Tracer.on_event ctx.Workload.tracer d
-       | None ->
-         Tracer.on_event ctx.Workload.tracer
-           (Filter.sink filter (fun e ->
-                incr events_kept;
-                match e.Event.payload with
-                | Event.Tracked call -> Coverage.observe coverage call e.Event.outcome
-                | Event.Aux _ -> ())));
       Workload.begin_test ctx name;
       body ctx;
-      events_total := !events_total + Tracer.events_emitted ctx.Workload.tracer;
       failures := List.rev_append (Workload.failures ctx) !failures)
     cases);
-  ( List.rev !failures,
-    { testcases_run = List.length cases;
-      events_total = !events_total;
-      events_kept = !events_kept } )
+  (List.rev !failures, { testcases_run = List.length cases })
+
+let run ?seed ?scale ?faults ?config ?sink ?dispatch ~coverage () =
+  Workload.run_inline ~mount ?sink ?dispatch ~coverage (fun on_record ->
+      emit ?seed ?scale ?faults ?config ~on_record ())

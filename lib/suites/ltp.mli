@@ -20,11 +20,16 @@ val mount : string
 
 val comm : string
 
-type stats = {
-  testcases_run : int;
-  events_total : int;
-  events_kept : int;
-}
+type stats = { testcases_run : int }
+
+val emit :
+  ?seed:int -> ?scale:float -> ?faults:Iocov_vfs.Fault.t list ->
+  ?config:Iocov_vfs.Config.t -> ?on_test:(string -> unit) ->
+  on_record:(Iocov_trace.Event.t -> unit) -> unit -> string list * stats
+(** Run the suite as a pure event source: every raw traced record goes
+    to [on_record], and each testcase's name to [on_test] before its
+    first record (see {!Workload.init}).  Returns oracle failures (each
+    testcase asserts its expected errno) and statistics. *)
 
 val run :
   ?seed:int -> ?scale:float -> ?faults:Iocov_vfs.Fault.t list ->
@@ -32,11 +37,6 @@ val run :
   ?sink:(Iocov_trace.Event.t -> unit) ->
   ?dispatch:(Iocov_trace.Event.t -> unit) ->
   coverage:Iocov_core.Coverage.t -> unit -> string list * stats
-(** Run the suite; returns oracle failures (each testcase asserts its
-    expected errno) and statistics.
-
-    [dispatch] hands every raw event to an external analysis pipeline
-    (e.g. [Iocov_par.Replay.sink]) {e instead of} the inline
-    filter-and-observe path: [coverage] is left untouched and
-    [events_kept] stays 0 — the caller takes both from the pipeline's
-    merge. *)
+(** {!emit} through {!Workload.run_inline}: coverage accumulates through
+    the mount-point filter into [coverage] unless [dispatch] takes the
+    records instead.  Kept while [perfbench/] still calls it. *)

@@ -38,32 +38,16 @@ let mount_of = function
   | Xfstests -> Xfstests.mount
   | Ltp -> Ltp.mount
 
-let exec ?dispatch ?config ~seed ~scale ~faults ~coverage suite =
-  match suite with
+let emit ?seed ?scale ?faults ?config ?on_test ~on_record = function
   | Crashmonkey ->
-    let failures, stats =
-      Crashmonkey.run ~seed ~scale ~faults ?config ?dispatch ~coverage ()
-    in
-    ( failures,
-      stats.Crashmonkey.events_total,
-      stats.Crashmonkey.events_kept,
-      stats.Crashmonkey.workloads_run )
+    let failures, stats = Crashmonkey.emit ?seed ?scale ?faults ?config ?on_test ~on_record () in
+    (failures, stats.Crashmonkey.workloads_run)
   | Xfstests ->
-    let failures, stats =
-      Xfstests.run ~seed ~scale ~faults ?config ?dispatch ~coverage ()
-    in
-    ( failures,
-      stats.Xfstests.events_total,
-      stats.Xfstests.events_kept,
-      stats.Xfstests.tests_run )
+    let failures, stats = Xfstests.emit ?seed ?scale ?faults ?config ?on_test ~on_record () in
+    (failures, stats.Xfstests.tests_run)
   | Ltp ->
-    let failures, stats =
-      Ltp.run ~seed ~scale ~faults ?config ?dispatch ~coverage ()
-    in
-    ( failures,
-      stats.Ltp.events_total,
-      stats.Ltp.events_kept,
-      stats.Ltp.testcases_run )
+    let failures, stats = Ltp.emit ?seed ?scale ?faults ?config ?on_test ~on_record () in
+    (failures, stats.Ltp.testcases_run)
 
 let run ?(seed = 42) ?(scale = 1.0) ?(faults = []) ?progress ?config suite =
   Log.info "suite run starting"
@@ -77,22 +61,15 @@ let run ?(seed = 42) ?(scale = 1.0) ?(faults = []) ?progress ?config suite =
   let (coverage, failures, events_total, events_kept, workloads), root =
     Span.timed ~name:("runner/" ^ suite_name suite) (fun () ->
         (* One pipeline for every run: the suite is a live source, the
-           mount filter is a stage, and the replay engine accumulates.
-           The suite's own observe path is bypassed, so hand it a
-           throwaway accumulator; the coverage is byte-identical to a
-           direct observe by the determinism contract (DESIGN.md §13),
-           differential-tested in test/test_pipe.ml. *)
+           mount filter is a stage, and the replay engine accumulates and
+           counts — the suite only emits.  The coverage is byte-identical
+           to a direct observe by the determinism contract (DESIGN.md
+           §13), differential-tested in test/test_pipe.ml. *)
         let failures = ref [] in
-        let events_total = ref 0 in
         let workloads = ref 0 in
-        let feed emit =
-          let f, et, _, w =
-            exec ~dispatch:emit ?config ~seed ~scale ~faults
-              ~coverage:(Coverage.create ~metered:false ())
-              suite
-          in
+        let feed on_record =
+          let f, w = emit ~seed ~scale ~faults ?config ~on_record suite in
           failures := f;
-          events_total := et;
           workloads := w
         in
         let config = Iocov_pipe.Driver.config ?progress () in
@@ -106,7 +83,7 @@ let run ?(seed = 42) ?(scale = 1.0) ?(faults = []) ?progress ?config suite =
         | Ok { product; _ } ->
           ( product.Iocov_pipe.Sink.coverage,
             !failures,
-            !events_total,
+            product.Iocov_pipe.Sink.events,
             product.Iocov_pipe.Sink.kept,
             !workloads ))
   in

@@ -13,11 +13,22 @@ type result = {
   suite : suite;
   coverage : Iocov_core.Coverage.t;
   failures : string list;   (** oracle violations; empty on a correct fs *)
-  events_total : int;       (** traced records before filtering *)
+  events_total : int;       (** records the pipeline received, before filtering *)
   events_kept : int;        (** records within the mount point *)
   workloads : int;          (** tests or workloads executed *)
   elapsed_s : float;
 }
+
+val emit :
+  ?seed:int -> ?scale:float -> ?faults:Iocov_vfs.Fault.t list ->
+  ?config:Iocov_vfs.Config.t -> ?on_test:(string -> unit) ->
+  on_record:(Iocov_trace.Event.t -> unit) -> suite -> string list * int
+(** Run one suite as a pure event source: every raw traced record goes
+    to [on_record] and every test name to [on_test] as the test starts.
+    The suite neither filters nor counts records; the consumer does.
+    Returns the oracle failures and the number of tests or workloads
+    executed.  Omitted settings take the suite's own defaults (its seed
+    differs per suite). *)
 
 val run :
   ?seed:int -> ?scale:float -> ?faults:Iocov_vfs.Fault.t list ->
@@ -26,8 +37,8 @@ val run :
     and fault set.
 
     Every run executes as one streaming pipeline (DESIGN.md §13): the
-    suite is an [Iocov_pipe.Source.live] feed, the mount filter a
-    stage, and [Iocov_pipe.Driver] runs the replay engine on the
+    suite's {!emit} is an [Iocov_pipe.Source.live] feed, the mount
+    filter a stage, and [Iocov_pipe.Driver] runs the replay engine on the
     calling domain.  [progress] attaches a live progress sink to the
     pipeline ({!Iocov_pipe.Progress}).  The resulting coverage is
     byte-identical to an offline replay of the suite's trace — only
@@ -49,10 +60,9 @@ val run_lattice :
   points:Iocov_vfs.Config.point list -> suite ->
   (Iocov_vfs.Config.point * result) list
 (** One {!run} per lattice point, in order — the [(config × cell)]
-    sweep.  Each point's run is independent and deterministic, so the
-    sweep composes into a {!Iocov_core.Coverage.Matrix} by feeding each
-    result's coverage to its point's shard.  [counters] is accepted and
-    ignored, so that older callers keep building. *)
+    sweep.  Each point's run is independent and deterministic.
+    [counters] is accepted and ignored, so that older callers keep
+    building. *)
 
 val run_both :
   ?seed:int -> ?scale:float -> ?faults:Iocov_vfs.Fault.t list -> unit -> result * result

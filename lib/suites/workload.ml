@@ -1,4 +1,7 @@
 open Iocov_syscall
+module Coverage = Iocov_core.Coverage
+module Event = Iocov_trace.Event
+module Filter = Iocov_trace.Filter
 module Tracer = Iocov_trace.Tracer
 module Fs = Iocov_vfs.Fs
 module Prng = Iocov_util.Prng
@@ -7,6 +10,7 @@ type ctx = {
   tracer : Tracer.t;
   rng : Prng.t;
   mount : string;
+  on_test : string -> unit;
   mutable name_counter : int;
   mutable failures : string list;
   mutable current_test : string;
@@ -17,7 +21,7 @@ let fs ctx = Tracer.fs ctx.tracer
 let call ctx c = Tracer.exec ctx.tracer c
 let aux ctx a = Tracer.exec_aux ctx.tracer a
 
-let init ?config ?(comm = "tester") ~mount ~seed () =
+let init ?config ?(comm = "tester") ?(on_test = ignore) ~on_record ~mount ~seed () =
   let filesystem = Fs.create ?config () in
   (* A read-only configuration still needs its mount point: real testers
      mkfs and populate the device read-write, then mount read-only.
@@ -27,11 +31,12 @@ let init ?config ?(comm = "tester") ~mount ~seed () =
   if pinned_ro then Fs.set_read_only filesystem false;
   let tracer = Tracer.create ~comm filesystem in
   let ctx =
-    { tracer; rng = Prng.create ~seed; mount; name_counter = 0; failures = [];
+    { tracer; rng = Prng.create ~seed; mount; on_test; name_counter = 0; failures = [];
       current_test = "setup" }
   in
-  (* mkdir -p the mount point, traced: mount preparation is part of what a
-     real tester's trace contains. *)
+  (* mkdir -p the mount point through the tracer.  These records advance
+     the sequence but reach no consumer: [on_record] is registered
+     below, once the mount is ready. *)
   let components = List.filter (fun c -> c <> "") (String.split_on_char '/' mount) in
   let _ =
     List.fold_left
@@ -45,9 +50,12 @@ let init ?config ?(comm = "tester") ~mount ~seed () =
      loss); without this, crash tests would legally lose the mount point *)
   ignore (aux ctx Iocov_vfs.Fs.Sync);
   if pinned_ro then Fs.set_read_only filesystem true;
+  Tracer.on_event tracer on_record;
   ctx
 
-let begin_test ctx name = ctx.current_test <- name
+let begin_test ctx name =
+  ctx.current_test <- name;
+  ctx.on_test name
 
 let fail ctx msg =
   ctx.failures <- Printf.sprintf "%s: %s" ctx.current_test msg :: ctx.failures
@@ -126,3 +134,20 @@ let noise ctx =
   match open_fd ctx ~flags:(of_flags [ O_RDONLY ]) "/etc/tester.conf" with
   | Some fd -> close_fd ctx fd
   | None -> ()
+
+let run_inline ~mount ?sink ?dispatch ~coverage emit =
+  let last =
+    match dispatch with
+    | Some d -> d
+    | None ->
+      Filter.sink (Filter.mount_point mount) (fun e ->
+          match e.Event.payload with
+          | Event.Tracked call -> Coverage.observe coverage call e.Event.outcome
+          | Event.Aux _ -> ())
+  in
+  match sink with
+  | None -> emit last
+  | Some sink ->
+    emit (fun e ->
+        sink e;
+        last e)

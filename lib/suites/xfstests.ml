@@ -1,10 +1,6 @@
 open Iocov_syscall
 open Iocov_vfs
 module Prng = Iocov_util.Prng
-module Coverage = Iocov_core.Coverage
-module Event = Iocov_trace.Event
-module Filter = Iocov_trace.Filter
-module Tracer = Iocov_trace.Tracer
 module Metrics = Iocov_obs.Metrics
 module Span = Iocov_obs.Span
 
@@ -18,11 +14,7 @@ let comm = "xfstests"
 let generic_tests = 706
 let ext4_tests = 308
 
-type stats = {
-  tests_run : int;
-  events_total : int;
-  events_kept : int;
-}
+type stats = { tests_run : int }
 
 (* --- the xfstests open-flag vocabulary ---
    Calibrated to Table 1's xfstests rows: 4-flag combinations dominate,
@@ -313,6 +305,18 @@ let error_paths ctx =
   expect_err ctx "ENOENT open" Errno.ENOENT
     (call ctx (Model.open_ ~flags:Open_flags.(of_flags [ O_RDONLY ]) (ctx.mount ^ "/gone")))
 
+(* Whether setting [name] to [size] bytes on [path] fits the inode's
+   xattr space, read from the file system without tracing anything. *)
+let xattr_fits ctx path name size =
+  let fs = Workload.fs ctx in
+  let cost n s = String.length n + s + Fs.xattr_overhead in
+  let stored n = match Fs.xattr_size fs path n with Ok s -> cost n s | Error _ -> 0 in
+  match Fs.xattr_names fs path with
+  | Error _ -> true
+  | Ok names ->
+    let used = List.fold_left (fun acc n -> acc + stored n) 0 names in
+    used - stored name + cost name size <= (Fs.config fs).Config.xattr_space
+
 let xattr_cycle ctx ~iters =
   let open Workload in
   let path = make_file ctx ~size:64 "xa" in
@@ -323,10 +327,20 @@ let xattr_cycle ctx ~iters =
     ignore (call ctx (Model.setxattr ~target ~name ~size ~flags:Xattr_flag.XATTR_ANY ()));
     ignore (call ctx (Model.getxattr ~target ~name ~size:4096 ()))
   done;
-  (* boundaries and error paths *)
-  expect_ok ctx "xattr CREATE"
+  (* boundaries and error paths.  The loop leaves up to four values of
+     up to 1 KiB, so a new entry may not fit the inode: such a set must
+     fail with ENOSPC, and a get of what it would have stored with
+     ENODATA. *)
+  let expect_set what ~fits outcome =
+    if fits then expect_ok ctx what outcome else expect_err ctx what Errno.ENOSPC outcome
+  in
+  let expect_get what ~stored n outcome =
+    if stored then expect_ret ctx what n outcome else expect_err ctx what Errno.ENODATA outcome
+  in
+  let once = xattr_fits ctx path "user.once" 10 in
+  expect_set "xattr CREATE" ~fits:once
     (call ctx (Model.setxattr ~target ~name:"user.once" ~size:10 ~flags:Xattr_flag.XATTR_CREATE ()));
-  expect_err ctx "xattr CREATE dup" Errno.EEXIST
+  expect_err ctx "xattr CREATE dup" (if once then Errno.EEXIST else Errno.ENOSPC)
     (call ctx (Model.setxattr ~target ~name:"user.once" ~size:10 ~flags:Xattr_flag.XATTR_CREATE ()));
   expect_err ctx "xattr REPLACE missing" Errno.ENODATA
     (call ctx (Model.setxattr ~target ~name:"user.never" ~size:10 ~flags:Xattr_flag.XATTR_REPLACE ()));
@@ -339,13 +353,14 @@ let xattr_cycle ctx ~iters =
     (call ctx (Model.setxattr ~target ~name:"user.max" ~size:65535 ()));
   expect_err ctx "getxattr missing" Errno.ENODATA
     (call ctx (Model.getxattr ~target ~name:"user.nothere" ~size:64 ()));
-  expect_ok ctx "empty value set"
+  let empty = xattr_fits ctx path "user.empty" 0 in
+  expect_set "empty value set" ~fits:empty
     (call ctx (Model.setxattr ~target ~name:"user.empty" ~size:0 ()));
-  expect_ret ctx "empty value get" 0
+  expect_get "empty value get" ~stored:empty 0
     (call ctx (Model.getxattr ~target ~name:"user.empty" ~size:64 ()));
-  expect_err ctx "getxattr short buffer" Errno.ERANGE
+  expect_err ctx "getxattr short buffer" (if once then Errno.ERANGE else Errno.ENODATA)
     (call ctx (Model.getxattr ~target ~name:"user.once" ~size:1 ()));
-  expect_ret ctx "getxattr size query" 10
+  expect_get "getxattr size query" ~stored:once 10
     (call ctx (Model.getxattr ~target ~name:"user.once" ~size:0 ()));
   expect_err ctx "system namespace" Errno.ENOTSUP
     (call ctx (Model.setxattr ~target ~name:"system.posix_acl" ~size:8 ()));
@@ -364,9 +379,10 @@ let xattr_cycle ctx ~iters =
     (call ctx (Model.getxattr ~target:(Model.Path link) ~name:"user.onlink" ~size:64 ()));
   (match open_fd ctx ~flags:Open_flags.(of_flags [ O_RDWR ]) path with
    | Some fd ->
-     expect_ok ctx "fsetxattr"
+     let viafd = xattr_fits ctx path "user.viafd" 7 in
+     expect_set "fsetxattr" ~fits:viafd
        (call ctx (Model.setxattr ~target:(Model.Fd fd) ~name:"user.viafd" ~size:7 ()));
-     expect_ret ctx "fgetxattr" 7
+     expect_get "fgetxattr" ~stored:viafd 7
        (call ctx (Model.getxattr ~target:(Model.Fd fd) ~name:"user.viafd" ~size:64 ()));
      close_fd ctx fd
    | None -> fail ctx "open failed in xattr_cycle")
@@ -805,19 +821,10 @@ let dir_listing_pass ctx =
   | Some fd -> close_fd ctx fd
   | None -> ()
 
-let run ?(seed = 7) ?(scale = 1.0) ?(faults = []) ?config ?sink ?dispatch ?per_test
-    ~coverage
-    () =
-  (match (dispatch, per_test) with
-   | Some _, Some _ ->
-     invalid_arg "Xfstests.run: dispatch and per_test are mutually exclusive"
-   | _ -> ());
+let emit ?(seed = 7) ?(scale = 1.0) ?(faults = []) ?config ?on_test ~on_record () =
   let master = Prng.create ~seed in
   let failures = ref [] in
   let tests = ref 0 in
-  let events_total = ref 0 in
-  let events_kept = ref 0 in
-  let filter = Filter.mount_point mount in
   let run_test group index =
     incr tests;
     Metrics.Counter.incr m_tests;
@@ -836,39 +843,14 @@ let run ?(seed = 7) ?(scale = 1.0) ?(faults = []) ?config ?sink ?dispatch ?per_t
       Config.with_faults faults base
     in
     let ctx =
-      Workload.init ~config ~comm ~mount ~seed:(Int64.to_int (Prng.next_int64 master)) ()
+      Workload.init ~config ~comm ?on_test ~on_record ~mount
+        ~seed:(Int64.to_int (Prng.next_int64 master)) ()
     in
-    (match sink with
-     | Some sink -> Tracer.on_event ctx.Workload.tracer sink
-     | None -> ());
-    let test_cov =
-      match per_test with Some _ -> Some (Coverage.create ()) | None -> None
-    in
-    (match dispatch with
-     | Some d ->
-       (* the pipeline owns filtering and accumulation; [events_kept]
-          stays 0 here and the caller takes it from the merge *)
-       Tracer.on_event ctx.Workload.tracer d
-     | None ->
-       Tracer.on_event ctx.Workload.tracer
-         (Filter.sink filter (fun e ->
-              incr events_kept;
-              match e.Event.payload with
-              | Event.Tracked call ->
-                Coverage.observe coverage call e.Event.outcome;
-                (match test_cov with
-                 | Some cov -> Coverage.observe cov call e.Event.outcome
-                 | None -> ())
-              | Event.Aux _ -> ())));
     Workload.begin_test ctx name;
     if index mod 7 = 0 then Workload.noise ctx;
     dir_listing_pass ctx;
     let iters = max 1 (int_of_float (float_of_int (40 + (index mod 25) * 10) *. scale)) in
     run_archetype ctx archetype ~iters;
-    events_total := !events_total + Tracer.events_emitted ctx.Workload.tracer;
-    (match (per_test, test_cov) with
-     | Some f, Some cov -> f name cov
-     | _ -> ());
     failures := List.rev_append (Workload.failures ctx) !failures
   in
   Span.with_ ~name:"xfstests/generic" (fun () ->
@@ -879,5 +861,8 @@ let run ?(seed = 7) ?(scale = 1.0) ?(faults = []) ?config ?sink ?dispatch ?per_t
       for i = 1 to ext4_tests do
         run_test `Ext4 i
       done);
-  ( List.rev !failures,
-    { tests_run = !tests; events_total = !events_total; events_kept = !events_kept } )
+  (List.rev !failures, { tests_run = !tests })
+
+let run ?seed ?scale ?faults ?config ?sink ?dispatch ~coverage () =
+  Workload.run_inline ~mount ?sink ?dispatch ~coverage (fun on_record ->
+      emit ?seed ?scale ?faults ?config ~on_record ())

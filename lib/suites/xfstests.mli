@@ -28,27 +28,26 @@ val generic_tests : int
 val ext4_tests : int
 (** 308 *)
 
-type stats = {
-  tests_run : int;
-  events_total : int;
-  events_kept : int;
-}
+type stats = { tests_run : int }
+
+val emit :
+  ?seed:int -> ?scale:float -> ?faults:Iocov_vfs.Fault.t list ->
+  ?config:Iocov_vfs.Config.t -> ?on_test:(string -> unit) ->
+  on_record:(Iocov_trace.Event.t -> unit) -> unit -> string list * stats
+(** Run the whole suite as a pure event source: every raw traced record
+    goes to [on_record], and each test's name to [on_test] before its
+    first record (see {!Workload.init}).  [scale] multiplies inner-loop
+    iteration counts; at 1.0 a run produces about half a million traced
+    records.  Returns oracle failures (empty on a correct file system)
+    and statistics. *)
 
 val run :
   ?seed:int -> ?scale:float -> ?faults:Iocov_vfs.Fault.t list ->
   ?config:Iocov_vfs.Config.t ->
   ?sink:(Iocov_trace.Event.t -> unit) ->
   ?dispatch:(Iocov_trace.Event.t -> unit) ->
-  ?per_test:(string -> Iocov_core.Coverage.t -> unit) ->
   coverage:Iocov_core.Coverage.t -> unit -> string list * stats
-(** Run the whole suite into [coverage] (through the [/mnt/test]
-    mount-point filter).  [scale] multiplies inner-loop iteration counts;
-    at 1.0 a run produces a few million traced syscalls.  Returns oracle
-    failures (empty on a correct file system) and statistics.
-
-    [dispatch] hands every raw event to an external analysis pipeline
-    (e.g. [Iocov_par.Replay.sink]) {e instead of} the inline
-    filter-and-observe path: [coverage] is left untouched and
-    [events_kept] stays 0 — the caller takes both from the pipeline's
-    merge.  Mutually exclusive with [per_test]
-    ([Invalid_argument]). *)
+(** {!emit} through {!Workload.run_inline}: coverage accumulates through
+    the [/mnt/test] mount-point filter into [coverage] unless [dispatch]
+    takes the records instead.  Kept while [perfbench/] still calls
+    it. *)

@@ -62,7 +62,6 @@ let create ?(pid = 1000) ?(comm = "tester") fs =
 
 let fs t = t.fs
 let on_event t sink = t.sinks <- t.sinks @ [ sink ]
-let events_emitted t = t.seq
 let cwd t = t.cwd
 
 (* A path is already canonical when it is absolute and every component

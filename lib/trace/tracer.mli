@@ -23,8 +23,6 @@ val exec : t -> Iocov_syscall.Model.call -> Iocov_syscall.Model.outcome
 val exec_aux : t -> Iocov_vfs.Fs.aux -> (int, Iocov_syscall.Errno.t) result
 (** Run an auxiliary operation and emit an untracked record. *)
 
-val events_emitted : t -> int
-
 val cwd : t -> string
 (** The traced process's current directory as the tracer reconstructs
     it. *)

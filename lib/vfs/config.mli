@@ -74,7 +74,7 @@ val digest : t -> string
     other modes append ["-writeback"] / ["-journaled"]. *)
 
 type point = {
-  pt_id : int;       (** dense, stable; the matrix config_id *)
+  pt_id : int;       (** dense, stable; the point's index in its lattice *)
   pt_name : string;  (** e.g. ["tiny-quota-journaled"] *)
   pt_config : t;
 }

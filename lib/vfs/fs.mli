@@ -143,3 +143,8 @@ val used_blocks : t -> int
 val xattr_names : t -> string -> (string list, Iocov_syscall.Errno.t) result
 val xattr_size : t -> string -> string -> (int, Iocov_syscall.Errno.t) result
 (** Stored size of one attribute ([Error ENODATA] if absent). *)
+
+val xattr_overhead : int
+(** Bytes each attribute costs beyond its name and value against the
+    inode's [xattr_space] (ext4's entry header): an entry takes
+    [String.length name + size + xattr_overhead]. *)

@@ -33,6 +33,16 @@ grep -q traceEvents "$tmp/timeline.json"
 dune exec bin/iocov.exe -- runs list --ledger "$tmp/ledger" > /dev/null
 dune exec bin/iocov.exe -- runs diff 1 2 --ledger "$tmp/ledger" \
   | grep -q "identical"
+# the live suite run and an analyze of its trace are two roads to one
+# result: same digest, same record and kept counts.  They get a ledger
+# of their own so the run ids above and below stay valid.
+dune exec bin/iocov.exe -- suite xfstests --seed 7 --scale 0.05 \
+  --ledger "$tmp/roads" > /dev/null
+dune exec bin/iocov.exe -- analyze "$tmp/t.bin" --ledger "$tmp/roads" > /dev/null
+dune exec bin/iocov.exe -- runs diff 1 2 --ledger "$tmp/roads" | grep -q "identical"
+live=$(dune exec bin/iocov.exe -- runs show 1 --ledger "$tmp/roads" | grep "^events")
+traced=$(dune exec bin/iocov.exe -- runs show 2 --ledger "$tmp/roads" | grep "^events")
+[ "$live" = "$traced" ]
 
 echo "== serve smoke =="
 # daemon up, two tenants stream the same trace, queries answer from
@@ -91,9 +101,8 @@ dune exec bin/iocov.exe -- crash --bound 6 --workload append-fsync \
   | grep -q "bugs found, as injected"
 
 echo "== config lattice gate =="
-# matrix observe throughput, lazy shard memory, and the off-default
-# errno surface (>= 5 errno cells reachable only off the default point);
-# E18 writes BENCH_config.json into its working directory, so it runs in
+# the off-default errno surface (>= 5 errno cells reachable only off
+# the default point); E18 writes BENCH_config.json into its working directory, so it runs in
 # $tmp and leaves the committed file alone
 (cd "$tmp" && "$root/_build/default/bench/main.exe" --config-bench > /dev/null)
 

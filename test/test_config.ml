@@ -8,7 +8,6 @@ open Iocov_vfs
 module Model = Iocov_syscall.Model
 module Errno = Iocov_syscall.Errno
 module Open_flags = Iocov_syscall.Open_flags
-module Plan = Iocov_core.Plan
 module Coverage = Iocov_core.Coverage
 module Snapshot = Iocov_core.Snapshot
 module Runner = Iocov_suites.Runner
@@ -230,78 +229,12 @@ let test_device_enospc_before_quota () =
    | Model.Ret n -> Alcotest.failf "expected ENOSPC, wrote %d" n);
   ignore (Fs.exec fs (Model.close fd))
 
-(* --- the lazy config-sharded matrix --- *)
-
-let rdonly = Open_flags.of_flags Open_flags.[ O_RDONLY ]
-
-let synth_pairs n =
-  List.init n (fun i ->
-      if i mod 2 = 0 then
-        (Model.open_ ~flags:rdonly ~mode:0 (Printf.sprintf "/f%d" (i mod 7)),
-         Model.Ret (i mod 5))
-      else (Model.write ~fd:3 ~count:(i * 37 land 0xfff) (), Model.Err Errno.ENOSPC))
-
-let test_matrix_lazy_alloc () =
-  let mx = Coverage.Matrix.create ~configs:Config.lattice_count in
-  let st0 = Coverage.Matrix.stats mx in
-  check_int "nothing allocated at creation" 0 st0.Coverage.Matrix.m_allocated;
-  check_int "zero words at creation" 0 st0.Coverage.Matrix.m_words;
-  let pairs = synth_pairs 512 in
-  let touched = [ 0; 5; 9 ] in
-  List.iter
-    (fun config_id ->
-      List.iter (fun (c, o) -> Coverage.Matrix.observe mx ~config_id c o) pairs)
-    touched;
-  let st = Coverage.Matrix.stats mx in
-  check_int "exactly the touched shards" (List.length touched)
-    st.Coverage.Matrix.m_allocated;
-  check_int "words = shards * plan" (List.length touched * Plan.total)
-    st.Coverage.Matrix.m_words;
-  for config_id = 0 to Config.lattice_count - 1 do
-    if not (List.mem config_id touched) then
-      check_bool
-        (Printf.sprintf "config %d unallocated" config_id)
-        true
-        (Coverage.Matrix.peek mx config_id = None)
-  done;
-  (* shard 0 must be byte-identical to a plain dense accumulator fed the
-     same stream — the matrix is a view, not a new semantics *)
-  let d = Coverage.Dense.create () in
-  List.iter (fun (c, o) -> Coverage.Dense.observe d c o) pairs;
-  (match Coverage.Matrix.to_reference mx with
-   | (0, shard0) :: _ ->
-     check_string "shard 0 snapshot"
-       (Snapshot.to_string (Coverage.Dense.to_reference d))
-       (Snapshot.to_string shard0)
-   | _ -> Alcotest.fail "shard 0 missing from to_reference");
-  (* matrix IDs and per-config cell counts agree *)
-  let some_lit = ref false in
-  for cell = 0 to Plan.total - 1 do
-    let direct = Coverage.Matrix.cell_count mx ~config_id:5 cell in
-    let via_id = Coverage.Matrix.matrix_count mx (Plan.Matrix.id ~config_id:5 cell) in
-    if direct > 0 then some_lit := true;
-    check_int "cell_count = matrix_count" direct via_id
-  done;
-  check_bool "stream lit something" true !some_lit;
-  (* merge allocates only the source's shards *)
-  let dst = Coverage.Matrix.create ~configs:Config.lattice_count in
-  Coverage.Matrix.merge_into ~dst mx;
-  let std = Coverage.Matrix.stats dst in
-  check_int "merge allocates source shards only" (List.length touched)
-    std.Coverage.Matrix.m_allocated;
-  check_int "merged calls" (Coverage.Matrix.calls_observed mx)
-    (Coverage.Matrix.calls_observed dst);
-  Coverage.Matrix.reset dst;
-  check_int "reset drops shards" 0
-    (Coverage.Matrix.stats dst).Coverage.Matrix.m_allocated
-
 (* --- kill/resume checkpoint differential at lattice points ---
 
    For three lattice points, trace LTP pinned to the point, then replay
    the trace with a mid-stream kill and a checkpointed resume: the
    final snapshot must be byte-identical to the
-   uninterrupted run's.  The per-point coverages feed distinct matrix
-   shards; the fifteen untouched configs must stay unallocated. *)
+   uninterrupted run's. *)
 
 let with_temp_file f =
   let path = Filename.temp_file "iocov_config" ".bin" in
@@ -312,16 +245,14 @@ let trace_of_point (p : Config.point) path =
   let oc = open_out_bin path in
   let writer = Iocov_trace.Binary_io.writer oc in
   ignore
-    (Iocov_suites.Ltp.run ~seed:11 ~scale:0.2
+    (Iocov_suites.Ltp.emit ~seed:11 ~scale:0.2
        ?config:(Runner.config_of_point p)
-       ~sink:(Iocov_trace.Binary_io.sink writer)
-       ~coverage:(Coverage.create ~metered:false ()) ());
+       ~on_record:(Iocov_trace.Binary_io.sink writer) ());
   Iocov_trace.Binary_io.flush writer;
   close_out oc
 
 let test_lattice_checkpoint_resume () =
   let filter = Iocov_trace.Filter.mount_point Iocov_suites.Ltp.mount in
-  let mx = Coverage.Matrix.create ~configs:Config.lattice_count in
   let points = [ point "default"; point "tiny-quota"; point "no-xattr-space" ] in
   List.iter
     (fun (p : Config.point) ->
@@ -357,13 +288,8 @@ let test_lattice_checkpoint_resume () =
                 check_string
                   (p.Config.pt_name ^ " resumed byte-identical")
                   want
-                  (Snapshot.to_string o.Replay.coverage));
-          (* feed the point's shard of the matrix *)
-          ignore (Coverage.Matrix.shard mx p.Config.pt_id);
-          ()))
-    points;
-  let st = Coverage.Matrix.stats mx in
-  check_int "three shards allocated" 3 st.Coverage.Matrix.m_allocated
+                  (Snapshot.to_string o.Replay.coverage))))
+    points
 
 (* --- ledger config tagging --- *)
 
@@ -431,7 +357,6 @@ let suites =
           test_quota_short_write;
         Alcotest.test_case "device ENOSPC before quota" `Quick
           test_device_enospc_before_quota;
-        Alcotest.test_case "matrix lazy allocation" `Quick test_matrix_lazy_alloc;
         Alcotest.test_case "checkpoint resume at lattice points" `Quick
           test_lattice_checkpoint_resume;
         Alcotest.test_case "ledger config round-trip" `Quick

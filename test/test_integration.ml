@@ -23,19 +23,21 @@ let coverage_equal a b =
        Model.all_bases
 
 let test_offline_equals_online () =
-  (* run CrashMonkey with both a live coverage sink and a raw file sink;
+  (* run CrashMonkey into a raw file sink while keeping the live stream;
      re-analyzing the file through the same filter must reproduce the
-     coverage exactly *)
-  let live = Coverage.create () in
+     live stream's coverage exactly *)
   let path = Filename.temp_file "iocov_integration" ".trace" in
   let oc = open_out path in
-  let sink = Format_io.sink_channel oc in
-  let _failures, _stats =
-    Iocov_suites.Crashmonkey.run ~seed:21 ~scale:0.02 ~sink ~coverage:live ()
+  let stream = ref [] in
+  let on_record e =
+    stream := e :: !stream;
+    Format_io.sink_channel oc e
   in
+  let _failures, _stats = Iocov_suites.Crashmonkey.emit ~seed:21 ~scale:0.02 ~on_record () in
   close_out oc;
-  let offline = Coverage.create () in
   let filter = Filter.mount_point Iocov_suites.Crashmonkey.mount in
+  let live, _ = Test_par.sequential_coverage filter (List.rev !stream) in
+  let offline = Coverage.create () in
   let ic = open_in path in
   let result =
     Format_io.fold_channel ic ~init:() ~f:(fun () e ->
@@ -50,12 +52,10 @@ let test_offline_equals_online () =
   check_bool "offline analysis reproduces live coverage" true (coverage_equal live offline)
 
 let test_wrong_mount_filters_everything () =
-  let live = Coverage.create () in
   let path = Filename.temp_file "iocov_integration" ".trace" in
   let oc = open_out path in
   let _ =
-    Iocov_suites.Crashmonkey.run ~seed:22 ~scale:0.02 ~sink:(Format_io.sink_channel oc)
-      ~coverage:live ()
+    Iocov_suites.Crashmonkey.emit ~seed:22 ~scale:0.02 ~on_record:(Format_io.sink_channel oc) ()
   in
   close_out oc;
   let filter = Filter.mount_point "/somewhere/else" in
@@ -70,12 +70,10 @@ let test_wrong_mount_filters_everything () =
   check_int "nothing kept under the wrong mount" 0 kept
 
 let test_trace_contains_aux_records () =
-  let live = Coverage.create () in
   let path = Filename.temp_file "iocov_integration" ".trace" in
   let oc = open_out path in
   let _ =
-    Iocov_suites.Crashmonkey.run ~seed:23 ~scale:0.02 ~sink:(Format_io.sink_channel oc)
-      ~coverage:live ()
+    Iocov_suites.Crashmonkey.emit ~seed:23 ~scale:0.02 ~on_record:(Format_io.sink_channel oc) ()
   in
   close_out oc;
   let ic = open_in path in

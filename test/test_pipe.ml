@@ -44,32 +44,24 @@ let ok_run = function
    observation (reference histograms) --- *)
 
 let direct_suite_coverage suite ~seed ~scale =
-  (* the pre-pipe classic path: the suite observes straight into a
-     metered reference accumulator, filtering at the mount itself *)
+  (* the pre-pipe classic path, kept as the suites' [run]: the suite
+     observes straight into a metered reference accumulator, filtering
+     at the mount itself *)
   let coverage = Coverage.create () in
-  let kept =
-    match suite with
-    | Runner.Crashmonkey ->
-      let _, stats = Iocov_suites.Crashmonkey.run ~seed ~scale ~coverage () in
-      stats.Iocov_suites.Crashmonkey.events_kept
-    | Runner.Xfstests ->
-      let _, stats = Iocov_suites.Xfstests.run ~seed ~scale ~coverage () in
-      stats.Iocov_suites.Xfstests.events_kept
-    | Runner.Ltp ->
-      let _, stats = Iocov_suites.Ltp.run ~seed ~scale ~coverage () in
-      stats.Iocov_suites.Ltp.events_kept
-  in
-  (coverage, kept)
+  (match suite with
+   | Runner.Crashmonkey -> ignore (Iocov_suites.Crashmonkey.run ~seed ~scale ~coverage ())
+   | Runner.Xfstests -> ignore (Iocov_suites.Xfstests.run ~seed ~scale ~coverage ())
+   | Runner.Ltp -> ignore (Iocov_suites.Ltp.run ~seed ~scale ~coverage ()));
+  coverage
 
 let test_suite_differential () =
   List.iter
     (fun suite ->
       let seed = 42 and scale = 0.2 in
-      let oracle_cov, oracle_kept = direct_suite_coverage suite ~seed ~scale in
+      let oracle_cov = direct_suite_coverage suite ~seed ~scale in
       let r = Runner.run ~seed ~scale suite in
       let tag = Runner.suite_name suite in
-      check_string (tag ^ " snapshot") (snap oracle_cov) (snap r.Runner.coverage);
-      check_int (tag ^ " kept") oracle_kept r.Runner.events_kept)
+      check_string (tag ^ " snapshot") (snap oracle_cov) (snap r.Runner.coverage))
     [ Runner.Crashmonkey; Runner.Xfstests; Runner.Ltp ]
 
 (* --- file replay: driver vs a sequential fold, text and binary --- *)
@@ -339,18 +331,12 @@ let write_traces ~seed ~scale ?config suite ~text ~v3 =
   let oc_t = open_out_bin text and oc_b = open_out_bin v3 in
   let w = Binary_io.writer oc_b in
   let records = ref 0 in
-  let sink ev =
+  let on_record ev =
     incr records;
     Format_io.sink_channel oc_t ev;
     Binary_io.sink w ev
   in
-  let coverage = Coverage.create ~metered:false () in
-  (match suite with
-   | Runner.Crashmonkey ->
-     ignore (Iocov_suites.Crashmonkey.run ~seed ~scale ?config ~sink ~coverage ())
-   | Runner.Xfstests ->
-     ignore (Iocov_suites.Xfstests.run ~seed ~scale ?config ~sink ~coverage ())
-   | Runner.Ltp -> ignore (Iocov_suites.Ltp.run ~seed ~scale ?config ~sink ~coverage ()));
+  ignore (Runner.emit ~seed ~scale ?config ~on_record suite : string list * int);
   Binary_io.flush w;
   close_out oc_b;
   close_out oc_t;
@@ -377,14 +363,19 @@ let all_roads_prop =
     (fun (suite, seed, scale, point, kill) ->
       let config = Runner.config_of_point Vconfig.lattice.(point) in
       let mount = suite_mount suite in
-      let digest_of what = function
-        | Ok { Driver.product; _ } -> Ledger.digest product.Sink.coverage
+      (* a road's result: its digest and its (records, kept) counts *)
+      let road_of what = function
+        | Ok { Driver.product; _ } ->
+          (Ledger.digest product.Sink.coverage, (product.Sink.events, product.Sink.kept))
         | Error msg -> QCheck.Test.fail_reportf "%s: %s" what msg
       in
       let replay ?config what path =
-        digest_of what (Driver.run ?config ~stages:[ Stage.mount mount ] (Source.file path))
+        road_of what (Driver.run ?config ~stages:[ Stage.mount mount ] (Source.file path))
       in
-      let live = Ledger.digest (Runner.run ~seed ~scale ?config suite).Runner.coverage in
+      let live =
+        let r = Runner.run ~seed ~scale ?config suite in
+        (Ledger.digest r.Runner.coverage, (r.Runner.events_total, r.Runner.events_kept))
+      in
       with_temp_file @@ fun text ->
       with_temp_file @@ fun v3 ->
       with_temp_file @@ fun ckpt ->
@@ -420,16 +411,24 @@ let all_roads_prop =
               in
               drain ();
               Hub.close_session s);
-        Option.get (Hub.digest hub ~tenant:"t")
+        let st = Option.get (Hub.stats hub ~tenant:"t") in
+        (Option.get (Hub.digest hub ~tenant:"t"), (st.Hub.st_events, st.Hub.st_kept))
       in
       let roads =
         [ ("text", replay "text replay" text); ("v3", replay "v3 replay" v3);
           ("kill/resume", resumed); ("serve", served) ]
       in
+      let live_digest, (live_events, live_kept) = live in
+      if live_events <> records then
+        QCheck.Test.fail_reportf "live road counted %d records, the trace holds %d" live_events
+          records;
       List.iter
-        (fun (road, digest) ->
-          if digest <> live then
-            QCheck.Test.fail_reportf "%s digest %s <> live digest %s" road digest live)
+        (fun (road, (digest, (events, kept))) ->
+          if digest <> live_digest then
+            QCheck.Test.fail_reportf "%s digest %s <> live digest %s" road digest live_digest;
+          if (events, kept) <> (live_events, live_kept) then
+            QCheck.Test.fail_reportf "%s counts %d records, %d kept <> live %d records, %d kept"
+              road events kept live_events live_kept)
         roads;
       true)
 

@@ -199,8 +199,7 @@ let test_kind_counters_domain_safe () =
       kinds
   in
   let run () =
-    let coverage = Iocov_core.Coverage.create ~metered:false () in
-    ignore (Iocov_suites.Xfstests.run ~seed:5 ~scale:0.02 ~coverage ())
+    ignore (Iocov_suites.Xfstests.emit ~seed:5 ~scale:0.02 ~on_record:ignore ())
   in
   let growth f =
     let before = read () in
@@ -668,10 +667,10 @@ let test_filter_fold_stats () =
    the ones without; a trailing slash changes nothing. *)
 let test_filter_root_and_trailing_slash () =
   let events = ref [] in
-  let coverage = Iocov_core.Coverage.create ~metered:false () in
   ignore
-    (Iocov_suites.Xfstests.run ~seed:7 ~scale:0.02 ~sink:(fun e -> events := e :: !events)
-       ~coverage ());
+    (Iocov_suites.Xfstests.emit ~seed:7 ~scale:0.02
+       ~on_record:(fun e -> events := e :: !events)
+       ());
   let events = !events in
   let hinted = List.length (List.filter (fun e -> e.Event.path_hint <> None) events) in
   check_bool "some records lack a hint" true (hinted < List.length events);
