@@ -35,7 +35,9 @@ let print_sections sections = List.iter (fun (_, text) -> print_endline text) se
 (* --- the run ledger: one manifest record per completed run --- *)
 
 (* Root spans completed so far become the record's per-stage durations;
-   a failed append is a warning, never a failed run. *)
+   a failed append is a warning, never a failed run.  Every command
+   appends before it prints, so a reader that closes stdout early
+   (SIGPIPE) cannot cost the run its record. *)
 let ledger_append ~ledger ?seed ?tenant ?config ~subcommand ~label ~flags ~events ~kept
     ~lost ~wall_s coverage =
   match ledger with
@@ -104,6 +106,13 @@ let suite_cmd =
               | [] -> []
               | fs -> [ ("faults", String.concat "," (List.map Fault.to_string fs)) ])
         in
+        List.iter
+          (fun (point, (r : Runner.result)) ->
+            ledger_append ~ledger ~seed ~config:(ledger_config point)
+              ~subcommand:"suite" ~label:(Runner.suite_name suite) ~flags
+              ~events:r.Runner.events_total ~kept:r.Runner.events_kept
+              ~lost:0 ~wall_s:r.Runner.elapsed_s r.Runner.coverage)
+          rows;
         (match rows with
          | [ (_, r) ] -> print_result r
          | rows ->
@@ -120,14 +129,7 @@ let suite_cmd =
              (List.map
                 (fun ((point : Vconfig.point), (r : Runner.result)) ->
                   (point.Vconfig.pt_name, r.Runner.coverage))
-                rows));
-        List.iter
-          (fun (point, (r : Runner.result)) ->
-            ledger_append ~ledger ~seed ~config:(ledger_config point)
-              ~subcommand:"suite" ~label:(Runner.suite_name suite) ~flags
-              ~events:r.Runner.events_total ~kept:r.Runner.events_kept
-              ~lost:0 ~wall_s:r.Runner.elapsed_s r.Runner.coverage)
-          rows)
+                rows)))
   in
   let suite_pos =
     Arg.(required & pos 0 (some Opts.suite_conv) None & info [] ~docv:"SUITE")
@@ -228,7 +230,6 @@ let analyze_cmd =
         (Pipe.Source.file file)
     with
     | Ok { product; sections } ->
-      print_sections sections;
       let c = product.Sink.completeness in
       let flags =
         [ ("ingest",
@@ -239,7 +240,8 @@ let analyze_cmd =
       ledger_append ~ledger ~subcommand:"analyze" ~label:product.Sink.label ~flags
         ~events:product.Sink.events ~kept:product.Sink.kept
         ~lost:(c.Anomaly.records_skipped + c.Anomaly.events_abandoned)
-        ~wall_s:(Obs.Clock.now () -. t0) product.Sink.coverage
+        ~wall_s:(Obs.Clock.now () -. t0) product.Sink.coverage;
+      print_sections sections
     | Error msg -> die "%s" msg
   in
   let file_pos =
@@ -445,11 +447,11 @@ let report_cmd =
             false)
         files
     in
-    if ok then begin
-      let name = String.concat "+" files in
-      print_endline (Report.suite_summary ~name coverage);
-      print_endline (Report.untested_summary ~name coverage)
-    end
+    (* a refused snapshot fails the command, as it fails [analyze] *)
+    if not ok then exit 1;
+    let name = String.concat "+" files in
+    print_endline (Report.suite_summary ~name coverage);
+    print_endline (Report.untested_summary ~name coverage)
   in
   let files_pos = Arg.(non_empty & pos_all file [] & info [] ~docv:"SNAPSHOT") in
   Cmd.v
@@ -484,10 +486,10 @@ let syz_cmd =
         (Pipe.Source.syz ~label:file text)
     with
     | Ok { product; sections } ->
-      print_sections sections;
       ledger_append ~ledger ~subcommand:"syz" ~label:file ~flags:[]
         ~events:product.Sink.events ~kept:product.Sink.kept ~lost:0
-        ~wall_s:(Obs.Clock.now () -. t0) product.Sink.coverage
+        ~wall_s:(Obs.Clock.now () -. t0) product.Sink.coverage;
+      print_sections sections
     | Error msg -> Printf.eprintf "error: %s\n" msg
   in
   let file_pos = Arg.(required & pos 0 (some file) None & info [] ~docv:"PROGRAM") in
@@ -735,11 +737,6 @@ let serve_cmd =
       List.iter
         (fun (o : Serve_server.tenant_outcome) ->
           let st = o.Serve_server.o_stats in
-          Printf.printf
-            "tenant %-12s %d events (%d kept), %d epochs published, digest %s\n"
-            o.Serve_server.o_tenant st.Serve_hub.st_events st.Serve_hub.st_kept
-            st.Serve_hub.st_publishes
-            (Ledger.digest o.Serve_server.o_coverage);
           ledger_append ~ledger ~tenant:o.Serve_server.o_tenant
             ?config:o.Serve_server.o_config ~subcommand:"serve"
             ~label:(match socket with Some s -> s | None -> "files")
@@ -748,6 +745,15 @@ let serve_cmd =
             ~kept:st.Serve_hub.st_kept ~lost:st.Serve_hub.st_lost
             ~wall_s:(Obs.Clock.now () -. t0)
             o.Serve_server.o_coverage)
+        outcome.Serve_server.o_tenants;
+      List.iter
+        (fun (o : Serve_server.tenant_outcome) ->
+          let st = o.Serve_server.o_stats in
+          Printf.printf
+            "tenant %-12s %d events (%d kept), %d epochs published, digest %s\n"
+            o.Serve_server.o_tenant st.Serve_hub.st_events st.Serve_hub.st_kept
+            st.Serve_hub.st_publishes
+            (Ledger.digest o.Serve_server.o_coverage))
         outcome.Serve_server.o_tenants;
       Printf.printf "served %d tenant%s in %.2fs\n"
         (List.length outcome.Serve_server.o_tenants)
@@ -963,6 +969,34 @@ let crash_cmd =
             (fun (o, n) -> if n > 0 then Coverage.add_crash coverage mode o n)
             r.Engine.rp_tally)
         reports;
+      let violations = List.concat_map (fun (_, r) -> r.Engine.rp_violations) reports in
+      let expected = List.mem Fault.Fsync_skips_data faults in
+      (* the snapshot and the ledger record are written before anything
+         is printed *)
+      Option.iter (fun path -> Iocov_core.Snapshot.save_file path coverage) save;
+      let flags =
+        [ ("bound", string_of_int bound);
+          ("modes",
+           String.concat "," (List.map Vc.journal_mode_to_string modes)) ]
+        @ (if torn then [] else [ ("torn", "off") ])
+        @ (match faults with
+           | [] -> []
+           | fs -> [ ("faults", String.concat "," (List.map Fault.to_string fs)) ])
+        @
+        if multi_config then
+          [ ("configs",
+             String.concat "," (List.map (fun p -> p.Vc.pt_name) points)) ]
+        else []
+      in
+      (* A single-point run is pinned to that point, so the ledger can
+         name it; a multi-point sweep's coverage mixes configs and is
+         recorded config-less (the points live in the flags). *)
+      let config =
+        match points with [ point ] -> Some (ledger_config point) | _ -> None
+      in
+      ledger_append ~ledger ?config ~subcommand:"crash" ~label:"crash-engine" ~flags
+        ~events:product.Sink.events ~kept:product.Sink.kept ~lost:0
+        ~wall_s:(Obs.Clock.now () -. t0) coverage;
       print_sections sections;
       let rows =
         List.map
@@ -1020,8 +1054,6 @@ let crash_cmd =
         (Tcd.tcd_uniform ~frequencies ~target)
         summary.Iocov_core.Adequacy.untested summary.Iocov_core.Adequacy.under
         summary.Iocov_core.Adequacy.adequate summary.Iocov_core.Adequacy.over;
-      let violations = List.concat_map (fun (_, r) -> r.Engine.rp_violations) reports in
-      let expected = List.mem Fault.Fsync_skips_data faults in
       (match violations with
        | [] ->
          if expected then
@@ -1034,34 +1066,7 @@ let crash_cmd =
          List.iteri (fun i v -> if i < 10 then Printf.printf "  %s\n" v) vs;
          if List.length vs > 10 then
            Printf.printf "  ... and %d more\n" (List.length vs - 10));
-      (match save with
-       | Some path ->
-         Iocov_core.Snapshot.save_file path coverage;
-         Printf.printf "wrote %s\n" path
-       | None -> ());
-      let flags =
-        [ ("bound", string_of_int bound);
-          ("modes",
-           String.concat "," (List.map Vc.journal_mode_to_string modes)) ]
-        @ (if torn then [] else [ ("torn", "off") ])
-        @ (match faults with
-           | [] -> []
-           | fs -> [ ("faults", String.concat "," (List.map Fault.to_string fs)) ])
-        @
-        if multi_config then
-          [ ("configs",
-             String.concat "," (List.map (fun p -> p.Vc.pt_name) points)) ]
-        else []
-      in
-      (* A single-point run is pinned to that point, so the ledger can
-         name it; a multi-point sweep's coverage mixes configs and is
-         recorded config-less (the points live in the flags). *)
-      let config =
-        match points with [ point ] -> Some (ledger_config point) | _ -> None
-      in
-      ledger_append ~ledger ?config ~subcommand:"crash" ~label:"crash-engine" ~flags
-        ~events:product.Sink.events ~kept:product.Sink.kept ~lost:0
-        ~wall_s:(Obs.Clock.now () -. t0) coverage;
+      Option.iter (Printf.printf "wrote %s\n") save;
       (* unexpected violations are an engine bug; injected ones are the
          differential's success and exit clean *)
       if violations <> [] && not expected then exit 1;

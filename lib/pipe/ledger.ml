@@ -33,19 +33,36 @@ type record = {
 
 (* --- coverage fingerprints --- *)
 
+let hex_digits = "0123456789abcdef"
+
 let hex_of_bytes b =
-  let buf = Buffer.create (2 * Bytes.length b) in
-  Bytes.iter (fun c -> Buffer.add_string buf (Printf.sprintf "%02x" (Char.code c))) b;
-  Buffer.contents buf
+  String.init (2 * Bytes.length b) (fun i ->
+      let c = Char.code (Bytes.get b (i lsr 1)) in
+      hex_digits.[if i land 1 = 0 then c lsr 4 else c land 15])
+
+let nibble = function
+  | '0' .. '9' as c -> Char.code c - 48
+  | 'a' .. 'f' as c -> Char.code c - 87
+  | 'A' .. 'F' as c -> Char.code c - 55
+  | _ -> -1
 
 let bytes_of_hex s =
+  let n = String.length s / 2 in
   if String.length s mod 2 <> 0 then Error "odd-length hex string"
-  else
-    try
-      Ok
-        (Bytes.init (String.length s / 2) (fun i ->
-             Char.chr (int_of_string ("0x" ^ String.sub s (2 * i) 2))))
-    with _ -> Error "invalid hex string"
+  else begin
+    let b = Bytes.create n in
+    let rec fill i =
+      if i = n then Ok b
+      else
+        let hi = nibble s.[2 * i] and lo = nibble s.[(2 * i) + 1] in
+        if hi < 0 || lo < 0 then Error "invalid hex string"
+        else begin
+          Bytes.set b i (Char.chr ((hi lsl 4) lor lo));
+          fill (i + 1)
+        end
+    in
+    fill 0
+  end
 
 let digest = Snapshot.digest
 
@@ -228,48 +245,69 @@ let rec id_digits id i acc =
     | '0' .. '9' as c -> id_digits id (i + 1) ((10 * acc) + Char.code c - 48)
     | _ -> 0
 
-(* The next id is one past the largest readable [rN], not the count of
-   readable records: with a damaged line in the middle, a count would
-   hand out an id that is already taken. *)
-let next_id records =
-  let number id = if String.length id > 1 && id.[0] = 'r' then id_digits id 1 0 else 0 in
-  1 + List.fold_left (fun m r -> max m (number r.r_id)) 0 records
+(* [N] of a line holding a readable record with an id [rN]; 0 for a
+   blank or unreadable line and for any other id. *)
+let line_number line =
+  match parse_line line with
+  | Ok { r_id; _ } when String.length r_id > 1 && r_id.[0] = 'r' -> id_digits r_id 1 0
+  | _ -> 0
 
-(* A crash mid-append leaves a final line without its newline. *)
-let ends_mid_line p =
-  match open_in_bin p with
-  | exception Sys_error _ -> false
-  | ic ->
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        let n = in_channel_length ic in
-        n > 0
-        && begin
-          seek_in ic (n - 1);
-          input_char ic <> '\n'
-        end)
+let tail_block = 4096
 
-(* Appends are a single [output_string] of one line on a channel opened
+(* The number of the last readable [rN] record (0 if there is none) and
+   whether the file ends mid-line, as a crash mid-append leaves it.
+   Lines are walked backwards from the end of the file through a
+   window of its bytes that starts as the last block and doubles
+   whenever a line begins before it; no line before the last readable
+   record is parsed. *)
+let tail ic =
+  let window base stop =
+    In_channel.seek ic (Int64.of_int base);
+    really_input_string ic (stop - base)
+  in
+  (* [w] holds the file's bytes from offset [base]; the lines that end
+     at or before its index [i] are still to be walked *)
+  let rec back w base i =
+    match String.rindex_from_opt w (i - 1) '\n' with
+    | Some nl -> (
+      match line_number (String.sub w (nl + 1) (i - nl - 1)) with
+      | 0 -> back w base nl
+      | n -> n)
+    | None when base = 0 -> line_number (String.sub w 0 i)
+    | None ->
+      let stop = base + i in
+      let base = max 0 (stop - (2 * String.length w)) in
+      back (window base stop) base (stop - base)
+  in
+  let size = Int64.to_int (In_channel.length ic) in
+  let base = max 0 (size - tail_block) in
+  let w = window base size in
+  (back w base (size - base), size > 0 && w.[size - base - 1] <> '\n')
+
+(* The next id is one past the last readable [rN]: only [append]
+   assigns ids, in ascending file order, so that is also the largest
+   one, and a damaged line in the middle cannot make an id repeat.
+   Appends are a single [output_string] of one line on a channel opened
    in append mode — atomic for any realistic record size on POSIX, and
    a crash can at worst truncate the final line, which [load] absorbs.
    After such a crash the line starts with the missing newline, so the
    new record is not glued onto the torn bytes. *)
 let append ~dir r =
   (try if not (Sys.file_exists dir) then Sys.mkdir dir 0o755 with Sys_error _ -> ());
-  let existing = load ~dir in
-  let r = { r with r_id = Printf.sprintf "r%d" (next_id existing.records) } in
-  let line =
-    (if ends_mid_line (path ~dir) then "\n" else "") ^ Json.to_string (to_json r) ^ "\n"
-  in
+  let p = path ~dir in
   match
+    let last, torn = if Sys.file_exists p then In_channel.with_open_bin p tail else (0, false) in
+    let r = { r with r_id = Printf.sprintf "r%d" (last + 1) } in
+    let line = (if torn then "\n" else "") ^ Json.to_string (to_json r) ^ "\n" in
     Out_channel.with_open_gen
       [ Open_append; Open_creat; Open_text ]
-      0o644 (path ~dir)
-      (fun oc -> Out_channel.output_string oc line)
+      0o644 p
+      (fun oc -> Out_channel.output_string oc line);
+    r
   with
-  | () -> Ok r
+  | r -> Ok r
   | exception Sys_error msg -> Error msg
+  | exception End_of_file -> Error (p ^ ": shrank while its tail was read")
 
 (* Keep only the newest [n] records (file order is oldest-first), so
    [runs list --last N] shows the tail without renumbering ids. *)

@@ -47,6 +47,13 @@ val path : dir:string -> string
 val digest : Iocov_core.Coverage.t -> string
 val bitmap : Iocov_core.Coverage.t -> string
 
+val hex_of_bytes : bytes -> string
+(** Lower-case hex, two digits per byte: the bitmap's text form. *)
+
+val bytes_of_hex : string -> (bytes, string) result
+(** The inverse of {!hex_of_bytes}; accepts upper- and lower-case
+    digits and refuses an odd length or any other character. *)
+
 val make :
   ?time:float -> ?seed:int -> ?tenant:string -> ?config:string * string ->
   subcommand:string -> label:string ->
@@ -71,10 +78,18 @@ val load : dir:string -> loaded
     tail after a crash, foreign garbage) are counted in [bad_lines]. *)
 
 val append : dir:string -> record -> (record, string) result
-(** Create [dir] if needed, assign the next id (one past the largest
-    readable [rN]), append one line.  A torn final line left by a crash
-    is closed off first, so the new record stays readable.  Returns the
-    record with its id. *)
+(** Create [dir] if needed, assign the next id and append one line.
+    The next id is one past the {e last} readable record whose id is
+    [rN], found by walking the file's lines backwards from its tail:
+    blank lines, unreadable lines and other ids are skipped, and no
+    line before that record is parsed, so an append costs the same on
+    a ledger of any length.  That is one past the {e largest} readable
+    [rN] as long as ids ascend in file order, which holds for every
+    ledger iocov writes: [append] is the only writer that assigns ids,
+    and damage (a torn tail, a garbage line) only makes records
+    unreadable.  A torn final line left by a crash is closed off
+    first, so the new record stays readable.  Returns the record with
+    its id; an I/O failure is an [Error], never an exception. *)
 
 val last : int -> loaded -> loaded
 (** Keep only the newest [n] records — [runs list --last N].  Ids are

@@ -482,6 +482,7 @@ let do_read t ~fd ~count ~offset =
     let node = get t e.fd_ino in
     if not (Open_flags.readable e.fd_flags) || Open_flags.has e.fd_flags Open_flags.O_PATH
     then err Errno.EBADF
+    else if count < 0 then err Errno.EINVAL (* rw_verify_area *)
     else if Node.is_dir node then err Errno.EISDIR
     else begin
       match node.Node.body with
@@ -509,6 +510,7 @@ let do_write t ~fd ~count ~offset =
     let node = get t e.fd_ino in
     if not (Open_flags.writable e.fd_flags) || Open_flags.has e.fd_flags Open_flags.O_PATH
     then err Errno.EBADF
+    else if count < 0 then err Errno.EINVAL (* rw_verify_area *)
     else begin
       match node.Node.body with
       | Node.Fifo ->

@@ -44,6 +44,41 @@ live=$(dune exec bin/iocov.exe -- runs show 1 --ledger "$tmp/roads" | grep "^eve
 traced=$(dune exec bin/iocov.exe -- runs show 2 --ledger "$tmp/roads" | grep "^events")
 [ "$live" = "$traced" ]
 
+echo "== ledger before stdout =="
+# run commands append their ledger record before they print, so a
+# reader that hangs up early (SIGPIPE) cannot cost the run its record;
+# every run gets a ledger of its own and must leave r1 in it
+for i in 1 2 3 4 5; do
+  dune exec bin/iocov.exe -- suite xfstests --seed 7 --scale 0.05 \
+    --ledger "$tmp/early-suite-$i" | head -c 10 > /dev/null
+  dune exec bin/iocov.exe -- runs list --ledger "$tmp/early-suite-$i" | grep -q "^r1 "
+  dune exec bin/iocov.exe -- analyze "$tmp/t.bin" --ledger "$tmp/early-analyze-$i" \
+    | head -c 10 > /dev/null
+  dune exec bin/iocov.exe -- runs list --ledger "$tmp/early-analyze-$i" | grep -q "^r1 "
+done
+
+echo "== report refuses a bad snapshot =="
+printf 'input write.count 2^70 1\n' > "$tmp/bad.snap"
+if dune exec bin/iocov.exe -- report "$tmp/bad.snap" > "$tmp/report.out" 2> /dev/null; then
+  echo "error: iocov report exited 0 on a bad snapshot" >&2
+  exit 1
+fi
+[ ! -s "$tmp/report.out" ]
+
+echo "== ledger numbering after a torn tail =="
+# cut 20 bytes off the second record: the next run is numbered from
+# the last readable record, so it is a new r2, and the torn line is
+# counted, not fatal
+dune exec bin/iocov.exe -- analyze "$tmp/t.bin" --ledger "$tmp/torn" > /dev/null
+dune exec bin/iocov.exe -- analyze "$tmp/t.bin" --ledger "$tmp/torn" > /dev/null
+python3 -c 'import os, sys; p = sys.argv[1]; os.truncate(p, os.path.getsize(p) - 20)' \
+  "$tmp/torn/runs.jsonl"
+dune exec bin/iocov.exe -- analyze "$tmp/t.bin" --ledger "$tmp/torn" > /dev/null
+dune exec bin/iocov.exe -- runs list --ledger "$tmp/torn" > "$tmp/torn.out"
+[ "$(grep -c "^r[0-9]" "$tmp/torn.out")" = 2 ]
+grep -q "^r2 " "$tmp/torn.out"
+grep -q "(1 unreadable line skipped)" "$tmp/torn.out"
+
 echo "== serve smoke =="
 # daemon up, two tenants stream the same trace, queries answer from
 # epoch snapshots, and the per-tenant ledger records are byte-identical

@@ -295,6 +295,195 @@ let test_ledger_garbage_middle_line () =
       check_bool "r4 is the new one" true
         ((Option.get (Ledger.find records "r4")).Ledger.r_label = "v.bin"))
 
+(* --- numbering from the tail, against the full reload --- *)
+
+(* The numbering [append] used before it read only the file's tail:
+   load every record and go one past the largest readable [rN]. *)
+let reference_next_id ~dir =
+  let number id =
+    let n = String.length id in
+    if n > 1 && id.[0] = 'r'
+       && String.for_all (function '0' .. '9' -> true | _ -> false) (String.sub id 1 (n - 1))
+    then int_of_string (String.sub id 1 (n - 1))
+    else 0
+  in
+  let { Ledger.records; _ } = Ledger.load ~dir in
+  Printf.sprintf "r%d" (1 + List.fold_left (fun m r -> max m (number r.Ledger.r_id)) 0 records)
+
+let read_file file = In_channel.with_open_bin file In_channel.input_all
+
+let write_file file text =
+  Out_channel.with_open_bin file (fun oc -> Out_channel.output_string oc text)
+
+(* Append once; the id must be the reference's, and the record must
+   read back under it. *)
+let append_checked ~dir label =
+  let expect = reference_next_id ~dir in
+  match Ledger.append ~dir (sample_record ~label ()) with
+  | Error msg -> Alcotest.failf "append %s: %s" label msg
+  | Ok r ->
+    let { Ledger.records; _ } = Ledger.load ~dir in
+    r.Ledger.r_id = expect
+    && (match Ledger.find records r.Ledger.r_id with
+        | Some found -> found.Ledger.r_label = label
+        | None -> false)
+
+type step =
+  | Append
+  | Cut of int             (* keep this many bytes, modulo the size + 1 *)
+  | Insert of int * string (* this line, at this byte, modulo the size + 1 *)
+  | Drop_newline
+
+let step_gen =
+  let open QCheck.Gen in
+  let junk =
+    oneof
+      [ oneofl [ ""; " "; "\t  " ];
+        string_size ~gen:(oneofl [ 'a'; 'r'; '7'; '{'; '}'; '['; '"'; ':'; ','; ' ' ])
+          (oneof [ int_bound 40; int_bound 6000 ]) ]
+  in
+  frequency
+    [ (5, return Append);
+      (1, map (fun n -> Cut n) (int_bound 1_000_000));
+      (2, map2 (fun n l -> Insert (n, l)) (int_bound 1_000_000) junk);
+      (1, return Drop_newline) ]
+
+let print_step = function
+  | Append -> "append"
+  | Cut n -> Printf.sprintf "cut %d" n
+  | Insert (n, l) -> Printf.sprintf "insert %d (%d bytes)" n (String.length l)
+  | Drop_newline -> "drop newline"
+
+(* Random histories of appends and damage: every append, and one more
+   after the history, gets the id the full reload would give. *)
+let tail_numbering_prop =
+  QCheck.Test.make ~name:"tail numbering equals the full-reload numbering" ~count:150
+    (QCheck.make
+       ~print:(fun steps -> String.concat "; " (List.map print_step steps))
+       QCheck.Gen.(list_size (int_range 1 14) step_gen))
+    (fun steps ->
+      with_temp_dir (fun dir ->
+          let file = Ledger.path ~dir in
+          let text () = if Sys.file_exists file then read_file file else "" in
+          let at n t = n mod (String.length t + 1) in
+          let ok = ref true in
+          List.iteri
+            (fun i step ->
+              match step with
+              | Append -> ok := append_checked ~dir (Printf.sprintf "h%d" i) && !ok
+              | Cut n ->
+                let t = text () in
+                write_file file (String.sub t 0 (at n t))
+              | Insert (n, line) ->
+                let t = text () in
+                let k = at n t in
+                write_file file
+                  (String.sub t 0 k ^ line ^ "\n" ^ String.sub t k (String.length t - k))
+              | Drop_newline ->
+                let t = text () in
+                let n = String.length t in
+                if n > 0 && t.[n - 1] = '\n' then write_file file (String.sub t 0 (n - 1)))
+            steps;
+          append_checked ~dir "last" && !ok))
+
+(* The record before a torn tail is longer than one tail block, so
+   the walk back has to widen its window past it. *)
+let test_ledger_tail_long_record () =
+  with_temp_dir (fun dir ->
+      ignore (Ledger.append ~dir (sample_record ()));
+      let long = String.make 70_000 'x' in
+      ignore (Ledger.append ~dir (sample_record ~label:long ()));
+      let file = Ledger.path ~dir in
+      write_file file (read_file file ^ "{\"schema\": \"iocov-run/1\", \"id\": \"r3");
+      (match Ledger.append ~dir (sample_record ~label:"v.bin" ()) with
+       | Ok r -> check_string "one past the long record" "r3" r.Ledger.r_id
+       | Error msg -> Alcotest.fail msg);
+      let { Ledger.records; bad_lines } = Ledger.load ~dir in
+      check_int "torn line counted" 1 bad_lines;
+      check_bool "long record intact" true
+        ((Option.get (Ledger.find records "r2")).Ledger.r_label = long);
+      check_bool "new record readable" true
+        ((Option.get (Ledger.find records "r3")).Ledger.r_label = "v.bin"))
+
+let test_ledger_tail_only_garbage () =
+  with_temp_dir (fun dir ->
+      write_file (Ledger.path ~dir) "not json\n{\"schema\": 1}\n\n   \ngarbage";
+      match Ledger.append ~dir (sample_record ()) with
+      | Ok r -> check_string "garbage holds no ids" "r1" r.Ledger.r_id
+      | Error msg -> Alcotest.fail msg)
+
+let test_ledger_tail_empty_file () =
+  with_temp_dir (fun dir ->
+      let file = Ledger.path ~dir in
+      write_file file "";
+      (match Ledger.append ~dir (sample_record ()) with
+       | Ok r -> check_string "first id" "r1" r.Ledger.r_id
+       | Error msg -> Alcotest.fail msg);
+      check_bool "no newline before the first record" true ((read_file file).[0] = '{'))
+
+(* A readable record whose id is not [rN] holds no number: the walk
+   goes on to the record before it. *)
+let test_ledger_tail_skips_foreign_id () =
+  with_temp_dir (fun dir ->
+      ignore (Ledger.append ~dir (sample_record ()));
+      ignore (Ledger.append ~dir (sample_record ()));
+      let file = Ledger.path ~dir in
+      let foreign = { (sample_record ()) with Ledger.r_id = "x9" } in
+      write_file file (read_file file ^ Json.to_string (Ledger.to_json foreign) ^ "\n");
+      match Ledger.append ~dir (sample_record ()) with
+      | Ok r -> check_string "one past the last rN" "r3" r.Ledger.r_id
+      | Error msg -> Alcotest.fail msg)
+
+(* --- the bitmap's hex codec, against the [Printf] / [int_of_string]
+   one it replaced --- *)
+
+let reference_hex_of_bytes b =
+  let buf = Buffer.create (2 * Bytes.length b) in
+  Bytes.iter (fun c -> Buffer.add_string buf (Printf.sprintf "%02x" (Char.code c))) b;
+  Buffer.contents buf
+
+let reference_bytes_of_hex s =
+  if String.length s mod 2 <> 0 then Error "odd-length hex string"
+  else
+    try
+      Ok
+        (Bytes.init (String.length s / 2) (fun i ->
+             Char.chr (int_of_string ("0x" ^ String.sub s (2 * i) 2))))
+    with _ -> Error "invalid hex string"
+
+let hex_encode_prop =
+  QCheck.Test.make ~name:"hex encoding equals the Printf encoding and round-trips"
+    ~count:500 QCheck.(string_of_size Gen.(int_bound 300))
+    (fun s ->
+      let b = Bytes.of_string s in
+      let hex = Ledger.hex_of_bytes b in
+      hex = reference_hex_of_bytes b && Ledger.bytes_of_hex hex = Ok b)
+
+(* [int_of_string] reads "0x1_" as 1, so the reference accepts a pair
+   whose second character is '_'; the table refuses it. *)
+let underscore_pair s =
+  let rec go i = i + 1 < String.length s && (s.[i + 1] = '_' || go (i + 2)) in
+  go 0
+
+let hex_decode_prop =
+  let gen =
+    let open QCheck.Gen in
+    oneof
+      [ map (fun s -> Ledger.hex_of_bytes (Bytes.of_string s)) (string_size (int_bound 64));
+        map
+          (fun s -> String.uppercase_ascii (Ledger.hex_of_bytes (Bytes.of_string s)))
+          (string_size (int_bound 64));
+        string_size
+          ~gen:(oneofl (List.of_seq (String.to_seq "0123456789abcdefABCDEF_xg -+")))
+          (int_bound 41) ]
+  in
+  QCheck.Test.make ~name:"hex decoding equals int_of_string's, but for '_'" ~count:1000
+    (QCheck.make ~print:(Printf.sprintf "%S") gen)
+    (fun s ->
+      match reference_bytes_of_hex s with
+      | Ok _ when underscore_pair s -> Ledger.bytes_of_hex s = Error "invalid hex string"
+      | expect -> Ledger.bytes_of_hex s = expect)
+
 let test_ledger_missing_dir_empty () =
   let { Ledger.records; bad_lines } = Ledger.load ~dir:"/nonexistent/iocov" in
   check_int "no records" 0 (List.length records);
@@ -348,6 +537,13 @@ let suites =
         Alcotest.test_case "append and load" `Quick test_ledger_append_load;
         Alcotest.test_case "truncated tail" `Quick test_ledger_truncated_tail;
         Alcotest.test_case "garbage middle line" `Quick test_ledger_garbage_middle_line;
+        Alcotest.test_case "tail: record longer than a block" `Quick test_ledger_tail_long_record;
+        Alcotest.test_case "tail: only garbage" `Quick test_ledger_tail_only_garbage;
+        Alcotest.test_case "tail: empty file" `Quick test_ledger_tail_empty_file;
+        Alcotest.test_case "tail: foreign id skipped" `Quick test_ledger_tail_skips_foreign_id;
+        QCheck_alcotest.to_alcotest tail_numbering_prop;
+        QCheck_alcotest.to_alcotest hex_encode_prop;
+        QCheck_alcotest.to_alcotest hex_decode_prop;
         Alcotest.test_case "missing dir" `Quick test_ledger_missing_dir_empty;
         Alcotest.test_case "diff identical" `Quick test_diff_identical;
         Alcotest.test_case "diff gained/lost" `Quick test_diff_gained_and_lost;

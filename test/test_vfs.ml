@@ -465,6 +465,42 @@ let test_pread_negative_offset () =
     (Fs.exec fs (Model.write ~variant:Model.Sys_pwrite64 ~offset:(-1) ~fd ~count:10 ()));
   ignore (Fs.exec fs (Model.close fd))
 
+(* A negative byte count is EINVAL (Linux's [rw_verify_area]), checked
+   after the fd's access mode and before the per-type dispatch, and it
+   leaves the fd offset and the file alone. *)
+let test_negative_count_einval () =
+  let fs = fresh () in
+  ignore (make_file ~size:100 fs "/d/f");
+  let fd = ret_fd (Fs.exec fs (Model.open_ ~flags:rdwr "/d/f")) in
+  expect_ret "seek" 40 (Fs.exec fs (Model.lseek ~fd ~offset:40 ~whence:Whence.SEEK_SET));
+  let calls count =
+    [ ("read", Model.read ~fd ~count ());
+      ("pread64", Model.read ~variant:Model.Sys_pread64 ~offset:10 ~fd ~count ());
+      ("write", Model.write ~fd ~count ());
+      ("pwrite64", Model.write ~variant:Model.Sys_pwrite64 ~offset:10 ~fd ~count ()) ]
+  in
+  List.iter
+    (fun count ->
+      List.iter
+        (fun (name, call) ->
+          let what = Printf.sprintf "%s count %d" name count in
+          expect_err what Errno.EINVAL (Fs.exec fs call);
+          expect_ret (what ^ ": offset kept") 40
+            (Fs.exec fs (Model.lseek ~fd ~offset:0 ~whence:Whence.SEEK_CUR));
+          expect_ret (what ^ ": size kept") 100
+            (Fs.exec fs (Model.lseek ~fd ~offset:0 ~whence:Whence.SEEK_END));
+          ignore (Fs.exec fs (Model.lseek ~fd ~offset:40 ~whence:Whence.SEEK_SET)))
+        (calls count))
+    [ -1; min_int ];
+  expect_ret "data intact" 60 (Fs.exec fs (Model.read ~fd ~count:1000 ()));
+  ignore (Fs.exec fs (Model.close fd));
+  let ro = ret_fd (Fs.exec fs (Model.open_ ~flags:rdonly "/d/f")) in
+  expect_err "read-only fd write" Errno.EBADF (Fs.exec fs (Model.write ~fd:ro ~count:(-1) ()));
+  let wo = ret_fd (Fs.exec fs (Model.open_ ~flags:wronly "/d/f")) in
+  expect_err "write-only fd read" Errno.EBADF (Fs.exec fs (Model.read ~fd:wo ~count:(-1) ()));
+  let dir = ret_fd (Fs.exec fs (Model.open_ ~flags:rdonly "/d")) in
+  expect_err "directory read" Errno.EINVAL (Fs.exec fs (Model.read ~fd:dir ~count:(-1) ()))
+
 let test_write_zero_keeps_offset () =
   let fs = fresh () in
   let fd = ret_fd (Fs.exec fs (Model.open_ ~mode:0o644 ~flags:creat_rw "/d/f")) in
@@ -1008,6 +1044,7 @@ let suites =
         Alcotest.test_case "read EISDIR" `Quick test_read_eisdir;
         Alcotest.test_case "pread/pwrite keep offset" `Quick test_pread_pwrite_do_not_move_offset;
         Alcotest.test_case "negative p-offsets" `Quick test_pread_negative_offset;
+        Alcotest.test_case "negative count EINVAL" `Quick test_negative_count_einval;
         Alcotest.test_case "zero write keeps offset" `Quick test_write_zero_keeps_offset;
         Alcotest.test_case "O_APPEND" `Quick test_append_mode;
         Alcotest.test_case "EFBIG" `Quick test_write_efbig;
