@@ -38,7 +38,7 @@ let seed = ref 42
 let only = ref []
 let perf = ref true
 let metrics_json = ref ""
-let coverage_events = ref 1_000_000
+let trace_events = ref 1_000_000
 
 let usage = "bench/main.exe [--scale S] [--seed N] [--only ID]* [--no-perf] [--metrics-json F]"
 
@@ -49,12 +49,10 @@ let () =
       ("--only", Arg.String (fun s -> only := s :: !only),
        "run one experiment (bugstudy|fig2|table1|fig3|fig4|fig5|syscalls|differential|\
         tcd-ablation|partition-ablation|variant-ablation|remaining|ltp|reduction|fuzzer|\
-        perf|coverage|robustness|obs|format|serve|crash)");
+        perf|robustness|obs|format|serve|crash)");
       ("--format-bench", Arg.Unit (fun () -> only := "format" :: !only),
        "shorthand for --only format (the v3-compactness and scanner-equivalence gate; \
         exits non-zero on failure)");
-      ("--coverage-bench", Arg.Unit (fun () -> only := "coverage" :: !only),
-       "shorthand for --only coverage (E12, dense vs hashed observe microbench)");
       ("--serve-bench", Arg.Unit (fun () -> only := "serve" :: !only),
        "shorthand for --only serve (E16, multi-tenant mixed ingest/query workload; \
         exits non-zero if a tenant digest diverges from offline analyze)");
@@ -65,8 +63,9 @@ let () =
        "shorthand for --only crash (E17, crash-state enumeration throughput and \
         outcome-cell coverage vs bound; exits non-zero on an oracle violation or \
         coverage that shrinks as the bound grows)");
-      ("--events", Arg.Set_int coverage_events,
-       "synthetic trace size for --only coverage (default 1000000)");
+      ("--events", Arg.Set_int trace_events,
+       "synthetic trace size for --only robustness (capped at 500000) and --only serve \
+        (default 1000000)");
       ("--no-perf", Arg.Clear perf, "skip the Bechamel performance benches");
       ("--metrics-json", Arg.Set_string metrics_json,
        "after the experiments, write the self-observability registry (metrics + span \
@@ -477,7 +476,7 @@ let e10_fuzzer () =
      strictly more of the partitioned input space for the same budget —\n\
      the related-work critique of path-coverage fuzzers, measured."
 
-(* --- shared by E9/E12/E13: synthetic traces, wall clocks, JSON output --- *)
+(* --- shared by E9/E13/E16: synthetic traces, wall clocks, JSON output --- *)
 
 (* A mixed synthetic trace shaped like a suite run: mostly data-path
    calls under the mount, a tail of out-of-mount noise the filter must
@@ -781,83 +780,11 @@ let perf_benches () =
   in
   write_json "BENCH_pipeline.json" body
 
-(* --- E12: coverage counters — compiled dense plan vs reference histograms --- *)
-
-let e12_coverage () =
-  heading "E12" "Coverage counters: compiled dense plan vs reference histograms";
-  let n = !coverage_events in
-  Printf.printf "generating a %s-event synthetic trace...\n%!" (Ascii.si_count n);
-  let events = synth_events n in
-  (* pre-decode to (call, outcome) pairs so the single-thread loops
-     measure pure observe throughput — no filtering, no batching *)
-  let rev_pairs = ref [] in
-  Event.iter_tracked events (fun c o -> rev_pairs := (c, o) :: !rev_pairs);
-  let pairs = Array.of_list (List.rev !rev_pairs) in
-  let m = Array.length pairs in
-  Printf.printf "plan: %d cells; %s tracked observations per pass\n%!"
-    Iocov_core.Plan.total (Ascii.si_count m);
-  let run_dense () =
-    let d = Coverage.Dense.create () in
-    let (), dt =
-      timed_wall (fun () ->
-          Array.iter (fun (c, o) -> Coverage.Dense.observe d c o) pairs)
-    in
-    (d, dt)
-  in
-  let run_reference () =
-    let cov = Coverage.create () in
-    let (), dt =
-      timed_wall (fun () -> Array.iter (fun (c, o) -> Coverage.observe cov c o) pairs)
-    in
-    (cov, dt)
-  in
-  (* one warm-up pass each, then the measured pass *)
-  ignore (run_dense ());
-  ignore (run_reference ());
-  let dense_acc, dense_dt = run_dense () in
-  let ref_acc, ref_dt = run_reference () in
-  let dense_rate = float_of_int m /. dense_dt in
-  let ref_rate = float_of_int m /. ref_dt in
-  let speedup = ref_dt /. dense_dt in
-  let single_identical = Snapshot.equal (Coverage.Dense.to_reference dense_acc) ref_acc in
-  Printf.printf "  dense:     %.3fs (%s observes/s)\n" dense_dt
-    (Ascii.si_count (int_of_float dense_rate));
-  Printf.printf "  reference: %.3fs (%s observes/s)\n" ref_dt
-    (Ascii.si_count (int_of_float ref_rate));
-  Printf.printf "  speedup %.2fx, snapshots %s\n%!" speedup
-    (if single_identical then "identical" else "DIFFER");
-  (* the same trace through the replay pipeline, checked against a
-     per-event filter-and-observe fold of the trace *)
-  let filter = Filter.mount_point "/mnt/test" in
-  let oracle = Coverage.create ~metered:false () in
-  Event.iter_tracked (List.filter (Filter.keeps filter) events) (Coverage.observe oracle);
-  let product, pipe_dt =
-    timed_wall (fun () -> pipe_run ~stages:[ Stage.filter filter ] (Source.events events))
-  in
-  let pipe_identical = Snapshot.equal product.Sink.coverage oracle in
-  let pipe_rate = float_of_int n /. pipe_dt in
-  Printf.printf "  pipeline:  %.2fs (%s events/s), coverage %s\n%!" pipe_dt
-    (Ascii.si_count (int_of_float pipe_rate))
-    (if pipe_identical then "identical to per-event observe" else "DIFFERS");
-  let body =
-    Printf.sprintf
-      "{\n  \"schema\": \"iocov-bench-coverage/3\",\n  \"seed\": %d,\n  \"trace_events\": %d,\n  \
-       \"tracked_observations\": %d,\n  \"plan_cells\": %d,\n  \"single_thread\": {\n    \
-       \"dense\": { \"elapsed_s\": %.4f, \"observes_per_s\": %.0f },\n    \
-       \"reference\": { \"elapsed_s\": %.4f, \"observes_per_s\": %.0f },\n    \
-       \"speedup_dense_vs_reference\": %.3f,\n    \"snapshot_identical\": %b\n  },\n  \
-       \"pipeline\": { \"elapsed_s\": %.4f, \"events_per_s\": %.0f, \
-       \"coverage_identical\": %b }\n}\n"
-      !seed n m Iocov_core.Plan.total dense_dt dense_rate ref_dt ref_rate speedup
-      single_identical pipe_dt pipe_rate pipe_identical
-  in
-  write_json "BENCH_coverage.json" body
-
 (* --- E13: fault-tolerant ingestion — what robustness costs --- *)
 
 let e13_robustness () =
   heading "E13" "Fault tolerance: CRC framing, lenient ingest, and checkpoint overhead";
-  let n = min !coverage_events 500_000 in
+  let n = min !trace_events 500_000 in
   Printf.printf "generating a %s-event synthetic trace...\n%!" (Ascii.si_count n);
   let events = synth_events n in
   let filter = Filter.mount_point "/mnt/test" in
@@ -909,7 +836,7 @@ let e13_robustness () =
           match Iocov_trace.Binary_io.open_stream ic with
           | Error msg -> failwith ("v3 drain: " ^ msg)
           | Ok st ->
-            let dense = Coverage.Dense.create () in
+            let dense = Coverage.create () in
             let (), dt =
               timed_wall (fun () ->
                   let continue = ref true in
@@ -1128,7 +1055,7 @@ let format_bench () =
       match Iocov_trace.Binary_io.open_stream ic with
       | Error msg -> fail "v3 open_stream: %s" msg
       | Ok st ->
-        let dense = Coverage.Dense.create () in
+        let dense = Coverage.create () in
         let (), dt =
           timed_wall (fun () ->
               let continue = ref true in
@@ -1255,12 +1182,12 @@ let e14_obs () =
    - per-tenant digests, gated byte-identical to an offline
      [iocov analyze] of the same trace (the differential oracle);
    - query latency under ingest load (p50/p99) and the cost of one
-     epoch publish (an O(cells) dense snapshot), reported. *)
+     epoch publish (an O(cells) coverage copy), reported. *)
 let serve_bench () =
   heading "E16" "Serve: multi-tenant mixed ingest/query workload";
   let module Hub = Iocov_serve.Hub in
   let tenants = 8 in
-  let per_tenant = max 20_000 (min 250_000 (!coverage_events / tenants)) in
+  let per_tenant = max 20_000 (min 250_000 (!trace_events / tenants)) in
   let total = tenants * per_tenant in
   let tenant_id i = Printf.sprintf "tenant%02d" i in
   Printf.printf "generating %d tenant traces x %s events...\n%!" tenants
@@ -1428,20 +1355,20 @@ let serve_bench () =
       Printf.printf "  query %-8s  %5d ok   p50 %8.1f us   p99 %8.1f us\n" kind
         count p50 p99)
     kinds;
-  (* publish overhead: one epoch is an O(cells) dense snapshot *)
+  (* publish overhead: one epoch is an O(cells) coverage copy *)
   let snapshot_us =
-    let dense = Coverage.Dense.create () in
+    let dense = Coverage.create () in
     List.iter
       (fun e ->
         match e.Event.payload with
-        | Event.Tracked call -> Coverage.Dense.observe dense call e.Event.outcome
+        | Event.Tracked call -> Coverage.observe dense call e.Event.outcome
         | _ -> ())
       tenant_events.(0);
     let reps = 1000 in
     let (), dt =
       timed_wall (fun () ->
           for _ = 1 to reps do
-            ignore (Coverage.Dense.snapshot dense)
+            ignore (Coverage.copy dense)
           done)
     in
     1e6 *. dt /. float_of_int reps
@@ -1687,7 +1614,6 @@ let () =
   if wanted "reduction" then s3_reduction ();
   if wanted "fuzzer" then e10_fuzzer ();
   if !perf && wanted "perf" then perf_benches ();
-  if wanted "coverage" then e12_coverage ();
   if wanted "robustness" then e13_robustness ();
   if wanted "format" then format_bench ();
   if wanted "obs" then e14_obs ();

@@ -69,7 +69,7 @@ let filter = Filter.mount_point "/mnt/test"
 (* the offline oracle: per-event filter + observe, then the ledger's
    CRC-32 digest — exactly what `iocov analyze` fingerprints *)
 let offline_digest events =
-  let cov = Coverage.create ~metered:false () in
+  let cov = Coverage.create () in
   List.iter
     (fun e ->
       if Filter.keeps filter e then

@@ -1,5 +1,4 @@
 open Iocov_syscall
-module Histogram = Iocov_util.Histogram
 module Metrics = Iocov_obs.Metrics
 
 let m_calls =
@@ -17,94 +16,97 @@ let m_variant_updates = m_update "variant"
 let m_flag_set_updates = m_update "flag_set"
 
 type t = {
-  inputs : (Arg_class.arg, Partition.t Histogram.t) Hashtbl.t;
-  outputs : (Model.base, Partition.output Histogram.t) Hashtbl.t;
-  variants : Model.variant Histogram.t;
-  flag_sets : Open_flags.t Histogram.t;
-  crash : (Partition.crash_mode * Partition.crash_outcome) Histogram.t;
+  counts : int array; (* one counter per Plan cell ID *)
+  bump : int -> unit; (* pre-bound [counts] incrementer, so the hot path
+                         passes one closure with no per-call allocation *)
+  flag_sets : (int, int ref) Hashtbl.t; (* exact open masks: unbounded key
+                                           space, stays a table *)
   mutable calls : int;
-  metered : bool;
 }
 
-let compare_crash_key (m1, o1) (m2, o2) =
-  match Partition.compare_crash_mode m1 m2 with
-  | 0 -> Partition.compare_crash_outcome o1 o2
-  | c -> c
+let make counts flag_sets calls =
+  let bump id = counts.(id) <- counts.(id) + 1 in
+  { counts; bump; flag_sets; calls }
 
-let create ?(metered = true) () =
-  {
-    inputs = Hashtbl.create 16;
-    outputs = Hashtbl.create 16;
-    (* Monomorphic comparators: polymorphic [Stdlib.compare] walks the
-       runtime representation on every histogram sort; these compile to
-       integer compares (variants order by their dense index, which
-       matches declaration order). *)
-    variants = Histogram.create ~compare:Model.compare_variant;
-    flag_sets = Histogram.create ~compare:Int.compare;
-    crash = Histogram.create ~compare:compare_crash_key;
-    calls = 0;
-    metered;
-  }
+let create ?metered:_ () = make (Array.make Plan.total 0) (Hashtbl.create 64) 0
 
-let input_hist t arg =
-  match Hashtbl.find_opt t.inputs arg with
-  | Some h -> h
-  | None ->
-    let h = Histogram.create ~compare:Partition.compare in
-    Hashtbl.add t.inputs arg h;
-    h
+(* --- observation --- *)
 
-let output_hist t base =
-  match Hashtbl.find_opt t.outputs base with
-  | Some h -> h
-  | None ->
-    let h = Histogram.create ~compare:Partition.compare_output in
-    Hashtbl.add t.outputs base h;
-    h
+let bumper t = t.bump
+let counts t = t.counts
+let count_call t = t.calls <- t.calls + 1
 
-(* Shared table-update body of the observe paths.  Returns the number
-   of input-table updates and whether a flag set was recorded, so the
-   caller can credit metering in one batch. *)
-let record_inputs t call =
-  t.calls <- t.calls + 1;
-  Histogram.add t.variants (Model.variant_of_call call);
-  let n_inputs =
-    List.fold_left
-      (fun acc (arg, part) ->
-        Histogram.add (input_hist t arg) part;
-        acc + 1)
-      0 (Partition.of_call call)
-  in
-  let flag_set =
-    match call with
-    | Model.Open_call { flags; _ } ->
-      Histogram.add t.flag_sets flags;
-      true
-    | _ -> false
-  in
-  (n_inputs, flag_set)
-
-(* Metering is hoisted out of the per-update loops: one observation
-   credits all its counter increments in a single batch, with totals
-   exactly equal to per-update metering (asserted in test_obs). *)
-let meter_observation t ~inputs ~flag_set ~outputs =
-  if t.metered then begin
-    Metrics.Counter.incr m_calls;
-    Metrics.Counter.incr m_variant_updates;
-    if inputs > 0 then Metrics.Counter.add m_input_updates inputs;
-    if flag_set then Metrics.Counter.incr m_flag_set_updates;
-    if outputs > 0 then Metrics.Counter.add m_output_updates outputs
-  end
+let observe_open_mask t flags =
+  match Hashtbl.find t.flag_sets flags with
+  | r -> incr r
+  | exception Not_found -> Hashtbl.add t.flag_sets flags (ref 1)
 
 let observe_input_only t call =
-  let inputs, flag_set = record_inputs t call in
-  meter_observation t ~inputs ~flag_set ~outputs:0
+  count_call t;
+  t.bump (Plan.variant_cell (Model.variant_of_call call));
+  Plan.iter_input_slots call t.bump;
+  match call with
+  | Model.Open_call { flags; _ } -> observe_open_mask t flags
+  | _ -> ()
 
 let observe t call outcome =
-  let inputs, flag_set = record_inputs t call in
-  let base = Model.base_of_call call in
-  Histogram.add (output_hist t base) (Partition.output_of base outcome);
-  meter_observation t ~inputs ~flag_set ~outputs:1
+  observe_input_only t call;
+  t.bump (Plan.output_cell (Model.base_of_call call) outcome)
+
+let add_flag_set t mask count =
+  if count < 0 then invalid_arg "Coverage.add_flag_set: negative count";
+  if count > 0 then
+    match Hashtbl.find t.flag_sets mask with
+    | r -> r := !r + count
+    | exception Not_found -> Hashtbl.add t.flag_sets mask (ref count)
+
+(* [src] may be [dst]: doubling adds no key, so iterating the table
+   while bumping its refs is safe. *)
+let merge_into ~dst src =
+  dst.calls <- dst.calls + src.calls;
+  let d = dst.counts and s = src.counts in
+  for i = 0 to Array.length d - 1 do
+    d.(i) <- d.(i) + s.(i)
+  done;
+  Hashtbl.iter (fun mask r -> add_flag_set dst mask !r) src.flag_sets
+
+let copy t =
+  let flag_sets = Hashtbl.create (max 16 (Hashtbl.length t.flag_sets)) in
+  Hashtbl.iter (fun mask r -> Hashtbl.add flag_sets mask (ref !r)) t.flag_sets;
+  make (Array.copy t.counts) flag_sets t.calls
+
+let reset t =
+  Array.fill t.counts 0 Plan.total 0;
+  Hashtbl.reset t.flag_sets;
+  t.calls <- 0
+
+(* --- plan ranges --- *)
+
+let sum_range t lo hi =
+  let s = ref 0 in
+  for id = lo to hi - 1 do
+    s := !s + t.counts.(id)
+  done;
+  !s
+
+let lit_range t lo hi =
+  let n = ref 0 in
+  for id = lo to hi - 1 do
+    if t.counts.(id) > 0 then incr n
+  done;
+  !n
+
+let flag_set_total t = Hashtbl.fold (fun _ r acc -> acc + !r) t.flag_sets 0
+
+(* Every [observe] bumps one variant cell, one cell per input partition,
+   one output cell and at most one flag set, so the counts are exactly
+   the increments per-update metering would have made. *)
+let meter_counts t =
+  Metrics.Counter.add m_calls t.calls;
+  Metrics.Counter.add m_variant_updates (sum_range t 0 Plan.inputs_off);
+  Metrics.Counter.add m_flag_set_updates (flag_set_total t);
+  Metrics.Counter.add m_input_updates (sum_range t Plan.inputs_off Plan.outputs_off);
+  Metrics.Counter.add m_output_updates (sum_range t Plan.outputs_off Plan.crash_off)
 
 (* Table sizes are per-accumulator, so they are published on demand for
    one chosen instance (the run's accumulator) rather than streamed —
@@ -114,71 +116,70 @@ let publish_gauges t =
   let g name help =
     Metrics.gauge Metrics.default ("iocov_coverage_" ^ name) ~help
   in
-  let distinct_sum tbl =
-    Hashtbl.fold (fun _ h acc -> acc + Histogram.distinct h) tbl 0
+  let lit_blocks blocks =
+    List.length (List.filter (fun (off, n) -> lit_range t off (off + n) > 0) blocks)
   in
   Metrics.Gauge.set (g "input_tables" "Tracked arguments with observations.")
-    (Hashtbl.length t.inputs);
+    (lit_blocks (List.map (fun a -> (Plan.arg_offset a, Plan.arg_cells a)) Arg_class.all));
   Metrics.Gauge.set (g "output_tables" "Base syscalls with observed outputs.")
-    (Hashtbl.length t.outputs);
+    (lit_blocks
+       (List.map (fun b -> (Plan.base_offset b, Plan.per_base_outputs)) Model.all_bases));
   Metrics.Gauge.set
     (g "distinct_input_partitions" "Distinct input partitions hit, all arguments.")
-    (distinct_sum t.inputs);
+    (lit_range t Plan.inputs_off Plan.outputs_off);
   Metrics.Gauge.set
     (g "distinct_output_partitions" "Distinct output partitions hit, all bases.")
-    (distinct_sum t.outputs);
+    (lit_range t Plan.outputs_off Plan.crash_off);
   Metrics.Gauge.set (g "distinct_variants" "Distinct syscall variants observed.")
-    (Histogram.distinct t.variants);
+    (lit_range t 0 Plan.inputs_off);
   Metrics.Gauge.set (g "distinct_flag_sets" "Distinct exact open-flag sets observed.")
-    (Histogram.distinct t.flag_sets)
+    (Hashtbl.length t.flag_sets)
 
-let merge_into ~dst src =
-  dst.calls <- dst.calls + src.calls;
-  Histogram.merge_into ~dst:dst.variants src.variants;
-  Histogram.merge_into ~dst:dst.flag_sets src.flag_sets;
-  Histogram.merge_into ~dst:dst.crash src.crash;
-  Hashtbl.iter
-    (fun arg h -> Histogram.merge_into ~dst:(input_hist dst arg) h)
-    src.inputs;
-  Hashtbl.iter
-    (fun base h -> Histogram.merge_into ~dst:(output_hist dst base) h)
-    src.outputs
+(* --- input side --- *)
 
-let copy t =
-  let fresh = create ~metered:t.metered () in
-  merge_into ~dst:fresh t;
-  fresh
+let input_count t arg part =
+  match Plan.input_cell arg part with Some id -> t.counts.(id) | None -> 0
 
-(* Credit this accumulator's counts to the global iocov_coverage_*
-   counters in one batch — exactly the increments the per-event metered
-   path would have made, since every [observe] adds one entry per
-   touched table.  The parallel pipeline calls this once after merging
-   its unmetered shards, keeping counter totals identical to a
-   sequential run without per-event atomic traffic from the workers. *)
-let meter_counts t =
-  let table_total tbl = Hashtbl.fold (fun _ h acc -> acc + Histogram.total h) tbl 0 in
-  Metrics.Counter.add m_calls t.calls;
-  Metrics.Counter.add m_variant_updates (Histogram.total t.variants);
-  Metrics.Counter.add m_flag_set_updates (Histogram.total t.flag_sets);
-  Metrics.Counter.add m_input_updates (table_total t.inputs);
-  Metrics.Counter.add m_output_updates (table_total t.outputs)
+let input_part id =
+  match Plan.cells.(id) with
+  | Plan.Cell_input (_, part) -> part
+  | _ -> invalid_arg "Coverage: not an input cell"
 
-let input_count t arg part = Histogram.count (input_hist t arg) part
-let input_histogram t arg = Histogram.to_sorted (input_hist t arg)
+(* Observed cells of an argument in [Partition.compare] order, built
+   back to front.  That is the plan's order except for a mode argument,
+   whose plan block starts with MODE_0000 while [Partition.compare]
+   ranks every mode bit first. *)
+let input_histogram t arg =
+  let off = Plan.arg_offset arg and n = Plan.arg_cells arg in
+  let acc = ref [] in
+  let push id =
+    let c = t.counts.(id) in
+    if c > 0 then acc := (input_part id, c) :: !acc
+  in
+  let zero_first =
+    n > 0
+    && match Plan.cells.(off) with
+       | Plan.Cell_input (_, Partition.P_mode_zero) -> true
+       | _ -> false
+  in
+  if zero_first then push off;
+  for id = off + n - 1 downto (if zero_first then off + 1 else off) do
+    push id
+  done;
+  !acc
 
 let input_series t arg =
-  let h = input_hist t arg in
-  List.map (fun p -> (p, Histogram.count h p)) (Partition.domain arg)
+  List.map (fun p -> (p, input_count t arg p)) (Partition.domain arg)
 
 let untested_inputs t arg =
-  let h = input_hist t arg in
-  List.filter (fun p -> not (Histogram.mem h p)) (Partition.domain arg)
+  List.filter (fun p -> input_count t arg p = 0) (Partition.domain arg)
+
+let covered_ratio ~count dom =
+  let covered = List.length (List.filter (fun p -> count p > 0) dom) in
+  float_of_int covered /. float_of_int (List.length dom)
 
 let input_coverage_ratio t arg =
-  let dom = Partition.domain arg in
-  let h = input_hist t arg in
-  let covered = List.length (List.filter (Histogram.mem h) dom) in
-  float_of_int covered /. float_of_int (List.length dom)
+  covered_ratio ~count:(input_count t arg) (Partition.domain arg)
 
 let input_coverage_ratio_of_base t base =
   match Arg_class.args_of_base base with
@@ -187,16 +188,53 @@ let input_coverage_ratio_of_base t base =
     let sum = List.fold_left (fun acc a -> acc +. input_coverage_ratio t a) 0.0 args in
     sum /. float_of_int (List.length args)
 
-let output_count t base out = Histogram.count (output_hist t base) out
-let output_histogram t base = Histogram.to_sorted (output_hist t base)
+(* --- output side --- *)
+
+let output_count t base out =
+  match Plan.output_partition_cell base out with Some id -> t.counts.(id) | None -> 0
+
+let output_part id =
+  match Plan.cells.(id) with
+  | Plan.Cell_output (_, out) -> out
+  | _ -> invalid_arg "Coverage: not an output cell"
+
+(* Errno indices in kernel-code order ([Errno.to_code]), the order
+   [Partition.compare_output] gives errors; the plan lays them out by
+   declaration index.  Built on first use, so a program that never
+   renders a snapshot does not carry it. *)
+let errnos_by_code =
+  lazy
+    (Errno.all
+     |> List.sort (fun a b -> Int.compare (Errno.to_code a) (Errno.to_code b))
+     |> List.map Errno.index
+     |> Array.of_list)
+
+(* Observed cells of a base in [Partition.compare_output] order, built
+   back to front: errors by kernel code, then the success cells, which
+   the plan already lays out in order. *)
+let output_histogram t base =
+  let off = Plan.base_offset base in
+  let acc = ref [] in
+  let push id =
+    let c = t.counts.(id) in
+    if c > 0 then acc := (output_part id, c) :: !acc
+  in
+  let by_code = Lazy.force errnos_by_code in
+  for i = Array.length by_code - 1 downto 0 do
+    push (off + Plan.err0_slot + by_code.(i))
+  done;
+  for id = off + Plan.err0_slot - 1 downto off do
+    push id
+  done;
+  !acc
 
 let output_series t base =
-  let h = output_hist t base in
   let dom = Partition.output_domain base in
-  let in_domain = List.map (fun o -> (o, Histogram.count h o)) dom in
+  let in_domain = List.map (fun o -> (o, output_count t base o)) dom in
   let extras =
-    List.filter (fun (o, _) -> not (List.exists (Partition.equal_output o) dom))
-      (Histogram.to_sorted h)
+    List.filter
+      (fun (o, _) -> not (List.exists (Partition.equal_output o) dom))
+      (output_histogram t base)
   in
   in_domain @ extras
 
@@ -219,167 +257,99 @@ let output_series_grouped t base =
   (`Ok, ok_total) :: errs
 
 let untested_outputs t base =
-  let h = output_hist t base in
-  List.filter (fun o -> not (Histogram.mem h o)) (Partition.output_domain base)
+  List.filter (fun o -> output_count t base o = 0) (Partition.output_domain base)
 
 let output_coverage_ratio t base =
-  let dom = Partition.output_domain base in
-  let h = output_hist t base in
-  let covered = List.length (List.filter (Histogram.mem h) dom) in
-  float_of_int covered /. float_of_int (List.length dom)
+  covered_ratio ~count:(output_count t base) (Partition.output_domain base)
+
+(* --- call accounting --- *)
 
 let calls_observed t = t.calls
+let variant_calls t v = t.counts.(Plan.variant_cell v)
 
 let base_calls t base =
-  List.fold_left
-    (fun acc v -> acc + Histogram.count t.variants v)
-    0
-    (Model.variants_of_base base)
+  List.fold_left (fun acc v -> acc + variant_calls t v) 0 (Model.variants_of_base base)
 
-let variant_calls t v = Histogram.count t.variants v
-let open_flag_sets t = Histogram.to_sorted t.flag_sets
-let variant_histogram t = Histogram.to_sorted t.variants
+let open_flag_sets t =
+  Hashtbl.fold (fun mask r acc -> (mask, !r) :: acc) t.flag_sets []
+  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
 
-let add_input t arg part count = Histogram.add (input_hist t arg) ~count part
-let add_output t base out count = Histogram.add (output_hist t base) ~count out
-let add_variant t v count = Histogram.add t.variants ~count v
-let add_flag_set t mask count = Histogram.add t.flag_sets ~count mask
+(* Variant cells are laid out by [Model.variant_index], which is
+   [Model.compare_variant]'s order. *)
+let variant_histogram t =
+  List.filter_map
+    (fun v ->
+      let n = variant_calls t v in
+      if n > 0 then Some (v, n) else None)
+    Model.all_variants
 
-(* --- post-crash outcomes (DESIGN.md §17) --- *)
+(* --- raw counter injection --- *)
 
-let add_crash t mode outcome count = Histogram.add t.crash ~count (mode, outcome)
-let crash_count t mode outcome = Histogram.count t.crash (mode, outcome)
-let crash_observed t = Histogram.total t.crash
+let add_cell name t id count =
+  if count < 0 then invalid_arg ("Coverage." ^ name ^ ": negative count");
+  t.counts.(id) <- t.counts.(id) + count
 
-let crash_series t =
-  List.concat_map
-    (fun mode ->
-      List.map
-        (fun outcome -> ((mode, outcome), Histogram.count t.crash (mode, outcome)))
-        Partition.all_crash_outcomes)
-    Partition.all_crash_modes
+let add_input t arg part count =
+  match Plan.input_cell arg part with
+  | Some id -> add_cell "add_input" t id count
+  | None -> invalid_arg "Coverage.add_input: no such cell in the plan"
+
+let add_output t base out count =
+  match Plan.output_partition_cell base out with
+  | Some id -> add_cell "add_output" t id count
+  | None -> invalid_arg "Coverage.add_output: no such cell in the plan"
+
+let add_variant t v count = add_cell "add_variant" t (Plan.variant_cell v) count
 
 let add_calls t n =
   if n < 0 then invalid_arg "Coverage.add_calls: negative";
   t.calls <- t.calls + n
 
-(* --- dense counters --- *)
+(* --- post-crash outcomes (DESIGN.md §17) --- *)
 
-module Dense = struct
-  (* Bound before [t] is shadowed by the dense record below. *)
-  let coverage_create = create
+let add_crash t mode outcome count =
+  add_cell "add_crash" t (Plan.crash_cell mode outcome) count
 
-  type t = {
-    counts : int array; (* one counter per Plan cell ID *)
-    bump : int -> unit; (* pre-bound [counts] incrementer, so the hot
-                           path passes one closure with no per-call
-                           allocation *)
-    flag_sets : (int, int ref) Hashtbl.t; (* exact open masks: unbounded
-                                             key space, stays a table *)
-    mutable calls : int;
-  }
+let crash_count t mode outcome = t.counts.(Plan.crash_cell mode outcome)
+let crash_observed t = sum_range t Plan.crash_off Plan.total
 
-  let create () =
-    let counts = Array.make Plan.total 0 in
-    let bump id = counts.(id) <- counts.(id) + 1 in
-    { counts; bump; flag_sets = Hashtbl.create 64; calls = 0 }
-
-  let bumper t = t.bump
-  let counts t = t.counts
-  let count_call t = t.calls <- t.calls + 1
-
-  let observe_open_mask t flags =
-    match Hashtbl.find t.flag_sets flags with
-    | r -> incr r
-    | exception Not_found -> Hashtbl.add t.flag_sets flags (ref 1)
-
-  let observe_input_only t call =
-    count_call t;
-    t.bump (Plan.variant_cell (Model.variant_of_call call));
-    Plan.iter_input_slots call t.bump;
-    match call with
-    | Model.Open_call { flags; _ } -> observe_open_mask t flags
-    | _ -> ()
-
-  let observe t call outcome =
-    observe_input_only t call;
-    t.bump (Plan.output_cell (Model.base_of_call call) outcome)
-
-  let merge_into ~dst src =
-    dst.calls <- dst.calls + src.calls;
-    let d = dst.counts and s = src.counts in
-    for i = 0 to Array.length d - 1 do
-      d.(i) <- d.(i) + s.(i)
-    done;
-    Hashtbl.iter
-      (fun mask r ->
-        match Hashtbl.find dst.flag_sets mask with
-        | r' -> r' := !r' + !r
-        | exception Not_found -> Hashtbl.add dst.flag_sets mask (ref !r))
-      src.flag_sets
-
-  let calls_observed t = t.calls
-
-  (* Direct plan-cell read — what the live progress sink peeks at, so
-     a mid-run snapshot costs an array index, not a conversion. *)
-  let cell_count t id = t.counts.(id)
-
-  let reset t =
-    Array.fill t.counts 0 Plan.total 0;
-    Hashtbl.reset t.flag_sets;
-    t.calls <- 0
-
-  let snapshot t =
-    let counts = Array.copy t.counts in
-    let bump id = counts.(id) <- counts.(id) + 1 in
-    let flag_sets = Hashtbl.create (max 16 (Hashtbl.length t.flag_sets)) in
-    Hashtbl.iter (fun mask r -> Hashtbl.add flag_sets mask (ref !r)) t.flag_sets;
-    { counts; bump; flag_sets; calls = t.calls }
-
-  let to_reference ?(metered = false) t =
-    let cov = coverage_create ~metered () in
-    Array.iteri
-      (fun id n ->
-        if n > 0 then
-          match Plan.cells.(id) with
-          | Plan.Cell_variant v -> add_variant cov v n
-          | Plan.Cell_input (arg, part) -> add_input cov arg part n
-          | Plan.Cell_output (base, out) -> add_output cov base out n
-          | Plan.Cell_crash (mode, outcome) -> add_crash cov mode outcome n)
-      t.counts;
-    Hashtbl.iter (fun mask r -> add_flag_set cov mask !r) t.flag_sets;
-    add_calls cov t.calls;
-    cov
-end
+let crash_series t =
+  List.concat_map
+    (fun mode ->
+      List.map
+        (fun outcome -> ((mode, outcome), crash_count t mode outcome))
+        Partition.all_crash_outcomes)
+    Partition.all_crash_modes
 
 (* --- cell summaries (flight recorder / run ledger) --- *)
 
-let cell_count t = function
-  | Plan.Cell_variant v -> variant_calls t v
-  | Plan.Cell_input (arg, part) -> input_count t arg part
-  | Plan.Cell_output (base, out) -> output_count t base out
-  | Plan.Cell_crash (mode, outcome) -> crash_count t mode outcome
+let cell_count t id = t.counts.(id)
 
+(* Crash cells live on the output side of the universe; the
+   three-bucket ledger shape stays stable. *)
 let lit_cells t =
-  let variants = ref 0 and inputs = ref 0 and outputs = ref 0 in
-  Array.iter
-    (fun cell ->
-      if cell_count t cell > 0 then
-        match cell with
-        | Plan.Cell_variant _ -> incr variants
-        | Plan.Cell_input _ -> incr inputs
-        (* Crash cells live on the output side of the universe; the
-           three-bucket ledger shape stays stable. *)
-        | Plan.Cell_output _ | Plan.Cell_crash _ -> incr outputs)
-    Plan.cells;
-  (!variants, !inputs, !outputs)
+  ( lit_range t 0 Plan.inputs_off,
+    lit_range t Plan.inputs_off Plan.outputs_off,
+    lit_range t Plan.outputs_off Plan.total )
 
 let cell_bitmap t =
   let bitmap = Bytes.make ((Plan.total + 7) / 8) '\000' in
   Array.iteri
-    (fun id cell ->
-      if cell_count t cell > 0 then
+    (fun id n ->
+      if n > 0 then
         Bytes.set bitmap (id / 8)
           (Char.chr (Char.code (Bytes.get bitmap (id / 8)) lor (1 lsl (id mod 8)))))
-    Plan.cells;
+    t.counts;
   bitmap
+
+(* --- compatibility shim (benchmark harness only) --- *)
+
+module Dense = struct
+  type nonrec t = t
+
+  let create () = create ()
+  let merge_into = merge_into
+  let reset = reset
+  let snapshot = copy
+  let to_reference t = t
+end

@@ -6,9 +6,9 @@
    cell per syscall variant.  This module enumerates that universe once
    at load time, interns each cell to a dense integer ID, and provides
    table-free mappings from a decoded call/outcome to its cell IDs —
-   pure integer arithmetic, no hashing, no allocation.  [Coverage.Dense]
-   counts into a flat array indexed by these IDs; [cells] is the inverse
-   mapping used to rebuild a reference accumulator losslessly.
+   pure integer arithmetic, no hashing, no allocation.  [Coverage.t] is
+   a flat array indexed by these IDs; [cells] is the inverse mapping
+   its queries use to name a cell.
 
    Layout (ascending IDs):
 
@@ -20,8 +20,8 @@
    Numeric arguments get the full 65-bucket strip (negative, zero,
    2^0..2^62) rather than their report-domain width: an observed
    partition need not be a domain member (a 2^40-byte write is counted
-   even though Figure 3's axis stops at 2^32), and the dense path must
-   be lossless against the reference accumulator. *)
+   even though Figure 3's axis stops at 2^32), and every observable
+   partition must have a cell. *)
 
 open Iocov_syscall
 module Log2 = Iocov_util.Log2
@@ -228,6 +228,38 @@ let output_cell base outcome =
   match (outcome : Model.outcome) with
   | Model.Err e -> err_output_cell base (Errno.index e)
   | Model.Ret n -> ret_output_cell base n
+
+(* --- partition-keyed lookup ---
+
+   The same offsets, keyed on a partition value: how stored counters
+   (snapshots, fixtures) find their cell.  A partition of another
+   argument's class, or a bucket past 2^62, has no cell. *)
+
+let in_strip k = k >= 0 && k <= 62
+
+let input_cell arg (part : Partition.t) =
+  let off = arg_offset arg in
+  let opens = arg = Arg_class.Open_flags_arg in
+  match (Arg_class.cls_of arg, part) with
+  | Arg_class.Bitmap, Partition.P_flag f when opens -> Some (flag_slot f)
+  | Arg_class.Bitmap, Partition.P_mode_zero when not opens -> Some off
+  | Arg_class.Bitmap, Partition.P_mode_bit b when not opens -> Some (off + 1 + Mode.bit_index b)
+  | Arg_class.Numeric, Partition.P_bucket Log2.Negative -> Some off
+  | Arg_class.Numeric, Partition.P_bucket Log2.Zero -> Some (off + 1)
+  | Arg_class.Numeric, Partition.P_bucket (Log2.Pow2 k) when in_strip k -> Some (off + 2 + k)
+  | Arg_class.Categorical, Partition.P_whence w when arg = Arg_class.Lseek_whence ->
+    Some (off + Whence.to_code w)
+  | Arg_class.Categorical, Partition.P_xflag x when arg = Arg_class.Setxattr_flags ->
+    Some (off + Xattr_flag.to_code x)
+  | _ -> None
+
+let output_partition_cell base (out : Partition.output) =
+  let off = base_offset base in
+  match out with
+  | Partition.O_ok -> Some (off + ok_slot)
+  | Partition.O_ok_zero -> Some (off + ok_zero_slot)
+  | Partition.O_ok_bucket k -> if in_strip k then Some (off + bucket0_slot + k) else None
+  | Partition.O_err e -> Some (off + err0_slot + Errno.index e)
 
 (* --- the inverse mapping --- *)
 

@@ -8,9 +8,9 @@
     {!Partition.of_call} / {!Partition.output_of} down to integer
     arithmetic: flag bitmaps map bit-by-bit to slot IDs, numeric
     arguments map via log2 bucketing to an ID offset, categorical
-    arguments via their variant codes.  {!Coverage.Dense} counts into a
-    flat [int array] indexed by these IDs; {!cells} is the inverse
-    mapping used to rebuild a reference {!Coverage.t} losslessly.
+    arguments via their variant codes.  {!Coverage.t} is a flat
+    [int array] indexed by these IDs; {!cells} is the inverse mapping
+    its queries use to name a cell.
 
     Numeric strips cover the full 63-bit int range (negative, zero,
     2^0..2^62), not just the report domain, so every observable
@@ -46,6 +46,16 @@ val crash_cell : Partition.crash_mode -> Partition.crash_outcome -> int
 (** Cell ID of a post-crash outcome (DESIGN.md §17): one cell per
     (journal mode, per-file outcome) pair, in a dense block after the
     syscall output cells. *)
+
+val input_cell : Arg_class.arg -> Partition.t -> int option
+(** Cell ID of an (argument, partition) pair, by offset arithmetic.
+    [None] when the plan has no such cell: a partition of another
+    argument's class (a flag of [read.count]), or a bucket past 2^62. *)
+
+val output_partition_cell : Iocov_syscall.Model.base -> Partition.output -> int option
+(** Cell ID of a (base, output-partition) pair.  Every base has the full
+    output block (success buckets and every errno), so only a success
+    bucket past 2^62 has no cell. *)
 
 (** {2 Raw-field observation}
 
@@ -94,6 +104,8 @@ val err_output_cell : Iocov_syscall.Model.base -> int -> int
 val inputs_off : int
 val outputs_off : int
 val per_base_outputs : int
+val err0_slot : int
+val arg_cells : Arg_class.arg -> int
 val crash_off : int
 val crash_mode_count : int
 val crash_outcome_count : int

@@ -259,7 +259,7 @@ let cell_label = function
       (Partition.crash_mode_label mode)
       (Partition.crash_outcome_label outcome)
 
-let lit cov id = Coverage.cell_count cov Plan.cells.(id) > 0
+let lit cov id = Coverage.cell_count cov id > 0
 
 let errno_cell id =
   match Plan.cells.(id) with

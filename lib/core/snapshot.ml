@@ -70,6 +70,11 @@ let parse_count s =
   | Some n when n >= 0 -> Ok n
   | _ -> Error (Printf.sprintf "bad count %S" s)
 
+(* A well-formed cell the plan has no counter for (a bucket past 2^62,
+   a partition of another argument's class) can never be observed. *)
+let not_in_plan kind owner token =
+  Error (Printf.sprintf "%s %s %s is not a cell of the plan" kind owner token)
+
 let parse_line cov line =
   match String.split_on_char ' ' line with
   | [ "calls"; n ] ->
@@ -83,12 +88,16 @@ let parse_line cov line =
   | [ "input"; arg_name; token; n ] ->
     let* n = parse_count n in
     (match (Arg_class.of_name arg_name, Partition.of_label token) with
+     | Some arg, Some part when Plan.input_cell arg part = None ->
+       not_in_plan "input" arg_name token
      | Some arg, Some part -> Ok (Coverage.add_input cov arg part n)
      | None, _ -> Error (Printf.sprintf "unknown argument %S" arg_name)
      | _, None -> Error (Printf.sprintf "unknown partition %S" token))
   | [ "output"; base_name; token; n ] ->
     let* n = parse_count n in
     (match (Model.base_of_name base_name, Partition.output_of_token token) with
+     | Some base, Some out when Plan.output_partition_cell base out = None ->
+       not_in_plan "output" base_name token
      | Some base, Some out -> Ok (Coverage.add_output cov base out n)
      | None, _ -> Error (Printf.sprintf "unknown syscall %S" base_name)
      | _, None -> Error (Printf.sprintf "unknown output %S" token))
@@ -144,12 +153,5 @@ let of_string s =
 
 let equal a b =
   Coverage.calls_observed a = Coverage.calls_observed b
-  && Coverage.variant_histogram a = Coverage.variant_histogram b
+  && Coverage.counts a = Coverage.counts b
   && Coverage.open_flag_sets a = Coverage.open_flag_sets b
-  && List.for_all
-       (fun arg -> Coverage.input_histogram a arg = Coverage.input_histogram b arg)
-       Arg_class.all
-  && List.for_all
-       (fun base -> Coverage.output_histogram a base = Coverage.output_histogram b base)
-       Model.all_bases
-  && Coverage.crash_series a = Coverage.crash_series b

@@ -19,14 +19,17 @@
     flagset O_RDONLY|O_CREAT 41
     v}
 
-    Unknown line kinds are rejected (no silent drift across versions). *)
+    Unknown line kinds are rejected (no silent drift across versions),
+    and so is a cell the partition plan has no counter for, such as
+    [input write.count 2^70 1]: no run can observe it. *)
 
 val save : out_channel -> Coverage.t -> unit
 
 val save_file : string -> Coverage.t -> unit
 
 val load : in_channel -> (Coverage.t, string) result
-(** Fails with a located message on the first malformed line. *)
+(** Fails with a located message ([line N: ...]) on the first
+    malformed line or out-of-plan cell. *)
 
 val load_file : string -> (Coverage.t, string) result
 
@@ -40,5 +43,6 @@ val digest : Coverage.t -> string
 val of_string : string -> (Coverage.t, string) result
 
 val equal : Coverage.t -> Coverage.t -> bool
-(** Structural equality over every counter a snapshot stores — the
-    round-trip invariant ([equal c (of_string (to_string c))]). *)
+(** Equality over every counter a snapshot stores (call count, plan
+    cells, flag sets) — the round-trip invariant
+    ([equal c (of_string (to_string c))]). *)

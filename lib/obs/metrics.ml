@@ -1,5 +1,4 @@
 module Log2 = Iocov_util.Log2
-module H = Iocov_util.Histogram
 
 (* Counters and gauges are lock-free atomics so concurrent threads and
    domains can meter through the same handles; increments commute, so
@@ -25,35 +24,46 @@ module Gauge = struct
   let value g = Atomic.get g.v
 end
 
-(* Histograms mutate a hashtable; a per-histogram lock keeps them safe
-   from any domain.  They sit on cold paths (span completion, tracer
-   emit latency), so the uncontended lock is noise. *)
+(* Histograms mutate a bucket array; a per-histogram lock keeps them
+   safe from any domain.  They sit on cold paths (span completion,
+   tracer emit latency), so the uncontended lock is noise. *)
 module Histogram = struct
+  (* One slot per bucket of an int: <0, =0, then 2^0 .. 2^62. *)
+  let slots = 65
+
   type t = {
-    table : Log2.bucket H.t;
+    table : int array;
     mutable sum : int;
     lock : Mutex.t;
   }
 
-  let make () =
-    { table = H.create ~compare:Log2.compare_bucket; sum = 0; lock = Mutex.create () }
+  let make () = { table = Array.make slots 0; sum = 0; lock = Mutex.create () }
 
   let locked h f =
     Mutex.lock h.lock;
     Fun.protect f ~finally:(fun () -> Mutex.unlock h.lock)
 
+  let slot = function Log2.Negative -> 0 | Log2.Zero -> 1 | Log2.Pow2 k -> 2 + k
+  let bucket_of_slot = function 0 -> Log2.Negative | 1 -> Log2.Zero | i -> Log2.Pow2 (i - 2)
+
   let observe h v =
     locked h (fun () ->
-        H.add h.table (Log2.bucket_of_int v);
+        let i = slot (Log2.bucket_of_int v) in
+        h.table.(i) <- h.table.(i) + 1;
         h.sum <- h.sum + v)
 
-  let count h = locked h (fun () -> H.total h.table)
+  let count h = locked h (fun () -> Array.fold_left ( + ) 0 h.table)
   let sum h = locked h (fun () -> h.sum)
-  let buckets h = locked h (fun () -> H.to_sorted h.table)
+
+  let buckets h =
+    locked h (fun () ->
+        List.filter_map
+          (fun i -> if h.table.(i) > 0 then Some (bucket_of_slot i, h.table.(i)) else None)
+          (List.init slots Fun.id))
 
   let clear h =
     locked h (fun () ->
-        H.clear h.table;
+        Array.fill h.table 0 slots 0;
         h.sum <- 0)
 end
 

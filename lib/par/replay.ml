@@ -57,9 +57,9 @@ type work =
 
 let work_size = function Events l -> List.length l | Lines l -> List.length l
 
-(* The one counter backend: {!Coverage.Dense}'s flat array, converted
-   to a reference accumulator once at the end.  The type stays only so
-   that [?counters:Replay.Dense] call sites keep building. *)
+(* The one counter backend, {!Coverage.t}'s plan-indexed array.  The
+   type stays only so that [?counters:Replay.Dense] call sites keep
+   building. *)
 type counters = Dense
 
 (* Re-exported equation with {!Binary_io.mode}: the same value both
@@ -67,11 +67,11 @@ type counters = Dense
    treatment of unparsable text lines and abandoned batches. *)
 type ingest = Binary_io.mode = Strict | Lenient of Anomaly.budget
 
-(* The engine: one dense accumulator, the compiled stage chain, and the
-   run's tallies, all owned by the calling domain.  The accumulator is
-   unmetered; [finalize] credits the converted coverage in one batch. *)
+(* The engine: one accumulator, the compiled stage chain, and the run's
+   tallies, all owned by the calling domain.  Observing meters nothing;
+   [finalize] credits the accumulator in one batch. *)
 type state = {
-  dense : Coverage.Dense.t;
+  cov : Coverage.t;
   keep : stage;
   ingest : ingest;
   mutable s_events : int;
@@ -96,7 +96,7 @@ let compile_keep ?filter ?stage () =
 
 let make_state ~ingest ?filter ?stage () =
   {
-    dense = Coverage.Dense.create ();
+    cov = Coverage.create ();
     keep = compile_keep ?filter ?stage ();
     ingest;
     s_events = 0;
@@ -116,7 +116,7 @@ let note st a =
     st.s_anomalies <- a :: st.s_anomalies
 
 let observe_batch st kept n_kept =
-  Event.iter_tracked kept (Coverage.Dense.observe st.dense);
+  Event.iter_tracked kept (Coverage.observe st.cov);
   Metrics.Counter.add m_observed n_kept
 
 let parse_lines lines =
@@ -197,8 +197,8 @@ let engine_completeness st =
     anomalies = List.rev st.s_anomalies;
   }
 
-(* The accumulator as a reference coverage, credited to the global
-   counters exactly once: converted and metered in one batch. *)
+(* The run's result is the engine's own accumulator, credited to the
+   global counters exactly once. *)
 let finalize ~producer st =
   let strict_failure =
     match st.ingest with
@@ -211,7 +211,7 @@ let finalize ~producer st =
   match strict_failure with
   | Some msg -> Error msg
   | None -> (
-    let coverage = Coverage.Dense.to_reference ~metered:true st.dense in
+    let coverage = st.cov in
     Coverage.meter_counts coverage;
     let events = st.s_events in
     let completeness =
@@ -245,8 +245,8 @@ let finalize ~producer st =
         })
 
 (* A read-only window onto the accumulator: cells are read in place (an
-   array index into the dense counts), so a progress snapshot never
-   copies or converts coverage on the hot path. *)
+   array index into the counts), so a progress snapshot never copies
+   coverage on the hot path. *)
 type view = {
   v_cells : int -> int;  (* plan cell id -> observation count *)
   v_events : int;
@@ -255,12 +255,10 @@ type view = {
 type watch = pushed:int -> peek:(unit -> view) -> unit
 
 let view_of_coverage cov ~events =
-  { v_cells = (fun id -> Coverage.cell_count cov Plan.cells.(id)); v_events = events }
+  { v_cells = Coverage.cell_count cov; v_events = events }
 
 let view_state st () =
-  { v_cells = Coverage.Dense.cell_count st.dense; v_events = st.s_events }
-
-let coverage_so_far st = Coverage.Dense.to_reference ~metered:false st.dense
+  { v_cells = Coverage.cell_count st.cov; v_events = st.s_events }
 
 (* The push side of a replay: run each work item as it arrives, then
    tick [watch] with the cumulative count of records pushed. *)
@@ -305,7 +303,7 @@ let write_checkpoint ~spec ~trace_path ~base ~stream st =
   (match base with
    | Some (ck : Checkpoint.t) -> Coverage.merge_into ~dst:coverage ck.Checkpoint.coverage
    | None -> ());
-  Coverage.merge_into ~dst:coverage (coverage_so_far st);
+  Coverage.merge_into ~dst:coverage st.cov;
   let base_events, base_kept, base_batches, base_comp =
     match base with
     | Some ck ->
@@ -350,7 +348,7 @@ let run_fused ~batch ?watch ~remaining ~filter ~maybe_checkpoint st stream =
     else begin
       let t_start = if tracing then Clock.now () else 0.0 in
       match
-        Binary_io.drain_batch_dense stream ?keep_hint ~dense:st.dense
+        Binary_io.drain_batch_dense stream ?keep_hint ~dense:st.cov
           ~max:(min batch !remaining) ()
       with
       | Error _ as e -> e
@@ -469,9 +467,8 @@ let analyze_ic ~batch ~ingest ?watch ~checkpoint ~resume ~limit ?filter ?stage ~
    commutative and associative, so prefix + suffix is byte-identical to
    the uninterrupted run. *)
 let merge_resumed ~from (ck : Checkpoint.t) (o : outcome) =
-  let coverage = Coverage.create () in
+  let coverage = o.coverage in
   Coverage.merge_into ~dst:coverage ck.Checkpoint.coverage;
-  Coverage.merge_into ~dst:coverage o.coverage;
   let events = ck.Checkpoint.events + o.events in
   let kept = ck.Checkpoint.kept + o.kept in
   let completeness =
@@ -548,9 +545,10 @@ let sink s e =
   s.buf_n <- s.buf_n + 1;
   if s.buf_n >= s.batch_size then flush s
 
+(* A copy: the caller may keep it while the session keeps counting. *)
 let progress s =
   flush s;
-  coverage_so_far s.st
+  Coverage.copy s.st.cov
 
 let progress_view s =
   flush s;

@@ -11,7 +11,7 @@
     a trace decoder, or a live tracer) hands it batches of work; each
     batch is parsed if it is text, filtered with the
     {!Iocov_trace.Filter.t} and any extra {!stage}, and accumulated
-    into one dense accumulator ({!Iocov_core.Coverage.Dense}).  Binary
+    into one {!Iocov_core.Coverage.t}, which the outcome returns.  Binary
     traces without an extra stage skip the event list entirely: records
     map to plan cells inside the decoder
     ({!Iocov_trace.Binary_io.drain_batch_dense}).
@@ -21,8 +21,8 @@
     regardless of batch size, trace format, or interruption and resume
     — property-tested in [test/test_par.ml], [test/test_dense.ml], and
     [test/test_pipe.ml].  Global metric counter totals are likewise
-    identical: the accumulator is credited once, after conversion, via
-    {!Iocov_core.Coverage.meter_counts}.
+    identical: the accumulator is credited once, at the end of the run,
+    via {!Iocov_core.Coverage.meter_counts}.
 
     {b Fault tolerance} (DESIGN.md §12).  Three layers compose:
     {ul
@@ -41,12 +41,10 @@
 
 type counters =
   | Dense
-      (** Count into {!Iocov_core.Coverage.Dense} — flat integer arrays
-          indexed by compiled {!Iocov_core.Plan} cell IDs,
-          allocation-free observe, converted losslessly to the reference
-          shape at the end of the run.  The only backend: the type is
-          kept so that callers passing [~counters:Dense] keep
-          building. *)
+      (** Count into {!Iocov_core.Coverage.t}, a flat integer array
+          indexed by compiled {!Iocov_core.Plan} cell IDs.  The only
+          backend: the type is kept so that callers passing
+          [~counters:Dense] keep building. *)
 
 type ingest = Iocov_trace.Binary_io.mode =
   | Strict
@@ -83,8 +81,8 @@ type view = {
   v_events : int;        (** events analyzed so far *)
 }
 (** A read-only window onto an accumulator: cells are read {e in place}
-    (an array index into the dense counts), so consuming a view never
-    copies or converts coverage on the hot path.  Valid only until the
+    (an array index into the counts), so consuming a view never copies
+    coverage on the hot path.  Valid only until the
     next event is analyzed — consume it inside the callback. *)
 
 val view_of_coverage : Iocov_core.Coverage.t -> events:int -> view
@@ -140,7 +138,7 @@ val analyze_file :
 
     For live sources (suite tracers) that emit one event at a time.
     Events are buffered into batches of [batch] and analyzed as each
-    batch fills; {!finish} flushes and converts. *)
+    batch fills; {!finish} flushes and returns the coverage. *)
 
 type session
 
@@ -162,7 +160,7 @@ val progress_view : session -> view
     counts. *)
 
 val complete : session -> (outcome, string) result
-(** Flush any partial batch and convert.  Must be called exactly once
+(** Flush any partial batch and finish the run.  Must be called exactly once
     per session.  Errors (strict parse failures, exhausted error
     budgets) are values, never exceptions — the pipe driver's shape. *)
 

@@ -85,19 +85,14 @@ let atomic_snapshot path cov =
     raise e
 
 (* Syzlang programs carry no return values and are tiny: feed input-only
-   coverage directly, matching the engine's metering discipline (dense
-   accumulates unmetered, credited once after conversion). *)
+   coverage directly, and credit it once, as the engine does. *)
 let run_syz ~label text =
   match Syzlang.parse_program text with
   | Error msg -> Error msg
   | Ok program ->
-    let coverage =
-      let d = Coverage.Dense.create () in
-      List.iter (Coverage.Dense.observe_input_only d) program.Syzlang.calls;
-      let cov = Coverage.Dense.to_reference ~metered:false d in
-      Coverage.meter_counts cov;
-      cov
-    in
+    let coverage = Coverage.create () in
+    List.iter (Coverage.observe_input_only coverage) program.Syzlang.calls;
+    Coverage.meter_counts coverage;
     let calls = List.length program.Syzlang.calls in
     let notes =
       List.map

@@ -37,23 +37,22 @@ let m_tenants =
     ~help:"Tenants known to the hub."
 
 (* An epoch: one tenant's counters frozen at a generation.  Immutable
-   after publication except the two lazy memos, which are idempotent
+   after publication except the lazy digest memo, which is idempotent
    (every writer computes the same value from the same frozen counts),
    so the unsynchronized caching race is benign. *)
 type epoch = {
   e_gen : int;
-  e_dense : Coverage.Dense.t;  (* frozen — never mutated after publish *)
+  e_cov : Coverage.t;  (* frozen — never mutated after publish *)
   e_events : int;
   e_kept : int;
   e_completeness : Anomaly.completeness;
-  mutable e_ref : Coverage.t option;    (* dense→reference memo *)
   mutable e_digest : string option;     (* CRC-32 snapshot memo *)
 }
 
 type session = {
   s_tenant : tenant;
-  s_dense : Coverage.Dense.t;  (* private shard: drained into lock-free,
-                                  merged + reset at each commit *)
+  s_shard : Coverage.t;  (* private: drained into lock-free,
+                            merged + reset at each commit *)
   s_keep : (string -> bool) option;
   s_batch : int;
   mutable s_events : int;
@@ -65,7 +64,7 @@ type session = {
 and tenant = {
   t_id : string;
   t_lock : Mutex.t;  (* guards live counters, totals, session list, epoch swap *)
-  t_live : Coverage.Dense.t;
+  t_live : Coverage.t;
   mutable t_events : int;
   mutable t_kept : int;
   mutable t_no_hint : int;
@@ -101,11 +100,10 @@ let create ?mount ?(batch = default_batch) () =
 let empty_epoch () =
   {
     e_gen = 0;
-    e_dense = Coverage.Dense.create ();
+    e_cov = Coverage.create ();
     e_events = 0;
     e_kept = 0;
     e_completeness = Anomaly.clean ~events_read:0;
-    e_ref = None;
     e_digest = None;
   }
 
@@ -113,7 +111,7 @@ let new_tenant id =
   {
     t_id = id;
     t_lock = Mutex.create ();
-    t_live = Coverage.Dense.create ();
+    t_live = Coverage.create ();
     t_events = 0;
     t_kept = 0;
     t_no_hint = 0;
@@ -188,7 +186,7 @@ let open_session t ~tenant ?mount () =
   let s =
     {
       s_tenant = tn;
-      s_dense = Coverage.Dense.create ();
+      s_shard = Coverage.create ();
       s_keep = keep;
       s_batch = t.h_batch;
       s_events = 0;
@@ -211,14 +209,14 @@ let commit s ~produced ~kept ~no_hint ~no_match ~comp =
   s.s_events <- s.s_events + produced;
   s.s_kept <- s.s_kept + kept;
   with_lock tn.t_lock (fun () ->
-      Coverage.Dense.merge_into ~dst:tn.t_live s.s_dense;
+      Coverage.merge_into ~dst:tn.t_live s.s_shard;
       tn.t_events <- tn.t_events + produced;
       tn.t_kept <- tn.t_kept + kept;
       tn.t_no_hint <- tn.t_no_hint + no_hint;
       tn.t_no_match <- tn.t_no_match + no_match;
       s.s_comp <- comp;
       Atomic.incr tn.t_generation);
-  Coverage.Dense.reset s.s_dense;
+  Coverage.reset s.s_shard;
   Filter.meter ~kept ~no_hint ~no_match;
   Metrics.Counter.incr m_batches;
   Metrics.Counter.add m_events produced
@@ -247,7 +245,7 @@ let ingest_event_array s events =
       if keep then begin
         incr kept;
         match e.Event.payload with
-        | Event.Tracked call -> Coverage.Dense.observe s.s_dense call e.Event.outcome
+        | Event.Tracked call -> Coverage.observe s.s_shard call e.Event.outcome
         | Event.Aux _ -> ()
       end)
     events;
@@ -257,7 +255,7 @@ let ingest_step s stream =
   if s.s_closed then Error "session is closed"
   else
     match
-      Binary_io.drain_batch_dense stream ?keep_hint:s.s_keep ~dense:s.s_dense
+      Binary_io.drain_batch_dense stream ?keep_hint:s.s_keep ~dense:s.s_shard
         ~max:s.s_batch ()
     with
     | Error _ as e -> e
@@ -335,11 +333,10 @@ let publish tn =
           let ep =
             {
               e_gen = gen;
-              e_dense = Coverage.Dense.snapshot tn.t_live;
+              e_cov = Coverage.copy tn.t_live;
               e_events = tn.t_events;
               e_kept = tn.t_kept;
               e_completeness = comp;
-              e_ref = None;
               e_digest = None;
             }
           in
@@ -349,22 +346,14 @@ let publish tn =
           ep
         end)
 
-(* Dense→reference conversion and digesting happen outside every lock:
-   the epoch is frozen, so late ingest batches cannot tear the render,
-   and ingestion never waits on a slow report. *)
-let epoch_ref ep =
-  match ep.e_ref with
-  | Some cov -> cov
-  | None ->
-    let cov = Coverage.Dense.to_reference ~metered:false ep.e_dense in
-    ep.e_ref <- Some cov;
-    cov
-
+(* Digesting and rendering happen outside every lock: the epoch is
+   frozen, so late ingest batches cannot tear the render, and ingestion
+   never waits on a slow report. *)
 let epoch_digest ep =
   match ep.e_digest with
   | Some d -> d
   | None ->
-    let d = Snapshot.digest (epoch_ref ep) in
+    let d = Snapshot.digest ep.e_cov in
     ep.e_digest <- Some d;
     d
 
@@ -392,7 +381,7 @@ let arg_of_name name =
 let render_tcd tn ep arg_name =
   Result.map
     (fun arg ->
-      let cov = epoch_ref ep in
+      let cov = ep.e_cov in
       let frequencies = Array.of_list (List.map snd (Coverage.input_series cov arg)) in
       let buf = Buffer.create 256 in
       Buffer.add_string buf
@@ -409,7 +398,7 @@ let render_tcd tn ep arg_name =
 let render_adequacy tn ep arg_name target theta =
   Result.map
     (fun arg ->
-      let cov = epoch_ref ep in
+      let cov = ep.e_cov in
       let table = Report.adequacy_table ~name:tn.t_id cov ~arg ~target ~theta in
       let s = Adequacy.summarize (Adequacy.input_report cov arg ~target ~theta) in
       Printf.sprintf
@@ -419,7 +408,7 @@ let render_adequacy tn ep arg_name target theta =
 
 let render tn ep = function
   | Coverage ->
-    let cov = epoch_ref ep in
+    let cov = ep.e_cov in
     Ok
       (Report.suite_summary ~name:tn.t_id cov
       ^ "\n"
@@ -460,7 +449,7 @@ let query t ~tenant q =
         Ok payload))
 
 let coverage t ~tenant =
-  Option.map (fun tn -> epoch_ref (publish tn)) (find_tenant t tenant)
+  Option.map (fun tn -> (publish tn).e_cov) (find_tenant t tenant)
 
 let digest t ~tenant =
   Option.map (fun tn -> epoch_digest (publish tn)) (find_tenant t tenant)

@@ -1,14 +1,14 @@
 (** The multi-tenant coverage hub (DESIGN.md §16) — transport-free.
 
     Many concurrent ingest sessions fold trace streams into per-tenant
-    {!Iocov_core.Coverage.Dense} accumulators while queries read
+    {!Iocov_core.Coverage.t} accumulators while queries read
     {e epoch snapshots}: immutable copies of a tenant's counters,
     published copy-on-write and stamped with a generation number.
 
     The concurrency discipline, designed so queries never block
     ingestion:
 
-    - Each session decodes into a {e private} dense shard (the fused
+    - Each session decodes into a {e private} shard (the fused
       {!Iocov_trace.Binary_io.drain_batch_dense} hot path), touching no
       shared state; after each batch it takes the tenant lock only for
       the O(cells) merge into the tenant's live accumulator and a
@@ -18,9 +18,9 @@
       — the dirty watermark.  If so (idle tenant, or a repeat query
       between batches) the epoch is reused for free.  Only a stale
       epoch takes the tenant lock, for the O(cells)
-      {!Iocov_core.Coverage.Dense.snapshot} copy.
-    - Rendering — the expensive part: dense→reference conversion,
-      report formatting — happens {e outside} every lock, against the
+      {!Iocov_core.Coverage.copy}.
+    - Rendering — the expensive part: snapshot digests and report
+      formatting — happens {e outside} every lock, against the
       immutable epoch.  Rendered results are memoized in a per-tenant
       cache keyed by query text and invalidated by generation stamp.
 
@@ -107,8 +107,9 @@ val query : t -> tenant:string -> query -> (string, string) result
     [Error]. *)
 
 val coverage : t -> tenant:string -> Coverage.t option
-(** The tenant's epoch coverage as a reference accumulator — what the
-    ledger and the differential tests consume.  Publishes if dirty. *)
+(** The tenant's frozen epoch coverage — what the ledger and the
+    differential tests consume.  Publishes if dirty.  Read it, do not
+    mutate it: later queries render the same epoch. *)
 
 val digest : t -> tenant:string -> string option
 (** Ledger-identical CRC-32 digest of the tenant's epoch snapshot. *)

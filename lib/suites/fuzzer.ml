@@ -281,6 +281,7 @@ let run ?(seed = 77) ?(budget = 2000) ?(faults = []) ?config ~feedback () =
         if execution mod 50 = 0 || execution = budget then
           growth := (execution, covered_partitions coverage) :: !growth
       done);
+  Coverage.meter_counts coverage;
   {
     feedback;
     executions = budget;

@@ -3,7 +3,7 @@ module Anomaly = Iocov_util.Anomaly
 module Crc32 = Iocov_util.Crc32
 module Metrics = Iocov_obs.Metrics
 module Plan = Iocov_core.Plan
-module Dense = Iocov_core.Coverage.Dense
+module Coverage = Iocov_core.Coverage
 
 (* --- corruption metering, process-wide --- *)
 
@@ -1089,17 +1089,17 @@ let drain_tracked_dense st d ~flags =
   (* every bump goes through the accumulator's pre-bound closure — one
      existing closure, nothing allocated per record (a local helper
      capturing the counter array would be) *)
-  let inc = Dense.bumper d in
+  let inc = Coverage.bumper d in
   match base with
   | Model.Open ->
     pass_string ~intern:true r;
     let oflags = read_uvarint r in
     let mode = read_uvarint r in
     let ocell = read_outcome_cell r ~flags base in
-    Dense.count_call d;
+    Coverage.count_call d;
     inc vcell;
     Plan.iter_open_slots ~flags:oflags ~mode inc;
-    Dense.observe_open_mask d oflags;
+    Coverage.observe_open_mask d oflags;
     inc ocell
   | Model.Read ->
     ignore (read_svarint r);
@@ -1109,7 +1109,7 @@ let drain_tracked_dense st d ~flags =
       else -1
     in
     let ocell = read_outcome_cell r ~flags base in
-    Dense.count_call d;
+    Coverage.count_call d;
     inc vcell;
     inc (Plan.read_count_slot count);
     if off_slot >= 0 then inc off_slot;
@@ -1122,7 +1122,7 @@ let drain_tracked_dense st d ~flags =
       else -1
     in
     let ocell = read_outcome_cell r ~flags base in
-    Dense.count_call d;
+    Coverage.count_call d;
     inc vcell;
     inc (Plan.write_count_slot count);
     if off_slot >= 0 then inc off_slot;
@@ -1133,7 +1133,7 @@ let drain_tracked_dense st d ~flags =
     let code = read_byte r in
     if Whence.of_code code = None then raise (Corrupt "bad whence");
     let ocell = read_outcome_cell r ~flags base in
-    Dense.count_call d;
+    Coverage.count_call d;
     inc vcell;
     inc (Plan.lseek_offset_slot offset);
     inc (Plan.lseek_whence_slot code);
@@ -1142,7 +1142,7 @@ let drain_tracked_dense st d ~flags =
     pass_target ~intern:true r;
     let length = read_svarint r in
     let ocell = read_outcome_cell r ~flags base in
-    Dense.count_call d;
+    Coverage.count_call d;
     inc vcell;
     inc (Plan.truncate_length_slot length);
     inc ocell
@@ -1150,7 +1150,7 @@ let drain_tracked_dense st d ~flags =
     pass_string ~intern:true r;
     let mode = read_uvarint r in
     let ocell = read_outcome_cell r ~flags base in
-    Dense.count_call d;
+    Coverage.count_call d;
     inc vcell;
     Plan.iter_mkdir_mode_slots mode inc;
     inc ocell
@@ -1158,20 +1158,20 @@ let drain_tracked_dense st d ~flags =
     pass_target ~intern:true r;
     let mode = read_uvarint r in
     let ocell = read_outcome_cell r ~flags base in
-    Dense.count_call d;
+    Coverage.count_call d;
     inc vcell;
     Plan.iter_chmod_mode_slots mode inc;
     inc ocell
   | Model.Close ->
     ignore (read_svarint r);
     let ocell = read_outcome_cell r ~flags base in
-    Dense.count_call d;
+    Coverage.count_call d;
     inc vcell;
     inc ocell
   | Model.Chdir ->
     pass_target ~intern:true r;
     let ocell = read_outcome_cell r ~flags base in
-    Dense.count_call d;
+    Coverage.count_call d;
     inc vcell;
     inc ocell
   | Model.Setxattr ->
@@ -1181,7 +1181,7 @@ let drain_tracked_dense st d ~flags =
     let code = read_byte r in
     if Xattr_flag.of_code code = None then raise (Corrupt "bad xattr flag");
     let ocell = read_outcome_cell r ~flags base in
-    Dense.count_call d;
+    Coverage.count_call d;
     inc vcell;
     inc (Plan.setxattr_size_slot size);
     inc (Plan.setxattr_flag_slot code);
@@ -1191,7 +1191,7 @@ let drain_tracked_dense st d ~flags =
     pass_string ~intern:true r;
     let size = read_uvarint r in
     let ocell = read_outcome_cell r ~flags base in
-    Dense.count_call d;
+    Coverage.count_call d;
     inc vcell;
     inc (Plan.getxattr_size_slot size);
     inc ocell

@@ -127,7 +127,7 @@ type drained = {
 val drain_batch_dense :
   stream ->
   ?keep_hint:(string -> bool) ->
-  dense:Iocov_core.Coverage.Dense.t ->
+  dense:Iocov_core.Coverage.t ->
   max:int ->
   unit ->
   (drained, string) result
@@ -142,7 +142,7 @@ val drain_batch_dense :
     [dr_produced = 0] means EOF.
 
     The result is what {!read_batch} followed by
-    [Coverage.Dense.observe] on the kept tracked events would give:
+    [Coverage.observe] on the kept tracked events would give:
     the same records read and lost, the same strict/lenient semantics,
     budgets and {!completeness}.  That includes strings the drain never
     reads: a record whose comm, path, hint or xattr name refers to a

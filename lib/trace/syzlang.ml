@@ -486,8 +486,3 @@ let parse_program text =
       end
   in
   go 1 [] [] lines
-
-let observe_program coverage text =
-  let* { calls; _ } = parse_program text in
-  List.iter (Iocov_core.Coverage.observe_input_only coverage) calls;
-  Ok (List.length calls)

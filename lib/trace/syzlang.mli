@@ -21,8 +21,9 @@
     list is reported so coverage gaps are never silent.
 
     Program logs carry no return values, so a parsed program feeds
-    {e input} coverage only ({!observe_program}); output coverage needs an
-    executor log, exactly as the paper notes. *)
+    {e input} coverage only ([Iocov_pipe.Source.syz], which [iocov syz]
+    runs); output coverage needs an executor log, exactly as the paper
+    notes. *)
 
 type program = {
   calls : Iocov_syscall.Model.call list;  (** supported calls, in order *)
@@ -41,7 +42,3 @@ val parse_line :
 val parse_program : string -> (program, string) result
 (** Parse a whole program (one call per line).  Only syntactically
     malformed {e supported} calls fail the parse. *)
-
-val observe_program : Iocov_core.Coverage.t -> string -> (int, string) result
-(** Parse and feed the program's input coverage; answers the number of
-    calls observed. *)

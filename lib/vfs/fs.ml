@@ -475,10 +475,13 @@ let do_open t ~path ~flags ~mode =
          end)
   end
 
+(* pread64/pwrite64 refuse a negative offset before looking the fd up
+   (ksys_pread64/ksys_pwrite64), so it is EINVAL whatever the fd is. *)
 let do_read t ~fd ~count ~offset =
-  match find_fd t fd with
-  | None -> err Errno.EBADF
-  | Some e ->
+  match (offset, find_fd t fd) with
+  | Some off, _ when off < 0 -> err Errno.EINVAL
+  | _, None -> err Errno.EBADF
+  | _, Some e ->
     let node = get t e.fd_ino in
     if not (Open_flags.readable e.fd_flags) || Open_flags.has e.fd_flags Open_flags.O_PATH
     then err Errno.EBADF
@@ -492,21 +495,19 @@ let do_read t ~fd ~count ~offset =
       | Node.Device _ -> err Errno.ENXIO
       | Node.Symlink _ -> err Errno.EINVAL
       | Node.Reg _ ->
-        (match offset with
-         | Some off when off < 0 -> err Errno.EINVAL
-         | _ ->
-           let pos = match offset with Some off -> off | None -> e.fd_offset in
-           let available = max 0 (node.Node.size - pos) in
-           let n = min count available in
-           if offset = None then e.fd_offset <- e.fd_offset + n;
-           ret n)
+        let pos = match offset with Some off -> off | None -> e.fd_offset in
+        let available = max 0 (node.Node.size - pos) in
+        let n = min count available in
+        if offset = None then e.fd_offset <- e.fd_offset + n;
+        ret n
       | Node.Dir _ -> err Errno.EISDIR
     end
 
 let do_write t ~fd ~count ~offset =
-  match find_fd t fd with
-  | None -> err Errno.EBADF
-  | Some e ->
+  match (offset, find_fd t fd) with
+  | Some off, _ when off < 0 -> err Errno.EINVAL
+  | _, None -> err Errno.EBADF
+  | _, Some e ->
     let node = get t e.fd_ino in
     if not (Open_flags.writable e.fd_flags) || Open_flags.has e.fd_flags Open_flags.O_PATH
     then err Errno.EBADF
@@ -519,88 +520,85 @@ let do_write t ~fd ~count ~offset =
       | Node.Device _ -> err Errno.ENXIO
       | Node.Symlink _ | Node.Dir _ -> err Errno.EINVAL
       | Node.Reg r ->
-        (match offset with
-         | Some off when off < 0 -> err Errno.EINVAL
-         | _ ->
-           if node.Node.immutable_ then err Errno.EPERM
-           else if
-             Open_flags.has e.fd_flags Open_flags.O_NONBLOCK
-             && fault_fires t Fault.Nowait_write_enospc
-           then err Errno.ENOSPC
-           else if count = 0 then begin
-             if offset = None && fault_fires t Fault.Write_zero_advances_offset then
-               e.fd_offset <- e.fd_offset + 1;
-             ret 0
-           end
-           else begin
-             let pos =
-               match offset with
-               | Some off -> off
-               | None ->
-                 if Open_flags.has e.fd_flags Open_flags.O_APPEND then node.Node.size
-                 else e.fd_offset
-             in
-             if pos >= t.cfg.Config.max_file_size then err Errno.EFBIG
-             else begin
-               (* clamp to the file-size limit: POSIX permits short writes *)
-               let count = min count (t.cfg.Config.max_file_size - pos) in
-               let new_size = max node.Node.size (pos + count) in
-               let delta = blocks_of_size t new_size - blocks_of_size t node.Node.size in
-               let charged =
-                 match charge t ~owner:node.Node.uid delta with
-                 | Ok () -> Ok count
-                 | Error e ->
-                   (* partial write into the remaining blocks; the room
-                      is bounded by whichever of device capacity and the
-                      owner's quota is tighter, so a quota-bound write
-                      short-writes up to the limit (EDQUOT only on zero
-                      progress), mirroring the ENOSPC case *)
-                   let free_blocks =
-                     let device = t.cfg.Config.total_blocks - t.used in
-                     match t.cfg.Config.quota_blocks with
-                     | Some limit when node.Node.uid <> 0 ->
-                       min device (max 0 (limit - !(quota_used t node.Node.uid)))
-                     | _ -> device
-                   in
-                   let free_bytes = free_blocks * t.cfg.Config.block_size in
-                   let room =
-                     max 0
-                       (blocks_of_size t node.Node.size * t.cfg.Config.block_size - pos)
-                   in
-                   let possible = min count (room + free_bytes) in
-                   if possible <= 0 then Error e
-                   else begin
-                     let new_size' = max node.Node.size (pos + possible) in
-                     let delta' =
-                       blocks_of_size t new_size' - blocks_of_size t node.Node.size
-                     in
-                     match charge t ~owner:node.Node.uid delta' with
-                     | Ok () -> Ok possible
-                     | Error e -> Error e
-                   end
-               in
-               match charged with
-               | Error e ->
-                 if e = Errno.ENOSPC && fault_fires t Fault.Enospc_swallowed then ret 0
-                 else err e
-               | Ok n ->
-                 let fill = fill_byte t in
-                 let old_size = node.Node.size in
-                 r.extents <- Node.write_extents r.extents ~off:pos ~len:n ~fill;
-                 node.Node.size <- max node.Node.size (pos + n);
-                 node.Node.mtime <- tick t;
-                 if offset = None then e.fd_offset <- pos + n;
-                 let grown =
-                   blocks_of_size t node.Node.size - blocks_of_size t old_size
-                 in
-                 if grown > 0 then
-                   jot t (Journal.Alloc { ino = node.Node.ino; blocks = grown });
-                 jot t (Journal.Data { ino = node.Node.ino; off = pos; len = n; fill });
-                 if node.Node.size > old_size then
-                   jot t (Journal.Size { ino = node.Node.ino; size = node.Node.size });
-                 ret n
-             end
-           end)
+        if node.Node.immutable_ then err Errno.EPERM
+        else if
+          Open_flags.has e.fd_flags Open_flags.O_NONBLOCK
+          && fault_fires t Fault.Nowait_write_enospc
+        then err Errno.ENOSPC
+        else if count = 0 then begin
+          if offset = None && fault_fires t Fault.Write_zero_advances_offset then
+            e.fd_offset <- e.fd_offset + 1;
+          ret 0
+        end
+        else begin
+          let pos =
+            match offset with
+            | Some off -> off
+            | None ->
+              if Open_flags.has e.fd_flags Open_flags.O_APPEND then node.Node.size
+              else e.fd_offset
+          in
+          if pos >= t.cfg.Config.max_file_size then err Errno.EFBIG
+          else begin
+            (* clamp to the file-size limit: POSIX permits short writes *)
+            let count = min count (t.cfg.Config.max_file_size - pos) in
+            let new_size = max node.Node.size (pos + count) in
+            let delta = blocks_of_size t new_size - blocks_of_size t node.Node.size in
+            let charged =
+              match charge t ~owner:node.Node.uid delta with
+              | Ok () -> Ok count
+              | Error e ->
+                (* partial write into the remaining blocks; the room
+                   is bounded by whichever of device capacity and the
+                   owner's quota is tighter, so a quota-bound write
+                   short-writes up to the limit (EDQUOT only on zero
+                   progress), mirroring the ENOSPC case *)
+                let free_blocks =
+                  let device = t.cfg.Config.total_blocks - t.used in
+                  match t.cfg.Config.quota_blocks with
+                  | Some limit when node.Node.uid <> 0 ->
+                    min device (max 0 (limit - !(quota_used t node.Node.uid)))
+                  | _ -> device
+                in
+                let free_bytes = free_blocks * t.cfg.Config.block_size in
+                let room =
+                  max 0
+                    (blocks_of_size t node.Node.size * t.cfg.Config.block_size - pos)
+                in
+                let possible = min count (room + free_bytes) in
+                if possible <= 0 then Error e
+                else begin
+                  let new_size' = max node.Node.size (pos + possible) in
+                  let delta' =
+                    blocks_of_size t new_size' - blocks_of_size t node.Node.size
+                  in
+                  match charge t ~owner:node.Node.uid delta' with
+                  | Ok () -> Ok possible
+                  | Error e -> Error e
+                end
+            in
+            match charged with
+            | Error e ->
+              if e = Errno.ENOSPC && fault_fires t Fault.Enospc_swallowed then ret 0
+              else err e
+            | Ok n ->
+              let fill = fill_byte t in
+              let old_size = node.Node.size in
+              r.extents <- Node.write_extents r.extents ~off:pos ~len:n ~fill;
+              node.Node.size <- max node.Node.size (pos + n);
+              node.Node.mtime <- tick t;
+              if offset = None then e.fd_offset <- pos + n;
+              let grown =
+                blocks_of_size t node.Node.size - blocks_of_size t old_size
+              in
+              if grown > 0 then
+                jot t (Journal.Alloc { ino = node.Node.ino; blocks = grown });
+              jot t (Journal.Data { ino = node.Node.ino; off = pos; len = n; fill });
+              if node.Node.size > old_size then
+                jot t (Journal.Size { ino = node.Node.ino; size = node.Node.size });
+              ret n
+          end
+        end
     end
 
 let do_lseek t ~fd ~offset ~whence =

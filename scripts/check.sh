@@ -58,12 +58,35 @@ for i in 1 2 3 4 5; do
 done
 
 echo "== report refuses a bad snapshot =="
+# a missing header, then three well-formed cells the partition plan has
+# no counter for: each is refused by line, with nothing on stdout
 printf 'input write.count 2^70 1\n' > "$tmp/bad.snap"
 if dune exec bin/iocov.exe -- report "$tmp/bad.snap" > "$tmp/report.out" 2> /dev/null; then
   echo "error: iocov report exited 0 on a bad snapshot" >&2
   exit 1
 fi
 [ ! -s "$tmp/report.out" ]
+for cell in 'input write.count 2^70' 'input read.count O_CREAT' 'output read OK:2^63'; do
+  printf 'iocov-coverage v1\n%s 1\n' "$cell" > "$tmp/bad.snap"
+  if dune exec bin/iocov.exe -- report "$tmp/bad.snap" > "$tmp/report.out" \
+    2> "$tmp/report.err"; then
+    echo "error: iocov report exited 0 on out-of-plan cell $cell" >&2
+    exit 1
+  fi
+  [ ! -s "$tmp/report.out" ]
+  grep -q "line" "$tmp/report.err"
+done
+
+echo "== digest is the CRC-32 of the saved snapshot =="
+# the ledger digest is the plain CRC-32 of the snapshot text, with no
+# version tag, so every record ever written still compares
+dune exec bin/iocov.exe -- analyze "$tmp/t.bin" --save "$tmp/s.snap" \
+  --ledger "$tmp/crc" > /dev/null
+saved=$(python3 -c 'import sys, zlib; print("%08x" % zlib.crc32(open(sys.argv[1], "rb").read()))' \
+  "$tmp/s.snap")
+recorded=$(dune exec bin/iocov.exe -- runs show 1 --ledger "$tmp/crc" \
+  | awk '$1 == "digest" { print $2 }')
+[ "$saved" = "$recorded" ]
 
 echo "== ledger numbering after a torn tail =="
 # cut 20 bytes off the second record: the next run is numbered from

@@ -1,9 +1,9 @@
 (** Frequency counting over arbitrary partition keys.
 
-    Coverage in IOCov is a map from partition identifiers to how many times
-    a test suite exercised that partition.  This module is the shared
-    counter: a polymorphic multiset with deterministic (sorted) iteration so
-    reports and tests are stable. *)
+    The counter behind {!Coverage_oracle}, the hashed-histogram
+    accumulator the tests compare [Coverage.t] against: a polymorphic
+    multiset with deterministic (sorted) iteration so snapshots and
+    tests are stable. *)
 
 type 'k t
 (** A frequency table over keys of type ['k], ordered by a comparison

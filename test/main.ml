@@ -2,7 +2,7 @@
 
 let () =
   Alcotest.run "iocov"
-    (Test_util.suites @ Test_regex.suites @ Test_syscall.suites @ Test_vfs.suites
+    (Test_util.suites @ Test_oracle.suites @ Test_regex.suites @ Test_syscall.suites @ Test_vfs.suites
      @ Test_crash.suites @ Test_crash_engine.suites @ Test_trace.suites @ Test_core.suites @ Test_suites.suites
      @ Test_bugstudy.suites @ Test_integration.suites @ Test_extensions.suites
      @ Test_model_based.suites @ Test_obs.suites @ Test_par.suites

@@ -296,7 +296,7 @@ let test_lattice_checkpoint_resume () =
 let mk_record ?config label =
   Ledger.make ~time:1000.0 ~seed:1 ?config ~subcommand:"suite" ~label ~flags:[]
     ~jobs:1 ~counters:"dense" ~events:10 ~kept:10 ~lost:0 ~wall_s:0.1 ~stages:[]
-    (Coverage.create ~metered:false ())
+    (Coverage.create ())
 
 let test_ledger_config_round_trip () =
   let tagged = mk_record ~config:("tiny-quota", "deadbeef") "LTP" in

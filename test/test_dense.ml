@@ -1,9 +1,10 @@
-(* Tests for the compiled partition plan and the dense counter backend:
-   layout sanity (the cell table is a bijection over the partition
-   universe), white-box agreement between the compiled slot functions
-   and the reference decode mapping, and the differential property —
-   dense and reference pipelines produce byte-identical snapshots and
-   reports for fuzzer-generated streams. *)
+(* Tests for the compiled partition plan and the plan-indexed coverage
+   accumulator: layout sanity (the cell table is a bijection over the
+   partition universe), white-box agreement between the compiled slot
+   functions and the reference decode mapping, and the differential
+   property — [Coverage.t] and the hashed-histogram oracle
+   ([Coverage_oracle]) give byte-identical snapshots and equal answers
+   to every query for fuzzer-generated streams. *)
 
 open Iocov_syscall
 module Prng = Iocov_util.Prng
@@ -12,9 +13,9 @@ module Event = Iocov_trace.Event
 module Filter = Iocov_trace.Filter
 module Plan = Iocov_core.Plan
 module Partition = Iocov_core.Partition
+module Arg_class = Iocov_core.Arg_class
 module Coverage = Iocov_core.Coverage
 module Snapshot = Iocov_core.Snapshot
-module Report = Iocov_core.Report
 module Replay = Iocov_par.Replay
 
 let check_int = Alcotest.(check int)
@@ -24,9 +25,11 @@ let check_string = Alcotest.(check string)
 (* --- a fuzzer over the full call surface ---
 
    Wider than test_par's generator on purpose: all 11 bases, all 27
-   variants, raw (unnormalized) flag masks, extreme numerics (zero,
-   negative, 2^40, max_int), and every errno — the differential oracle
-   is only convincing if the stream can reach every cell family. *)
+   variants, raw (unnormalized) flag masks and the sync/tmpfile mixes
+   that normalization folds, every mode bit and mode 0, numerics from
+   [min_int] through zero to [max_int] (the 2^61 bucket), and every
+   errno on every base — the differential oracle is only convincing if
+   the stream can reach every cell family. *)
 
 let errnos = Array.of_list Errno.all
 let whences = Array.of_list Whence.all
@@ -41,7 +44,10 @@ let rand_flags rng =
          Open_flags.of_flags Open_flags.[ O_WRONLY; O_CREAT; O_SYNC ];
          Open_flags.of_flags Open_flags.[ O_RDONLY; O_DIRECTORY ];
          Open_flags.of_flags Open_flags.[ O_RDWR; O_TMPFILE ];
-         Open_flags.of_flags Open_flags.[ O_WRONLY; O_DSYNC; O_APPEND ] |]
+         Open_flags.of_flags Open_flags.[ O_WRONLY; O_DSYNC; O_APPEND ];
+         Open_flags.of_flags Open_flags.[ O_WRONLY; O_SYNC; O_DSYNC ];
+         Open_flags.of_flags Open_flags.[ O_RDONLY; O_DIRECTORY; O_DSYNC ];
+         Open_flags.of_flags Open_flags.[ O_RDWR; O_TMPFILE; O_DIRECTORY; O_RSYNC ] |]
   | 1 -> Prng.int rng 0o40000000 (* raw mask: exercises normalization *)
   | _ ->
     List.fold_left
@@ -49,24 +55,25 @@ let rand_flags rng =
       (Prng.int rng 4) Open_flags.all
 
 let rand_mode rng =
-  match Prng.int rng 4 with
+  match Prng.int rng 5 with
   | 0 -> 0
   | 1 -> 0o644
   | 2 -> 0o7777
+  | 3 -> 1 lsl Prng.int rng 12 (* one bit: S_IXOTH .. S_ISUID *)
   | _ -> Prng.int rng 0o10000
 
+(* Every numeric argument draws from the whole int range: a negative
+   count or a 2^61-byte size lies outside the report domain but still
+   has a plan cell. *)
 let rand_size rng =
-  match Prng.int rng 5 with
+  match Prng.int rng 7 with
   | 0 -> 0
   | 1 -> 1 + Prng.int rng 7
   | 2 -> Prng.pow2_size rng ~max_log2:20
   | 3 -> 1 lsl (20 + Prng.int rng 42)
-  | _ -> max_int
-
-let rand_signed rng =
-  match Prng.int rng 3 with
-  | 0 -> -(1 + Prng.int rng 100_000)
-  | _ -> rand_size rng
+  | 4 -> max_int
+  | 5 -> -(1 + Prng.int rng 100_000)
+  | _ -> min_int
 
 let gen_call rng =
   let path = Printf.sprintf "/mnt/test/d%d/f%d" (Prng.int rng 6) (Prng.int rng 40) in
@@ -80,7 +87,7 @@ let gen_call rng =
     Model.open_ ~variant ~flags:(rand_flags rng) ~mode:(rand_mode rng) path
   | 1 ->
     if Prng.chance rng 0.4 then
-      Model.read ~variant:Model.Sys_pread64 ~offset:(rand_signed rng) ~fd
+      Model.read ~variant:Model.Sys_pread64 ~offset:(rand_size rng) ~fd
         ~count:(rand_size rng) ()
     else
       Model.read
@@ -88,17 +95,17 @@ let gen_call rng =
         ~fd ~count:(rand_size rng) ()
   | 2 ->
     if Prng.chance rng 0.4 then
-      Model.write ~variant:Model.Sys_pwrite64 ~offset:(rand_signed rng) ~fd
+      Model.write ~variant:Model.Sys_pwrite64 ~offset:(rand_size rng) ~fd
         ~count:(rand_size rng) ()
     else
       Model.write
         ~variant:(Prng.choose rng Model.[| Sys_write; Sys_writev |])
         ~fd ~count:(rand_size rng) ()
-  | 3 -> Model.lseek ~fd ~offset:(rand_signed rng) ~whence:(Prng.choose rng whences)
+  | 3 -> Model.lseek ~fd ~offset:(rand_size rng) ~whence:(Prng.choose rng whences)
   | 4 ->
     Model.truncate
       ~target:(if Prng.chance rng 0.5 then p else f)
-      ~length:(rand_signed rng) ()
+      ~length:(rand_size rng) ()
   | 5 ->
     Model.mkdir
       ~variant:(Prng.choose rng Model.[| Sys_mkdir; Sys_mkdirat |])
@@ -234,66 +241,186 @@ let test_plan_output_cell_matches_output_of () =
         outcomes)
     Model.all_bases
 
-(* --- dense accumulator vs reference, direct observation --- *)
+(* --- Coverage.t against the hashed-histogram oracle --- *)
 
-let snapshot_of_dense d = Snapshot.to_string (Coverage.Dense.to_reference d)
+module Oracle = Coverage_oracle
+
+(* Every query agrees with the oracle's, per argument and per base, and
+   so does every plan cell and the snapshot text. *)
+let agree_with_oracle ~tag oracle cov =
+  let eq what a b = if a <> b then Alcotest.failf "%s: %s differs from the oracle" tag what in
+  eq "snapshot text" (Oracle.to_string oracle) (Snapshot.to_string cov);
+  eq "calls_observed" (Oracle.calls_observed oracle) (Coverage.calls_observed cov);
+  eq "variant_histogram" (Oracle.variant_histogram oracle) (Coverage.variant_histogram cov);
+  eq "open_flag_sets" (Oracle.open_flag_sets oracle) (Coverage.open_flag_sets cov);
+  eq "crash_series" (Oracle.crash_series oracle) (Coverage.crash_series cov);
+  eq "crash_observed" (Oracle.crash_observed oracle) (Coverage.crash_observed cov);
+  eq "lit_cells" (Oracle.lit_cells oracle) (Coverage.lit_cells cov);
+  eq "cell_bitmap" (Oracle.cell_bitmap oracle) (Coverage.cell_bitmap cov);
+  Array.iteri
+    (fun id cell ->
+      eq (Printf.sprintf "cell %d" id) (Oracle.cell_count oracle cell)
+        (Coverage.cell_count cov id))
+    Plan.cells;
+  List.iter
+    (fun v ->
+      eq (Model.variant_name v) (Oracle.variant_calls oracle v) (Coverage.variant_calls cov v))
+    Model.all_variants;
+  List.iter
+    (fun arg ->
+      let what q = Arg_class.name arg ^ " " ^ q in
+      eq (what "input_histogram") (Oracle.input_histogram oracle arg)
+        (Coverage.input_histogram cov arg);
+      eq (what "input_series") (Oracle.input_series oracle arg) (Coverage.input_series cov arg);
+      eq (what "untested_inputs") (Oracle.untested_inputs oracle arg)
+        (Coverage.untested_inputs cov arg);
+      eq (what "input_coverage_ratio") (Oracle.input_coverage_ratio oracle arg)
+        (Coverage.input_coverage_ratio cov arg))
+    Arg_class.all;
+  List.iter
+    (fun base ->
+      let what q = Model.base_name base ^ " " ^ q in
+      eq (what "base_calls") (Oracle.base_calls oracle base) (Coverage.base_calls cov base);
+      eq (what "input_coverage_ratio_of_base")
+        (Oracle.input_coverage_ratio_of_base oracle base)
+        (Coverage.input_coverage_ratio_of_base cov base);
+      eq (what "output_histogram") (Oracle.output_histogram oracle base)
+        (Coverage.output_histogram cov base);
+      eq (what "output_series") (Oracle.output_series oracle base)
+        (Coverage.output_series cov base);
+      eq (what "output_series_grouped") (Oracle.output_series_grouped oracle base)
+        (Coverage.output_series_grouped cov base);
+      eq (what "untested_outputs") (Oracle.untested_outputs oracle base)
+        (Coverage.untested_outputs cov base);
+      eq (what "output_coverage_ratio") (Oracle.output_coverage_ratio oracle base)
+        (Coverage.output_coverage_ratio cov base))
+    Model.all_bases
 
 let test_dense_differential_direct () =
   List.iter
     (fun seed ->
       let pairs = gen_pairs ~seed 12_000 in
-      let reference = Coverage.create ~metered:false () in
-      let dense = Coverage.Dense.create () in
+      let oracle = Oracle.create () in
+      let cov = Coverage.create () in
       List.iteri
         (fun i (call, outcome) ->
           if i mod 7 = 0 then begin
             (* input-only path: outcome unknown, output side untouched *)
-            Coverage.observe_input_only reference call;
-            Coverage.Dense.observe_input_only dense call
+            Oracle.observe_input_only oracle call;
+            Coverage.observe_input_only cov call
           end
           else begin
-            Coverage.observe reference call outcome;
-            Coverage.Dense.observe dense call outcome
+            Oracle.observe oracle call outcome;
+            Coverage.observe cov call outcome
           end)
         pairs;
-      check_int
-        (Printf.sprintf "calls agree (seed %d)" seed)
-        (Coverage.calls_observed reference)
-        (Coverage.Dense.calls_observed dense);
-      check_string
-        (Printf.sprintf "snapshots byte-identical (seed %d)" seed)
-        (Snapshot.to_string reference) (snapshot_of_dense dense))
+      agree_with_oracle ~tag:(Printf.sprintf "seed %d" seed) oracle cov)
     [ 101; 202; 303 ]
 
 let test_dense_merge_matches_whole () =
   let pairs = gen_pairs ~seed:555 9_000 in
-  let whole = Coverage.Dense.create () in
-  List.iter (fun (c, o) -> Coverage.Dense.observe whole c o) pairs;
+  let whole = Coverage.create () in
+  List.iter (fun (c, o) -> Coverage.observe whole c o) pairs;
   (* shard the same stream three ways, round-robin, and merge *)
-  let shards = Array.init 3 (fun _ -> Coverage.Dense.create ()) in
-  List.iteri (fun i (c, o) -> Coverage.Dense.observe shards.(i mod 3) c o) pairs;
-  let dst = Coverage.Dense.create () in
-  Array.iter (fun s -> Coverage.Dense.merge_into ~dst s) shards;
-  check_string "merged shards = whole stream" (snapshot_of_dense whole)
-    (snapshot_of_dense dst)
+  let shards = Array.init 3 (fun _ -> Coverage.create ()) in
+  List.iteri (fun i (c, o) -> Coverage.observe shards.(i mod 3) c o) pairs;
+  let dst = Coverage.create () in
+  Array.iter (fun s -> Coverage.merge_into ~dst s) shards;
+  check_string "merged shards = whole stream" (Snapshot.to_string whole)
+    (Snapshot.to_string dst)
 
-let test_dense_to_reference_merges_with_reference () =
-  (* a converted dense accumulator must compose with reference merges *)
+let test_halves_merge_to_oracle_whole () =
   let pairs = gen_pairs ~seed:777 4_000 in
-  let a, b = (Coverage.create ~metered:false (), Coverage.Dense.create ()) in
-  let all = Coverage.create ~metered:false () in
+  let all = Oracle.create () in
+  let a = Coverage.create () and b = Coverage.create () in
   List.iteri
     (fun i (c, o) ->
-      Coverage.observe all c o;
-      if i mod 2 = 0 then Coverage.observe a c o else Coverage.Dense.observe b c o)
+      Oracle.observe all c o;
+      Coverage.observe (if i mod 2 = 0 then a else b) c o)
     pairs;
-  let dst = Coverage.create ~metered:false () in
+  let dst = Coverage.create () in
   Coverage.merge_into ~dst a;
-  Coverage.merge_into ~dst (Coverage.Dense.to_reference b);
-  check_string "mixed merge" (Snapshot.to_string all) (Snapshot.to_string dst)
+  Coverage.merge_into ~dst b;
+  agree_with_oracle ~tag:"halves" all dst
 
-(* --- the pipeline differential: the engine's dense accumulator
-   against a per-event observe into the hashed reference histograms --- *)
+(* The property: a random stream of the four ways counts enter a
+   coverage, split into parts observed separately and merged in a
+   random order, then saved and reloaded, agrees with the oracle fed
+   the same operations. *)
+
+type op =
+  | Observe of Model.call * Model.outcome
+  | Input_only of Model.call
+  | Crash of Partition.crash_mode * Partition.crash_outcome * int
+  | Flag_set of Open_flags.t * int
+
+let crash_modes = Array.of_list Partition.all_crash_modes
+let crash_outcomes = Array.of_list Partition.all_crash_outcomes
+
+let gen_op rng =
+  match Prng.int rng 10 with
+  | 0 ->
+    Crash (Prng.choose rng crash_modes, Prng.choose rng crash_outcomes, Prng.int rng 4)
+  | 1 -> Flag_set (rand_flags rng, Prng.int rng 3)
+  | 2 | 3 -> Input_only (gen_call rng)
+  | _ ->
+    let call = gen_call rng in
+    Observe (call, gen_outcome rng call)
+
+let apply_cov cov = function
+  | Observe (c, o) -> Coverage.observe cov c o
+  | Input_only c -> Coverage.observe_input_only cov c
+  | Crash (m, o, n) -> Coverage.add_crash cov m o n
+  | Flag_set (mask, n) -> Coverage.add_flag_set cov mask n
+
+let apply_oracle t = function
+  | Observe (c, o) -> Oracle.observe t c o
+  | Input_only c -> Oracle.observe_input_only t c
+  | Crash (m, o, n) -> Oracle.add_crash t m o n
+  | Flag_set (mask, n) -> Oracle.add_flag_set t mask n
+
+(* A snapshot keys a flag set by its text, which drops unmodeled bits
+   and reads access mode 3 as O_RDWR, so a reload folds masks that
+   print alike into one: what the oracle looks like after a reload. *)
+let reloaded_oracle oracle =
+  let o = Oracle.create () in
+  Oracle.merge_into ~dst:o oracle;
+  Histogram.clear o.Oracle.flag_sets;
+  List.iter
+    (fun (mask, n) ->
+      match Open_flags.of_string (Open_flags.to_string mask) with
+      | Some printed -> Oracle.add_flag_set o printed n
+      | None -> Alcotest.failf "flag set %d does not print" mask)
+    (Oracle.open_flag_sets oracle);
+  o
+
+let merged_parts_prop =
+  QCheck.Test.make ~count:150 ~name:"random streams, merges and reload agree with the oracle"
+    QCheck.(triple (int_bound 1_000_000) (int_bound 400) (int_bound 4))
+    (fun (seed, n, extra_parts) ->
+      let rng = Prng.create ~seed in
+      let parts = 1 + extra_parts in
+      let covs = Array.init parts (fun _ -> Coverage.create ()) in
+      let oracles = Array.init parts (fun _ -> Oracle.create ()) in
+      for _ = 1 to n do
+        let op = gen_op rng and part = Prng.int rng parts in
+        apply_cov covs.(part) op;
+        apply_oracle oracles.(part) op
+      done;
+      let dst = Coverage.create () and oracle = Oracle.create () in
+      let order = Array.init parts Fun.id in
+      Prng.shuffle rng order;
+      Array.iter (fun i -> Coverage.merge_into ~dst covs.(i)) order;
+      Array.iter (fun o -> Oracle.merge_into ~dst:oracle o) oracles;
+      agree_with_oracle ~tag:"merged" oracle dst;
+      match Snapshot.of_string (Snapshot.to_string dst) with
+      | Error msg -> QCheck.Test.fail_reportf "reload refused: %s" msg
+      | Ok reloaded ->
+        agree_with_oracle ~tag:"reloaded" (reloaded_oracle oracle) reloaded;
+        true)
+
+(* --- the pipeline differential: the engine's accumulator against a
+   per-event observe into the oracle's hashed histograms --- *)
 
 let test_pipeline_differential () =
   let filter = Filter.mount_point "/mnt/test" in
@@ -303,11 +430,7 @@ let test_pipeline_differential () =
       let oracle, oracle_kept = Test_par.sequential_coverage filter events in
       let o = Replay.analyze_events ~batch:256 ~filter events in
       let tag = Printf.sprintf "seed=%d" seed in
-      check_string (tag ^ " snapshot") (Snapshot.to_string oracle)
-        (Snapshot.to_string o.Replay.coverage);
-      check_string (tag ^ " report")
-        (Report.suite_summary ~name:"fuzz" oracle)
-        (Report.suite_summary ~name:"fuzz" o.Replay.coverage);
+      agree_with_oracle ~tag oracle o.Replay.coverage;
       check_int (tag ^ " kept") oracle_kept o.Replay.kept)
     [ 42; 1337 ]
 
@@ -325,7 +448,8 @@ let suites =
           test_dense_differential_direct;
         Alcotest.test_case "shard merge = whole stream" `Quick
           test_dense_merge_matches_whole;
-        Alcotest.test_case "to_reference composes with merges" `Quick
-          test_dense_to_reference_merges_with_reference ] );
+        Alcotest.test_case "halves merge = oracle" `Quick
+          test_halves_merge_to_oracle_whole;
+        QCheck_alcotest.to_alcotest merged_parts_prop ] );
     ( "dense.pipeline",
       [ Alcotest.test_case "both backends" `Quick test_pipeline_differential ] ) ]

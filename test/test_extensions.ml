@@ -65,6 +65,30 @@ let test_snapshot_rejects_garbage () =
       "iocov-coverage v1\noutput open NOTANERRNO 3";
       "iocov-coverage v1\ncalls -4" ]
 
+(* Well-formed lines naming a cell the plan has no counter for: a
+   bucket past 2^62, a partition of another argument's class.  No run
+   can observe them, so a snapshot holding one is refused by line and
+   by name. *)
+let test_snapshot_refuses_out_of_plan_cells () =
+  List.iter
+    (fun (line, cell) ->
+      match Snapshot.of_string ("iocov-coverage v1\n" ^ line ^ "\n") with
+      | Ok _ -> Alcotest.failf "expected %S to be refused" line
+      | Error msg ->
+        check_bool (Printf.sprintf "%S names line 2 and %s" msg cell) true
+          (String.starts_with ~prefix:"line 2: " msg
+           && String.starts_with ~prefix:cell (String.sub msg 8 (String.length msg - 8))))
+    [ ("input write.count 2^70 1", "input write.count 2^70");
+      ("input read.count O_CREAT 1", "input read.count O_CREAT");
+      ("output read OK:2^63 1", "output read OK:2^63") ];
+  check_bool "add_input refuses an out-of-plan cell" true
+    (match
+       Coverage.add_input (Coverage.create ()) Arg_class.Write_count
+         (Partition.P_bucket (Iocov_util.Log2.Pow2 70)) 1
+     with
+     | () -> false
+     | exception Invalid_argument _ -> true)
+
 let test_snapshot_empty_coverage () =
   match Snapshot.of_string (Snapshot.to_string (Coverage.create ())) with
   | Ok cov' -> check_int "empty stays empty" 0 (Coverage.calls_observed cov')
@@ -193,11 +217,13 @@ let test_syz_errors_are_located () =
   | Ok _ -> Alcotest.fail "expected arity failure"
   | Error msg -> check_bool "mentions line" true (String.length msg > 0)
 
-let test_syz_observe_program () =
-  let cov = Coverage.create () in
-  match Syzlang.observe_program cov sample_program with
-  | Ok n ->
-    check_int "calls observed" 9 n;
+(* the road `iocov syz` takes: the driver over a syzlang source *)
+let test_syz_program_coverage () =
+  match Iocov_pipe.Driver.run (Iocov_pipe.Source.syz sample_program) with
+  | Ok r ->
+    let product = r.Iocov_pipe.Driver.product in
+    let cov = product.Iocov_pipe.Sink.coverage in
+    check_int "calls observed" 9 product.Iocov_pipe.Sink.events;
     check_int "input side fed" 9 (Coverage.calls_observed cov);
     check_bool "O_CREAT partition covered" true
       (Coverage.input_count cov Arg_class.Open_flags_arg (Partition.P_flag Open_flags.O_CREAT)
@@ -205,7 +231,7 @@ let test_syz_observe_program () =
     (* no outcomes in a program log: output side stays empty *)
     check_int "no output coverage" 0
       (List.length (Coverage.output_histogram cov Model.Open))
-  | Error msg -> Alcotest.failf "observe failed: %s" msg
+  | Error msg -> Alcotest.failf "syz run failed: %s" msg
 
 let test_syz_empty_and_comments () =
   match Syzlang.parse_program "# nothing\n\n# here\n" with
@@ -333,6 +359,8 @@ let suites =
         Alcotest.test_case "file roundtrip" `Quick test_snapshot_file_roundtrip;
         Alcotest.test_case "suite coverage roundtrip" `Slow test_snapshot_suite_roundtrip;
         Alcotest.test_case "rejects garbage" `Quick test_snapshot_rejects_garbage;
+        Alcotest.test_case "refuses out-of-plan cells" `Quick
+          test_snapshot_refuses_out_of_plan_cells;
         Alcotest.test_case "empty coverage" `Quick test_snapshot_empty_coverage;
         Alcotest.test_case "merge after load" `Quick test_snapshot_merge_after_load;
         Alcotest.test_case "partition label roundtrip" `Quick test_partition_label_roundtrip;
@@ -346,7 +374,7 @@ let suites =
         Alcotest.test_case "whence and xattr decoding" `Quick test_syz_whence_and_xattr;
         Alcotest.test_case "AT_FDCWD wraps" `Quick test_syz_at_fdcwd_wraps;
         Alcotest.test_case "errors located" `Quick test_syz_errors_are_located;
-        Alcotest.test_case "observe_program" `Quick test_syz_observe_program;
+        Alcotest.test_case "program via the driver" `Quick test_syz_program_coverage;
         Alcotest.test_case "comments and blanks" `Quick test_syz_empty_and_comments ] );
     ( "ext.fuzzer",
       [ Alcotest.test_case "deterministic" `Quick test_fuzzer_deterministic;

@@ -2,7 +2,6 @@
    -> coverage must equal the live-sink coverage, and the CLI-level flows
    compose. *)
 
-open Iocov_syscall
 module Runner = Iocov_suites.Runner
 module Coverage = Iocov_core.Coverage
 module Arg_class = Iocov_core.Arg_class
@@ -13,14 +12,6 @@ module Tcd = Iocov_core.Tcd
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
-
-let coverage_equal a b =
-  List.for_all
-    (fun arg -> Coverage.input_series a arg = Coverage.input_series b arg)
-    Arg_class.all
-  && List.for_all
-       (fun base -> Coverage.output_series a base = Coverage.output_series b base)
-       Model.all_bases
 
 let test_offline_equals_online () =
   (* run CrashMonkey into a raw file sink while keeping the live stream;
@@ -49,7 +40,8 @@ let test_offline_equals_online () =
   close_in ic;
   Sys.remove path;
   (match result with Ok () -> () | Error msg -> Alcotest.failf "parse: %s" msg);
-  check_bool "offline analysis reproduces live coverage" true (coverage_equal live offline)
+  check_bool "offline analysis reproduces live coverage" true
+    (Test_par.matches_oracle live offline)
 
 let test_wrong_mount_filters_everything () =
   let path = Filename.temp_file "iocov_integration" ".trace" in

@@ -378,11 +378,12 @@ let test_pipeline_counters_deterministic () =
   check_bool "identical non-timing snapshots" true (s1 = s2);
   check_bool "snapshot is non-trivial" true (List.length s1 > 10)
 
-(* The observe paths hoist metering out of the per-update loops and
-   credit each observation as one batch; the batched totals must equal
-   what per-update increments would have produced — and the dense
-   backend (unmetered shards + [meter_counts] after conversion) must
-   credit exactly the same amounts. *)
+(* Observing meters nothing; the run's owner credits the accumulator
+   once with [meter_counts].  That one batch must equal what per-update
+   increments would have produced: one call and one variant update per
+   observation, one input update per [Partition.of_call] pair, one
+   output update per full observation and one flag-set update per
+   open. *)
 let test_coverage_metering_batched_exact () =
   let open Iocov_syscall in
   let module Coverage = Iocov_core.Coverage in
@@ -423,28 +424,19 @@ let test_coverage_metering_batched_exact () =
          stream)
   in
   let n = List.length stream in
-  (* per-event metered path, plus one input-only observation *)
-  let c0, v0, i0, o0, f0 = read () in
+  (* the stream, plus one input-only observation *)
+  let before = read () in
   let cov = Coverage.create () in
   List.iter (fun (c, o) -> Coverage.observe cov c o) stream;
   Coverage.observe_input_only cov (Model.read ~fd:4 ~count:0 ());
-  let c1, v1, i1, o1, f1 = read () in
+  check_bool "observe meters nothing" true (read () = before);
+  Coverage.meter_counts cov;
+  let c0, v0, i0, o0, f0 = before and c1, v1, i1, o1, f1 = read () in
   check_int "calls delta" (n + 1) (c1 - c0);
   check_int "variant delta" (n + 1) (v1 - v0);
   check_int "input delta" (input_updates + 1) (i1 - i0);
   check_int "output delta" n (o1 - o0);
-  check_int "flag-set delta" opens (f1 - f0);
-  (* dense path: unmetered observe, one meter_counts after conversion *)
-  let d = Coverage.Dense.create () in
-  List.iter (fun (c, o) -> Coverage.Dense.observe d c o) stream;
-  Coverage.Dense.observe_input_only d (Model.read ~fd:4 ~count:0 ());
-  Coverage.meter_counts (Coverage.Dense.to_reference d);
-  let c2, v2, i2, o2, f2 = read () in
-  check_int "dense calls delta" (c1 - c0) (c2 - c1);
-  check_int "dense variant delta" (v1 - v0) (v2 - v1);
-  check_int "dense input delta" (i1 - i0) (i2 - i1);
-  check_int "dense output delta" (o1 - o0) (o2 - o1);
-  check_int "dense flag-set delta" (f1 - f0) (f2 - f1)
+  check_int "flag-set delta" opens (f1 - f0)
 
 let test_runner_elapsed_is_root_span () =
   Metrics.reset Metrics.default;

@@ -35,18 +35,19 @@ let with_temp_file = Test_par.with_temp_file
 let filter = Filter.mount_point "/mnt/test"
 
 let snap cov = Snapshot.to_string cov
+let oracle_snap = Coverage_oracle.to_string
 
 let ok_run = function
   | Ok (r : Driver.run) -> r
   | Error msg -> Alcotest.failf "pipeline failed: %s" msg
 
-(* --- live suite runs: Runner-through-driver (dense) vs direct
-   observation (reference histograms) --- *)
+(* --- live suite runs: Runner-through-driver vs the suites' own
+   inline observation --- *)
 
 let direct_suite_coverage suite ~seed ~scale =
   (* the pre-pipe classic path, kept as the suites' [run]: the suite
-     observes straight into a metered reference accumulator, filtering
-     at the mount itself *)
+     observes straight into a coverage, filtering at the mount
+     itself *)
   let coverage = Coverage.create () in
   (match suite with
    | Runner.Crashmonkey -> ignore (Iocov_suites.Crashmonkey.run ~seed ~scale ~coverage ())
@@ -97,7 +98,7 @@ let test_file_differential () =
                      (Source.file path))
               in
               let tag = Printf.sprintf "%s %s" fmt road in
-              check_string (tag ^ " snapshot") (snap oracle_cov)
+              check_string (tag ^ " snapshot") (oracle_snap oracle_cov)
                 (snap r.Driver.product.Sink.coverage);
               check_int (tag ^ " kept") oracle_kept r.Driver.product.Sink.kept;
               check_int (tag ^ " events") 3_000 r.Driver.product.Sink.events)
@@ -210,7 +211,7 @@ let test_stage_map () =
              Stage.map ~name:"drop-writes" drop_writes; Stage.meter "post" ]
          (Source.events events))
   in
-  check_string "map snapshot" (snap oracle) (snap r.Driver.product.Sink.coverage)
+  check_string "map snapshot" (oracle_snap oracle) (snap r.Driver.product.Sink.coverage)
 
 (* --- syzlang source: driver vs direct input-only observation --- *)
 
@@ -228,10 +229,10 @@ let test_syz_differential () =
     | Ok p -> p
     | Error msg -> Alcotest.failf "parse_program: %s" msg
   in
-  let oracle = Coverage.create () in
-  List.iter (Coverage.observe_input_only oracle) program.Iocov_trace.Syzlang.calls;
+  let oracle = Coverage_oracle.create () in
+  List.iter (Coverage_oracle.observe_input_only oracle) program.Iocov_trace.Syzlang.calls;
   let r = ok_run (Driver.run (Source.syz syz_text)) in
-  check_string "snapshot" (snap oracle) (snap r.Driver.product.Sink.coverage);
+  check_string "snapshot" (oracle_snap oracle) (snap r.Driver.product.Sink.coverage);
   check_int "calls" (List.length program.Iocov_trace.Syzlang.calls)
     r.Driver.product.Sink.events;
   check_int "skips noted"

@@ -486,7 +486,7 @@ let check_drain_matches_events label path =
       match Binary_io.open_stream ~mode ic with
       | Error msg -> Alcotest.failf "%s: open_stream: %s" label msg
       | Ok st ->
-        let dense = Coverage.Dense.create () in
+        let dense = Coverage.create () in
         let keep_hint h = Filter.matches_hint filter h in
         let produced = ref 0 and kept = ref 0 in
         let no_hint = ref 0 and no_match = ref 0 in
@@ -515,8 +515,8 @@ let check_drain_matches_events label path =
         check_int (label ^ ": bytes skipped") ev_comp.Anomaly.bytes_skipped
           comp.Anomaly.bytes_skipped;
         check_bool (label ^ ": truncated") ev_comp.Anomaly.truncated comp.Anomaly.truncated;
-        check_string (label ^ ": coverage identical") (Snapshot.to_string ref_cov)
-          (Snapshot.to_string (Coverage.Dense.to_reference dense));
+        check_string (label ^ ": coverage identical") (Coverage_oracle.to_string ref_cov)
+          (Snapshot.to_string dense);
         comp)
 
 let test_v3_drain_matches_read_batch () =
@@ -554,7 +554,7 @@ let test_lenient_strict_identical_on_clean () =
           | Ok o ->
             let label = match ingest with Replay.Strict -> "strict" | _ -> "lenient" in
             check_string (label ^ " coverage")
-              (Snapshot.to_string ref_cov)
+              (Coverage_oracle.to_string ref_cov)
               (Snapshot.to_string o.Replay.coverage);
             check_int (label ^ " kept") ref_kept o.Replay.kept;
             check_bool (label ^ " clean") true (Anomaly.is_clean o.Replay.completeness))
@@ -588,7 +588,7 @@ let test_lenient_text_skips_bad_lines () =
       | Ok o ->
         check_int "three lines skipped" 3 o.Replay.completeness.Anomaly.records_skipped;
         check_int "kept unchanged" ref_kept o.Replay.kept;
-        check_string "coverage unchanged" (Snapshot.to_string ref_cov)
+        check_string "coverage unchanged" (Coverage_oracle.to_string ref_cov)
           (Snapshot.to_string o.Replay.coverage);
         check_bool "parse errors carry line numbers" true
           (List.exists

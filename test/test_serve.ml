@@ -41,7 +41,7 @@ let write_binary path events =
    serve digest is compared against *)
 let offline_digest events =
   let cov, _ = sequential_coverage filter events in
-  Ledger.digest cov
+  Coverage_oracle.digest cov
 
 let ingest_trace hub ~tenant path =
   let ic = open_in_bin path in
@@ -177,50 +177,39 @@ let test_frame_malformed () =
       "yes 3\nabc";           (* unknown status *)
     ]
 
-(* --- Dense epoch primitives --- *)
+(* --- epoch primitives: copy and reset, digests against the oracle --- *)
 
-let dense_of events =
-  let d = Coverage.Dense.create () in
+let observe_kept cov events =
   List.iter
     (fun e ->
       if Filter.keeps filter e then
         match e.Event.payload with
-        | Event.Tracked call -> Coverage.Dense.observe d call e.Event.outcome
+        | Event.Tracked call -> Coverage.observe cov call e.Event.outcome
         | Event.Aux _ -> ())
-    events;
-  d
-
-let dense_digest d = Ledger.digest (Coverage.Dense.to_reference ~metered:false d)
+    events
 
 let test_dense_snapshot_frozen () =
   let events = synth_events ~seed:31 2_000 in
   let half = List.filteri (fun i _ -> i < 1_000) events in
-  let d = dense_of half in
-  let snap = Coverage.Dense.snapshot d in
-  let frozen = dense_digest snap in
-  check_string "snapshot equals source" (dense_digest d) frozen;
-  (* keep mutating the original: the snapshot must not move *)
-  List.iteri
-    (fun i e ->
-      if i >= 1_000 then
-        match e.Event.payload with
-        | Event.Tracked call -> Coverage.Dense.observe d call e.Event.outcome
-        | Event.Aux _ -> ())
-    events;
-  check_string "snapshot frozen under mutation" frozen (dense_digest snap);
-  check_bool "original moved" true (dense_digest d <> frozen);
-  check_int "snapshot calls frozen"
+  let d = Coverage.create () in
+  observe_kept d half;
+  let snap = Coverage.copy d in
+  check_string "copy equals the oracle" (offline_digest half) (Ledger.digest snap);
+  (* keep mutating the original: the copy must not move *)
+  observe_kept d (List.filteri (fun i _ -> i >= 1_000) events);
+  check_string "copy frozen under mutation" (offline_digest half) (Ledger.digest snap);
+  check_string "original moved on" (offline_digest events) (Ledger.digest d);
+  check_int "copy calls frozen"
     (List.length (List.filter (Filter.keeps filter) half))
-    (Coverage.Dense.calls_observed snap)
+    (Coverage.calls_observed snap)
 
 let test_dense_reset () =
-  let d = dense_of (synth_events ~seed:32 1_500) in
-  check_bool "non-empty before reset" true (Coverage.Dense.calls_observed d > 0);
-  Coverage.Dense.reset d;
-  check_int "calls zero" 0 (Coverage.Dense.calls_observed d);
-  check_string "reset equals fresh"
-    (dense_digest (Coverage.Dense.create ()))
-    (dense_digest d)
+  let d = Coverage.create () in
+  observe_kept d (synth_events ~seed:32 1_500);
+  check_bool "non-empty before reset" true (Coverage.calls_observed d > 0);
+  Coverage.reset d;
+  check_int "calls zero" 0 (Coverage.calls_observed d);
+  check_string "reset equals the empty oracle" (offline_digest []) (Ledger.digest d)
 
 (* --- the hub --- *)
 
@@ -267,7 +256,7 @@ let test_hub_session_mount_override () =
   Hub.ingest_events s events;
   Hub.close_session s;
   check_string "filtered-out stream leaves coverage empty"
-    (Ledger.digest (Coverage.create ~metered:false ()))
+    (offline_digest [])
     (hub_digest hub ~tenant:"narrow")
 
 let test_hub_unknown_tenant () =
@@ -667,7 +656,7 @@ let test_tail_rotation_resets () =
 (* --- ledger: the tenant column --- *)
 
 let ledger_record ?tenant label =
-  let cov, _ = sequential_coverage filter (synth_events ~seed:61 500) in
+  let cov = (Replay.analyze_events ~filter (synth_events ~seed:61 500)).Replay.coverage in
   Ledger.make ?tenant ~time:0.0 ~subcommand:"serve" ~label ~flags:[] ~jobs:1
     ~counters:"dense" ~events:500 ~kept:400 ~lost:0 ~wall_s:0.5 ~stages:[] cov
 
@@ -728,11 +717,11 @@ let test_checkpoint_failed_save_leaves_no_tmp () =
         | Error msg -> Alcotest.failf "open_stream: %s" msg
         | Ok st ->
           ignore (Binary_io.read_batch st ~max:100);
-          let cov, kept = sequential_coverage filter events in
+          let o = Replay.analyze_events ~filter events in
           {
-            Checkpoint.trace; cursor = Binary_io.cursor st; events = 100; kept;
-            batches = 1; completeness = Binary_io.completeness st;
-            coverage = cov;
+            Checkpoint.trace; cursor = Binary_io.cursor st; events = 100;
+            kept = o.Replay.kept; batches = 1; completeness = Binary_io.completeness st;
+            coverage = o.Replay.coverage;
           })
   in
   (* rename onto a directory fails after the tmp is fully written: the

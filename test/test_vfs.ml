@@ -456,14 +456,49 @@ let test_pread_pwrite_do_not_move_offset () =
   expect_ret "offset unchanged" 0 (Fs.exec fs (Model.lseek ~fd ~offset:0 ~whence:Whence.SEEK_CUR));
   ignore (Fs.exec fs (Model.close fd))
 
+(* pread64/pwrite64 refuse a negative offset before the fd lookup
+   (ksys_pread64/ksys_pwrite64): EINVAL on any fd, even one that read or
+   write would refuse with EBADF or EISDIR. *)
 let test_pread_negative_offset () =
   let fs = fresh () in
   let fd = ret_fd (Fs.exec fs (Model.open_ ~mode:0o644 ~flags:creat_rw "/d/f")) in
-  expect_err "negative pread" Errno.EINVAL
-    (Fs.exec fs (Model.read ~variant:Model.Sys_pread64 ~offset:(-1) ~fd ~count:10 ()));
-  expect_err "negative pwrite" Errno.EINVAL
-    (Fs.exec fs (Model.write ~variant:Model.Sys_pwrite64 ~offset:(-1) ~fd ~count:10 ()));
-  ignore (Fs.exec fs (Model.close fd))
+  let ro = ret_fd (Fs.exec fs (Model.open_ ~flags:rdonly "/d/f")) in
+  let wo = ret_fd (Fs.exec fs (Model.open_ ~flags:wronly "/d/f")) in
+  let dir = ret_fd (Fs.exec fs (Model.open_ ~flags:rdonly "/d")) in
+  let path_fd =
+    ret_fd
+      (Fs.exec fs
+         (Model.open_ ~flags:(Open_flags.of_flags Open_flags.[ O_RDONLY; O_PATH ]) "/d/f"))
+  in
+  let unknown = 999 in
+  let pread fd offset = Model.read ~variant:Model.Sys_pread64 ~offset ~fd ~count:10 () in
+  let pwrite fd offset = Model.write ~variant:Model.Sys_pwrite64 ~offset ~fd ~count:10 () in
+  List.iter
+    (fun offset ->
+      List.iter
+        (fun (what, call) ->
+          expect_err (Printf.sprintf "%s at %d" what offset) Errno.EINVAL (Fs.exec fs call))
+        [ ("pread", pread fd offset); ("pwrite", pwrite fd offset);
+          ("pread of an unknown fd", pread unknown offset);
+          ("pwrite of an unknown fd", pwrite unknown offset);
+          ("pread of a directory", pread dir offset);
+          ("pwrite of a directory", pwrite dir offset);
+          ("pread of a write-only fd", pread wo offset);
+          ("pwrite of a read-only fd", pwrite ro offset);
+          ("pread of an O_PATH fd", pread path_fd offset);
+          ("pwrite of an O_PATH fd", pwrite path_fd offset) ])
+    [ -1; min_int ];
+  (* without an offset the fd is checked first, as before *)
+  expect_err "read of an unknown fd" Errno.EBADF
+    (Fs.exec fs (Model.read ~fd:unknown ~count:10 ()));
+  expect_err "write of an unknown fd" Errno.EBADF
+    (Fs.exec fs (Model.write ~fd:unknown ~count:10 ()));
+  expect_err "read of a directory" Errno.EISDIR (Fs.exec fs (Model.read ~fd:dir ~count:10 ()));
+  expect_err "read of a write-only fd" Errno.EBADF
+    (Fs.exec fs (Model.read ~fd:wo ~count:10 ()));
+  expect_err "write of a read-only fd" Errno.EBADF
+    (Fs.exec fs (Model.write ~fd:ro ~count:10 ()));
+  List.iter (fun fd -> ignore (Fs.exec fs (Model.close fd))) [ fd; ro; wo; dir; path_fd ]
 
 (* A negative byte count is EINVAL (Linux's [rw_verify_area]), checked
    after the fd's access mode and before the per-type dispatch, and it
