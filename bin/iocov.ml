@@ -401,13 +401,10 @@ let differential_cmd =
        *. Iocov_bugstudy.Differential.detection_rate reports
             Iocov_bugstudy.Differential.Iocov_guided)
   in
-  let budget_arg =
-    Arg.(value & opt int 64 & info [ "budget" ] ~docv:"N" ~doc:"Probes per strategy.")
-  in
   Cmd.v
     (Cmd.info "differential"
        ~doc:"Hunt injected faults with code-coverage-style vs IOCov-guided probes.")
-    Term.(const run $ Opts.obs_term $ budget_arg)
+    Term.(const run $ Opts.obs_term $ Opts.budget ~default:64 ~doc:"Probes per strategy.")
 
 let faults_cmd =
   let run () =
@@ -687,9 +684,6 @@ let fuzz_cmd =
         print_config_sections ~config_diff rows
     end
   in
-  let budget_arg =
-    Arg.(value & opt int 2000 & info [ "budget" ] ~docv:"N" ~doc:"Program executions.")
-  in
   let compare_arg =
     Arg.(value & flag & info [ "compare" ]
            ~doc:"Run both feedback signals and print the growth curves side by side.")
@@ -699,7 +693,8 @@ let fuzz_cmd =
        ~doc:"Fuzz the modeled file system with partition-novelty (IOCov-guided) feedback; \
              $(b,--compare) pits it against path-style outcome-novelty feedback.")
     Term.(
-      const run $ Opts.obs_term $ budget_arg $ Opts.seed $ Opts.faults $ compare_arg
+      const run $ Opts.obs_term $ Opts.budget ~default:2000 ~doc:"Program executions."
+      $ Opts.seed $ Opts.faults $ compare_arg
       $ Opts.configs_term $ Opts.config_diff)
 
 (* --- serve: the multi-tenant coverage daemon, and its clients --- *)

@@ -44,6 +44,18 @@ let faults =
     & info [ "fault" ] ~docv:"FAULT" ~doc:"Inject a fault into the tested file system \
                                            (repeatable); see $(b,iocov faults).")
 
+(* A run budget: a negative count is a usage error naming the flag. *)
+let budget ~default ~doc =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 0 -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected a non-negative integer, got %S" s))
+  in
+  Arg.(
+    value
+    & opt (conv (parse, Format.pp_print_int)) default
+    & info [ "budget" ] ~docv:"N" ~doc)
+
 let suite_conv =
   let parse s =
     match Runner.suite_of_name s with

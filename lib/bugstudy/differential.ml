@@ -266,6 +266,7 @@ let probes_for strategy ~budget =
   | Code_coverage_style -> List.init budget code_style_probe
 
 let hunt ?(seed = 11) ?(budget = 64) ~strategy fault =
+  if budget < 0 then invalid_arg "Differential.hunt: budget must be non-negative";
   ignore seed;
   let probes = probes_for strategy ~budget in
   let run_pair probe =

@@ -35,7 +35,8 @@ type report = {
 val hunt :
   ?seed:int -> ?budget:int -> strategy:strategy -> Iocov_vfs.Fault.t -> report
 (** Hunt one fault with one strategy.  [budget] caps the number of
-    probes (default 64). *)
+    probes (default 64; 0 runs none).  Raises [Invalid_argument] if
+    [budget] is negative. *)
 
 val campaign : ?seed:int -> ?budget:int -> unit -> report list
 (** Every injectable fault crossed with both strategies. *)

@@ -333,13 +333,8 @@ let lit_cells t =
     lit_range t Plan.outputs_off Plan.total )
 
 let cell_bitmap t =
-  let bitmap = Bytes.make ((Plan.total + 7) / 8) '\000' in
-  Array.iteri
-    (fun id n ->
-      if n > 0 then
-        Bytes.set bitmap (id / 8)
-          (Char.chr (Char.code (Bytes.get bitmap (id / 8)) lor (1 lsl (id mod 8)))))
-    t.counts;
+  let bitmap = Iocov_util.Bitset.create Plan.total in
+  Array.iteri (fun id n -> if n > 0 then Iocov_util.Bitset.add bitmap id) t.counts;
   bitmap
 
 (* --- compatibility shim (benchmark harness only) --- *)

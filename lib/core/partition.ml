@@ -77,45 +77,6 @@ let of_label s =
              | Some f -> Some (P_xflag f)
              | None -> None)))
 
-let mode_partitions mode =
-  match Mode.decompose mode with
-  | [] -> [ P_mode_zero ]
-  | bits -> List.map (fun b -> P_mode_bit b) bits
-
-let bucket n = P_bucket (Log2.bucket_of_int n)
-
-let of_call call =
-  let open Arg_class in
-  match (call : Model.call) with
-  | Model.Open_call { flags; mode; _ } ->
-    let flag_parts =
-      List.map (fun f -> (Open_flags_arg, P_flag f)) (Open_flags.decompose flags)
-    in
-    let mode_parts =
-      (* mode is only an input when the call can create *)
-      if Open_flags.has flags Open_flags.O_CREAT || Open_flags.has flags Open_flags.O_TMPFILE
-      then List.map (fun p -> (Open_mode, p)) (mode_partitions mode)
-      else []
-    in
-    flag_parts @ mode_parts
-  | Model.Read_call { count; offset; _ } ->
-    ((Read_count, bucket count)
-     :: (match offset with Some off -> [ (Read_offset, bucket off) ] | None -> []))
-  | Model.Write_call { count; offset; _ } ->
-    ((Write_count, bucket count)
-     :: (match offset with Some off -> [ (Write_offset, bucket off) ] | None -> []))
-  | Model.Lseek_call { offset; whence; _ } ->
-    [ (Lseek_offset, bucket offset); (Lseek_whence, P_whence whence) ]
-  | Model.Truncate_call { length; _ } -> [ (Truncate_length, bucket length) ]
-  | Model.Mkdir_call { mode; _ } ->
-    List.map (fun p -> (Mkdir_mode, p)) (mode_partitions mode)
-  | Model.Chmod_call { mode; _ } ->
-    List.map (fun p -> (Chmod_mode, p)) (mode_partitions mode)
-  | Model.Close_call _ | Model.Chdir_call _ -> []
-  | Model.Setxattr_call { size; flags; _ } ->
-    [ (Setxattr_size, bucket size); (Setxattr_flags, P_xflag flags) ]
-  | Model.Getxattr_call { size; _ } -> [ (Getxattr_size, bucket size) ]
-
 let numeric_domain ~signed ~hi =
   let buckets = List.map (fun b -> P_bucket b) (Log2.range ~lo:0 ~hi) in
   let zero = P_bucket Log2.Zero in
@@ -178,14 +139,6 @@ let output_of_token s =
     match Errno.of_string s with
     | Some e -> Some (O_err e)
     | None -> None
-
-let output_of base outcome =
-  match (outcome : Model.outcome) with
-  | Model.Err e -> O_err e
-  | Model.Ret n ->
-    if not (Model.returns_byte_count base) then O_ok
-    else if n = 0 then O_ok_zero
-    else O_ok_bucket (Iocov_util.Log2.floor_log2 (max 1 n))
 
 let output_domain base =
   let successes =

@@ -5,7 +5,11 @@
     dedicated boundary partitions for zero and (where admissible)
     negative values; categorical arguments by value.  Outputs are
     partitioned into success vs. each error code, with byte-count
-    successes further split by powers of two. *)
+    successes further split by powers of two.
+
+    This module names partitions and their domains.  Classifying a call
+    or an outcome into them is {!Plan}'s job, by cell ID
+    ({!Plan.iter_input_slots}, {!Plan.output_cell}). *)
 
 open Iocov_syscall
 
@@ -28,13 +32,6 @@ val label : t -> string
 val of_label : string -> t option
 (** Inverse of {!label}.  Accepts buckets beyond any argument's domain
     (an observed partition need not be a domain member). *)
-
-val of_call : Model.call -> (Arg_class.arg * t) list
-(** Every (argument, partition) pair one call exercises.  A bitmap
-    argument contributes one pair per set flag; other argument classes
-    contribute exactly one pair.  Variant merging happens here: a
-    [pread64] feeds the same [Read_count]/[Read_offset] partitions as a
-    [read]. *)
 
 val domain : Arg_class.arg -> t list
 (** The full partition domain of an argument — the denominator for
@@ -63,11 +60,6 @@ val output_token : output -> string
 
 val output_of_token : string -> output option
 (** Inverse of {!output_token}. *)
-
-val output_of : Model.base -> Model.outcome -> output
-(** Partition one outcome.  Negative successes cannot occur; byte-count
-    syscalls bucket their return, everything else collapses to
-    [O_ok]. *)
 
 val output_domain : Model.base -> output list
 (** Success partitions plus each manual-page error code.  For byte-count

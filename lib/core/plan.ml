@@ -229,6 +229,9 @@ let output_cell base outcome =
   | Model.Err e -> err_output_cell base (Errno.index e)
   | Model.Ret n -> ret_output_cell base n
 
+let errno_cell id =
+  id >= outputs_off && id < crash_off && (id - outputs_off) mod per_base_outputs >= err0_slot
+
 (* --- partition-keyed lookup ---
 
    The same offsets, keyed on a partition value: how stored counters

@@ -4,13 +4,13 @@
     The syscall model fixes the universe of coverage cells — 27 variant
     cells, one input cell per (argument, partition) pair, one output
     cell per (base, output-partition) pair.  This module enumerates
-    them once at load time and compiles the decode→partition mapping of
-    {!Partition.of_call} / {!Partition.output_of} down to integer
-    arithmetic: flag bitmaps map bit-by-bit to slot IDs, numeric
-    arguments map via log2 bucketing to an ID offset, categorical
-    arguments via their variant codes.  {!Coverage.t} is a flat
-    [int array] indexed by these IDs; {!cells} is the inverse mapping
-    its queries use to name a cell.
+    them once at load time, and it is the one place a call and its
+    outcome are classified into partitions, by integer arithmetic: flag
+    bitmaps map bit-by-bit to slot IDs, numeric arguments map via log2
+    bucketing to an ID offset, categorical arguments via their variant
+    codes.  {!Coverage.t} is a flat [int array] indexed by these IDs,
+    and the fuzzer's feedback and test-suite reduction are bit sets over
+    them; {!cells} is the inverse mapping queries use to name a cell.
 
     Numeric strips cover the full 63-bit int range (negative, zero,
     2^0..2^62), not just the report domain, so every observable
@@ -34,13 +34,24 @@ val variant_cell : Iocov_syscall.Model.variant -> int
 
 val iter_input_slots : Iocov_syscall.Model.call -> (int -> unit) -> unit
 (** Apply the callback to the cell ID of every input partition the call
-    populates — exactly the pairs {!Partition.of_call} returns, without
-    building the list.  Allocation-free for every call shape. *)
+    exercises: one per set open flag (after [Open_flags.decompose]'s
+    normalization), the mode's bits (or [MODE_0000]) when the call can
+    create, one bucket per numeric argument present, and the whence or
+    xattr flag.  A [pread64] feeds the same [read.count]/[read.offset]
+    cells as a [read].  Allocation-free for every call shape.
+    test/partition_oracle.ml's list-building classifier checks it call
+    by call. *)
 
 val output_cell :
   Iocov_syscall.Model.base -> Iocov_syscall.Model.outcome -> int
-(** Cell ID of the outcome's output partition, as classified by
-    {!Partition.output_of}. *)
+(** Cell ID of the outcome's output partition: the errno's cell, or for
+    a success [O_ok], or for a byte-count syscall [O_ok_zero] or the
+    log2 bucket of [max 1 n]. *)
+
+val errno_cell : int -> bool
+(** Whether cell [id] is the output cell of an error code — the output
+    cells the partition yardstick ({!Reduction.partition_cells}) and
+    the config matrix count. *)
 
 val crash_cell : Partition.crash_mode -> Partition.crash_outcome -> int
 (** Cell ID of a post-crash outcome (DESIGN.md §17): one cell per

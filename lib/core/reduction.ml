@@ -1,4 +1,5 @@
 open Iocov_syscall
+module Bitset = Iocov_util.Bitset
 
 type item = {
   name : string;
@@ -12,25 +13,13 @@ type selection = {
   universe : int;
 }
 
-let partition_set cov =
-  let set = Hashtbl.create 64 in
-  List.iter
-    (fun arg ->
-      List.iter
-        (fun (part, n) ->
-          if n > 0 then
-            Hashtbl.replace set (Arg_class.name arg ^ "/" ^ Partition.label part) ())
-        (Coverage.input_histogram cov arg))
-    Arg_class.all;
-  List.iter
-    (fun base ->
-      List.iter
-        (fun (out, n) ->
-          if n > 0 && Partition.output_is_error out then
-            Hashtbl.replace set (Model.base_name base ^ "/" ^ Partition.output_token out) ())
-        (Coverage.output_histogram cov base))
-    Model.all_bases;
-  set
+let partition_cells cov =
+  let ids = ref [] in
+  for id = Plan.crash_off - 1 downto Plan.inputs_off do
+    if Coverage.cell_count cov id > 0 && (id < Plan.outputs_off || Plan.errno_cell id) then
+      ids := id :: !ids
+  done;
+  !ids
 
 let universe_size =
   lazy
@@ -45,41 +34,36 @@ let universe_size =
          0 Model.all_bases)
 
 let greedy items =
-  let sets = List.map (fun item -> (item.name, partition_set item.coverage)) items in
-  let goal = Hashtbl.create 256 in
-  List.iter (fun (_, set) -> Hashtbl.iter (fun k () -> Hashtbl.replace goal k ()) set) sets;
-  let total_covered = Hashtbl.length goal in
-  let covered = Hashtbl.create 256 in
-  let remaining = ref sets in
-  let chosen = ref [] in
-  let continue = ref true in
-  while !continue do
-    let gain_of set =
-      Hashtbl.fold (fun k () acc -> if Hashtbl.mem covered k then acc else acc + 1) set 0
-    in
-    let best =
-      List.fold_left
-        (fun best (name, set) ->
-          let gain = gain_of set in
-          match best with
-          | Some (_, _, best_gain) when best_gain >= gain -> best
-          | _ when gain = 0 -> best
-          | _ -> Some (name, set, gain))
-        None !remaining
-    in
-    match best with
-    | None -> continue := false
-    | Some (name, set, _gain) ->
-      Hashtbl.iter (fun k () -> Hashtbl.replace covered k ()) set;
-      chosen := name :: !chosen;
-      remaining := List.filter (fun (n, _) -> n <> name) !remaining
-  done;
-  {
-    chosen = List.rev !chosen;
-    covered = Hashtbl.length covered;
-    total_covered;
-    universe = Lazy.force universe_size;
-  }
+  let items = Array.of_list items in
+  let sets = Array.map (fun item -> partition_cells item.coverage) items in
+  let add_new set n id = if Bitset.mark set id then n + 1 else n in
+  let goal = Bitset.create Plan.total and covered = Bitset.create Plan.total in
+  let total_covered = Array.fold_left (List.fold_left (add_new goal)) 0 sets in
+  let gain ids = List.fold_left (fun n id -> if Bitset.mem covered id then n else n + 1) 0 ids in
+  let picked = Array.make (Array.length items) false in
+  (* Tests are told apart by position; only a strictly larger gain
+     replaces the best, so ties keep the earliest test. *)
+  let rec pick chosen n_covered =
+    let best = ref (-1) and best_gain = ref 0 in
+    Array.iteri
+      (fun i ids ->
+        if not picked.(i) then begin
+          let g = gain ids in
+          if g > !best_gain then begin
+            best := i;
+            best_gain := g
+          end
+        end)
+      sets;
+    if !best < 0 then (List.rev chosen, n_covered)
+    else begin
+      picked.(!best) <- true;
+      let n_covered = List.fold_left (add_new covered) n_covered sets.(!best) in
+      pick (items.(!best).name :: chosen) n_covered
+    end
+  in
+  let chosen, covered = pick [] 0 in
+  { chosen; covered; total_covered; universe = Lazy.force universe_size }
 
 let render s =
   Printf.sprintf

@@ -23,13 +23,17 @@ type selection = {
   universe : int;                (** partitions in the whole domain *)
 }
 
-val partition_set : Coverage.t -> (string, unit) Hashtbl.t
-(** The set of covered partition keys (inputs and error outputs), each as
-    a stable string key. *)
+val partition_cells : Coverage.t -> int list
+(** The covered partitions, as ascending {!Plan} cell IDs: every input
+    cell and every error-output cell ({!Plan.errno_cell}) with a
+    non-zero count.  Test-suite reduction and the fuzzer's yardstick
+    both count partitions this way. *)
 
 val greedy : item list -> selection
 (** Greedy set cover: repeatedly pick the test adding the most
     still-uncovered partitions until no test adds any.  Ties break toward
-    the earliest item, so the result is deterministic. *)
+    the earliest item, so the result is deterministic.  Tests are told
+    apart by position, so two tests of the same name can both be
+    chosen. *)
 
 val render : selection -> string

@@ -261,15 +261,10 @@ let cell_label = function
 
 let lit cov id = Coverage.cell_count cov id > 0
 
-let errno_cell id =
-  match Plan.cells.(id) with
-  | Plan.Cell_output (_, Partition.O_err _) -> true
-  | _ -> false
-
 let lit_errno_cells cov =
   let n = ref 0 in
   for id = 0 to Plan.total - 1 do
-    if errno_cell id && lit cov id then incr n
+    if Plan.errno_cell id && lit cov id then incr n
   done;
   !n
 
@@ -279,7 +274,7 @@ let off_baseline_errno_cells = function
     let ids = ref [] in
     for id = Plan.total - 1 downto 0 do
       if
-        errno_cell id
+        Plan.errno_cell id
         && (not (lit baseline id))
         && List.exists (fun (_, cov) -> lit cov id) rest
       then ids := id :: !ids

@@ -418,9 +418,9 @@ let run_text ~batch ?watch ~remaining st ic =
 
 let analyze_ic ~batch ~ingest ?watch ~checkpoint ~resume ~limit ?filter ?stage ~trace_path
     ic =
-  if batch <= 0 then invalid_arg "Replay.analyze_channel: batch must be positive";
+  if batch <= 0 then invalid_arg "Replay.analyze_file: batch must be positive";
   (match limit with
-   | Some n when n < 0 -> invalid_arg "Replay.analyze_channel: limit must be non-negative"
+   | Some n when n < 0 -> invalid_arg "Replay.analyze_file: limit must be non-negative"
    | _ -> ());
   let st = make_state ~ingest ?filter ?stage () in
   let remaining = ref (match limit with Some n -> n | None -> max_int) in
@@ -484,11 +484,6 @@ let merge_resumed ~from (ck : Checkpoint.t) (o : outcome) =
     batches = ck.Checkpoint.batches + o.batches;
     completeness;
   }
-
-let analyze_channel ?(batch = default_batch) ?(ingest = Strict) ?watch ?limit ?filter
-    ?stage ic =
-  analyze_ic ~batch ~ingest ?watch ~checkpoint:None ~resume:None ~limit ?filter ?stage
-    ~trace_path:"<channel>" ic
 
 let analyze_file ?(batch = default_batch) ?(ingest = Strict) ?watch ?checkpoint ?resume
     ?limit ?filter ?stage path =

@@ -103,17 +103,6 @@ val analyze_events :
     record; [stage] runs after the filter.  Raises [Failure] if a
     strict run abandons a batch. *)
 
-val analyze_channel :
-  ?batch:int -> ?ingest:ingest -> ?watch:watch -> ?limit:int ->
-  ?filter:Iocov_trace.Filter.t -> ?stage:stage -> in_channel -> (outcome, string) result
-(** Replay a trace from a channel, auto-detecting binary
-    ({!Iocov_trace.Binary_io}) versus text ({!Iocov_trace.Format_io}).
-    Runs in O(batch) memory regardless of trace length.  In strict
-    mode, parse and decode failures report the first offending record,
-    matching the sequential reader's error.  [limit] stops after that
-    many records (for sampling and for deterministic interrupted-run
-    tests). *)
-
 type checkpoint_spec = {
   ckpt_path : string;   (** where to write (atomically, tmp + rename) *)
   ckpt_every : int;     (** events between checkpoints; must be positive *)
@@ -123,7 +112,14 @@ val analyze_file :
   ?batch:int -> ?ingest:ingest -> ?watch:watch ->
   ?checkpoint:checkpoint_spec -> ?resume:string * Checkpoint.t -> ?limit:int ->
   ?filter:Iocov_trace.Filter.t -> ?stage:stage -> string -> (outcome, string) result
-(** {!analyze_channel} on a file path, plus checkpointed replay.
+(** Replay a stored trace, auto-detecting binary
+    ({!Iocov_trace.Binary_io}) versus text ({!Iocov_trace.Format_io}).
+    Runs in O(batch) memory regardless of trace length.  In strict
+    mode, parse and decode failures report the first offending record:
+    for text, ["line N: ..."].  [limit] stops after that many records
+    (for sampling and for deterministic interrupted-run tests).
+    [batch] must be positive and [limit] non-negative, or
+    [Invalid_argument].
 
     [checkpoint] periodically freezes the decode cursor and the
     accumulated coverage to a file; it requires a binary trace, and a

@@ -164,7 +164,7 @@ let source_total cfg source =
     let n = List.length events in
     Some (match cfg.limit with Some l -> min l n | None -> n)
   | Source.Syz _ -> None
-  | Source.File _ | Source.Channel _ | Source.Live _ -> cfg.limit
+  | Source.File _ | Source.Live _ -> cfg.limit
 
 let execute ~cfg ~stages ~ckpt ~watch source =
   let filter, stage = Stage.compile stages in
@@ -196,12 +196,6 @@ let execute ~cfg ~stages ~ckpt ~watch source =
             (Replay.analyze_events ~batch:cfg.batch ~ingest:cfg.ingest ?watch ?filter
                ?stage events))
      with Failure msg -> Error msg)
-  | Source.Channel { label; ic } ->
-    let* () = reject_resume "channels" in
-    let* () = reject_ckpt "channels" in
-    Result.map (product_of ~label)
-      (Replay.analyze_channel ~batch:cfg.batch ~ingest:cfg.ingest ?watch ?limit:cfg.limit
-         ?filter ?stage ic)
   | Source.File { path } ->
     let checkpoint =
       Option.map

@@ -48,8 +48,8 @@ type run = {
 val run :
   ?config:config -> ?stages:Stage.t list -> ?sinks:Sink.t list ->
   Source.t -> (run, string) result
-(** Run one pipeline.  Bad configurations (checkpointing a channel
-    source, resuming a text trace, exceeded error budgets, strict-mode
+(** Run one pipeline.  Bad configurations (checkpointing an event
+    list, resuming a text trace, exceeded error budgets, strict-mode
     corruption) are [Error]s, never exceptions.
 
     Source notes: [Events] applies [limit] by truncation; [Syz] parses

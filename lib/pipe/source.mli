@@ -16,8 +16,6 @@ type t =
       (** A stored trace file.  Text vs binary is auto-detected from the
           magic (a retired v1/v2 binary trace is refused by version);
           strict vs lenient decode comes from the driver's [ingest]. *)
-  | Channel of { label : string; ic : in_channel }
-      (** Like [File], minus checkpoint/resume (no stable path). *)
   | Live of { label : string; feed : (Iocov_trace.Event.t -> unit) -> unit }
       (** A live event producer: [feed emit] runs the workload (a suite
           under its tracer), calling [emit] once per raw traced record.
@@ -32,9 +30,6 @@ val events : ?label:string -> Iocov_trace.Event.t list -> t
 
 val file : string -> t
 
-val channel : ?label:string -> in_channel -> t
-(** [label] defaults to ["<channel>"]. *)
-
 val live : ?label:string -> ((Iocov_trace.Event.t -> unit) -> unit) -> t
 (** [label] defaults to ["<live>"]. *)
 
@@ -45,5 +40,5 @@ val label : t -> string
 (** The name reports and spans use for this source. *)
 
 val kind : t -> string
-(** ["events" | "file" | "channel" | "live" | "syz"] — the metrics
+(** ["events" | "file" | "live" | "syz"] — the metrics
     label. *)

@@ -1,8 +1,9 @@
 open Iocov_syscall
 module Prng = Iocov_util.Prng
+module Bitset = Iocov_util.Bitset
 module Coverage = Iocov_core.Coverage
-module Partition = Iocov_core.Partition
-module Arg_class = Iocov_core.Arg_class
+module Plan = Iocov_core.Plan
+module Reduction = Iocov_core.Reduction
 module Fs = Iocov_vfs.Fs
 module Config = Iocov_vfs.Config
 module Metrics = Iocov_obs.Metrics
@@ -184,74 +185,60 @@ let execute ~faults ?config program =
       (call, outcome))
     program
 
-let outcome_class outcome =
-  match (outcome : Model.outcome) with
-  | Model.Ret _ -> "ok"
-  | Model.Err e -> Errno.to_string e
+(* An outcome's class: success, or one errno. *)
+let same_class (a : Model.outcome) (b : Model.outcome) =
+  match (a, b) with
+  | Model.Ret _, Model.Ret _ -> true
+  | Model.Err x, Model.Err y -> Errno.equal x y
+  | _ -> false
 
-let covered_partitions cov =
-  let inputs =
-    List.fold_left
-      (fun acc arg ->
-        acc + List.length (List.filter (fun (_, n) -> n > 0) (Coverage.input_histogram cov arg)))
-      0 Arg_class.all
+let covered_partitions cov = List.length (Reduction.partition_cells cov)
+
+(* Outcome novelty keys on (variant, outcome class): slot 0 of a
+   variant's block is success, slot [1 + Errno.index e] errno [e]. *)
+let outcome_slots = 1 + Errno.count
+
+let outcome_id call (outcome : Model.outcome) =
+  (Model.variant_index (Model.variant_of_call call) * outcome_slots)
+  + match outcome with Model.Ret _ -> 0 | Model.Err e -> 1 + Errno.index e
+
+type novelty = {
+  n_feedback : feedback;
+  seen : Bitset.t;
+}
+
+let novelty feedback =
+  let size =
+    match feedback with
+    | Outcome_novelty -> Model.variant_count * outcome_slots
+    | Partition_novelty -> Plan.total
   in
-  let outputs =
-    List.fold_left
-      (fun acc base ->
-        acc
-        + List.length
-            (List.filter
-               (fun (o, n) -> n > 0 && Partition.output_is_error o)
-               (Coverage.output_histogram cov base)))
-      0 Model.all_bases
-  in
-  inputs + outputs
+  { n_feedback = feedback; seen = Bitset.create size }
+
+(* Every id of every observation is marked, even after an earlier one
+   was new: stopping early would leave ids unmarked and change what
+   later programs count as new. *)
+let interesting n observations =
+  let fresh = ref false in
+  let mark id = if Bitset.mark n.seen id then fresh := true in
+  List.iter
+    (fun (call, outcome) ->
+      match n.n_feedback with
+      | Outcome_novelty -> mark (outcome_id call outcome)
+      | Partition_novelty ->
+        Plan.iter_input_slots call mark;
+        mark (Plan.output_cell (Model.base_of_call call) outcome))
+    observations;
+  !fresh
 
 let run ?(seed = 77) ?(budget = 2000) ?(faults = []) ?config ~feedback () =
+  if budget < 0 then invalid_arg "Fuzzer.run: budget must be non-negative";
   let rng = Prng.create ~seed in
   let coverage = Coverage.create () in
   let corpus = ref seed_corpus in
   let growth = ref [] in
   let crashes = ref 0 in
-  (* feedback state *)
-  let seen_outcomes : (string, unit) Hashtbl.t = Hashtbl.create 256 in
-  let seen_partitions : (string, unit) Hashtbl.t = Hashtbl.create 1024 in
-  let interesting observations =
-    match feedback with
-    | Outcome_novelty ->
-      List.fold_left
-        (fun acc (call, outcome) ->
-          let key =
-            Model.variant_name (Model.variant_of_call call) ^ "/" ^ outcome_class outcome
-          in
-          if Hashtbl.mem seen_outcomes key then acc
-          else begin
-            Hashtbl.add seen_outcomes key ();
-            true
-          end)
-        false observations
-    | Partition_novelty ->
-      List.fold_left
-        (fun acc (call, outcome) ->
-          let keys =
-            List.map
-              (fun (arg, part) -> Arg_class.name arg ^ "/" ^ Partition.label part)
-              (Partition.of_call call)
-            @ [ Model.base_name (Model.base_of_call call) ^ "/"
-                ^ Partition.output_token
-                    (Partition.output_of (Model.base_of_call call) outcome) ]
-          in
-          List.fold_left
-            (fun acc key ->
-              if Hashtbl.mem seen_partitions key then acc
-              else begin
-                Hashtbl.add seen_partitions key ();
-                true
-              end)
-            acc keys)
-        false observations
-  in
+  let novelty = novelty feedback in
   Span.with_ ~name:"fuzzer/run" (fun () ->
       for execution = 1 to budget do
         let parent = Prng.choose_list rng !corpus in
@@ -267,14 +254,14 @@ let run ?(seed = 77) ?(budget = 2000) ?(faults = []) ?config ~feedback () =
           let reference = execute ~faults:[] ?config program in
           if
             List.exists2
-              (fun (_, a) (_, b) -> outcome_class a <> outcome_class b)
+              (fun (_, a) (_, b) -> not (same_class a b))
               observations reference
           then begin
             incr crashes;
             Metrics.Counter.incr m_crashes
           end
         end;
-        if interesting observations && List.length !corpus < 512 then begin
+        if interesting novelty observations && List.length !corpus < 512 then begin
           corpus := program :: !corpus;
           Metrics.Counter.incr m_retained
         end;

@@ -37,13 +37,31 @@ type result = {
 
 val covered_partitions : Iocov_core.Coverage.t -> int
 (** The yardstick: distinct input partitions plus distinct error-output
-    partitions with non-zero frequency. *)
+    partitions with non-zero frequency — the length of
+    {!Iocov_core.Reduction.partition_cells}. *)
+
+type novelty
+(** A feedback's memory: the bit set of integer keys seen so far. *)
+
+val novelty : feedback -> novelty
+(** Fresh memory for one feedback signal: nothing seen. *)
+
+val interesting :
+  novelty -> (Iocov_syscall.Model.call * Iocov_syscall.Model.outcome) list -> bool
+(** Mark every key the observations reach, and say whether any was
+    unseen.  {!Partition_novelty} keys on the {!Iocov_core.Plan} cell
+    IDs of every input partition ({!Iocov_core.Plan.iter_input_slots})
+    and of the output partition ({!Iocov_core.Plan.output_cell}), the
+    mapping the coverage counters use; {!Outcome_novelty} on one
+    (variant, success-or-errno) slot per call. *)
 
 val run :
   ?seed:int -> ?budget:int -> ?faults:Iocov_vfs.Fault.t list ->
   ?config:Iocov_vfs.Config.t -> feedback:feedback -> unit -> result
-(** Fuzz for [budget] program executions (default 2000).  Deterministic
-    for fixed seed/budget/faults. *)
+(** Fuzz for [budget] program executions (default 2000; 0 runs none).
+    Deterministic for fixed seed/budget/faults.  A mutant joins the
+    corpus when {!interesting} says so.  Raises [Invalid_argument] if
+    [budget] is negative. *)
 
 val compare_feedbacks :
   ?seed:int -> ?budget:int -> unit -> result * result

@@ -1255,21 +1255,6 @@ let drain_batch_dense st ?keep_hint ~dense ~max () =
             dr_no_match = !no_match;
           })
 
-let fold_channel ic ~init ~f =
-  match open_stream ic with
-  | Error msg -> Error msg
-  | Ok st ->
-    let rec go acc =
-      match read_batch st ~max:4096 with
-      | Error msg -> Error msg
-      | Ok batch when Array.length batch = 0 -> Ok acc
-      | Ok batch -> go (Array.fold_left f acc batch)
-    in
-    go init
-
-let read_channel ic =
-  Result.map List.rev (fold_channel ic ~init:[] ~f:(fun acc e -> e :: acc))
-
 (* Any version byte after the prefix counts: a v1/v2 file must reach
    {!open_stream}, which refuses it by name. *)
 let is_binary_trace ic =

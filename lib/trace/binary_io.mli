@@ -155,13 +155,6 @@ val completeness : stream -> Iocov_util.Anomaly.completeness
     resync regions, bytes discarded, truncation, and the first
     anomalies in stream order. *)
 
-val fold_channel : in_channel -> init:'a -> f:('a -> Event.t -> 'a) -> ('a, string) result
-(** Strict streaming decode to EOF (batched {!read_batch} internally);
-    fails with a message on corruption.  [seq] is assigned from record
-    order. *)
-
-val read_channel : in_channel -> (Event.t list, string) result
-
 val is_binary_trace : in_channel -> bool
 (** Peek the magic without consuming it (the channel is rewound), so
     [analyze] can auto-detect the format.  Any version counts, so a

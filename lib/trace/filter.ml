@@ -80,17 +80,6 @@ let keeps t (e : Event.t) =
   | None -> false
   | Some hint -> matches_hint t hint
 
-type stats = { kept : int; dropped : int }
-
-let fold t ~init ~f events =
-  let acc, kept, dropped =
-    List.fold_left
-      (fun (acc, kept, dropped) e ->
-        if decide t e then (f acc e, kept + 1, dropped) else (acc, kept, dropped + 1))
-      (init, 0, 0) events
-  in
-  (acc, { kept; dropped })
-
 (* The chunk pipeline's batched decision: same classification and the
    same counters as [decide], but metered with three adds per batch
    instead of one atomic increment per record. *)

@@ -30,24 +30,18 @@ val keeps : t -> Event.t -> bool
     are dropped: they cannot be attributed to the tested mount.  A pure
     query — does not touch the filter metrics. *)
 
-type stats = { kept : int; dropped : int }
-
-val fold :
-  t -> init:'a -> f:('a -> Event.t -> 'a) -> Event.t list -> 'a * stats
-(** Filtered fold with bookkeeping.  Each decision increments
-    [iocov_filter_events_total{result=kept|dropped_no_hint|dropped_no_match}]
-    in {!Iocov_obs.Metrics.default}. *)
-
 val keep_all : t -> Event.t list -> Event.t list
 (** [keep_all t events] is the kept records in order — the chunk
     pipeline's batched decision.  Counts exactly like per-record
-    {!fold}/{!sink} metering (same counters, same totals), but applied
-    as one add per batch instead of one per record.  A compiled filter
+    {!sink} metering (same counters, same totals), but applied as one
+    add per batch instead of one per record.  A compiled filter
     is immutable and may be shared across domains and threads. *)
 
 val sink : t -> (Event.t -> unit) -> Event.t -> unit
-(** [sink t k] is a tracer sink that forwards kept records to [k],
-    metering each decision like {!fold}. *)
+(** [sink t k] is a tracer sink that forwards kept records to [k].
+    Each decision increments
+    [iocov_filter_events_total{result=kept|dropped_no_hint|dropped_no_match}]
+    in {!Iocov_obs.Metrics.default}. *)
 
 val matches_hint : t -> string -> bool
 (** The bare mount or pattern test on a hint string — what {!keeps} applies to a

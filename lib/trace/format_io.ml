@@ -466,10 +466,6 @@ let of_line ?(seq = 0) line =
      wraps that check into its error result, so re-parse there. *)
   | exception Invalid_argument _ -> of_line_reference ~seq line
 
-let write_channel oc events =
-  List.iter (fun e -> output_string oc (to_line e ^ "\n")) events;
-  flush oc
-
 let sink_channel oc e = output_string oc (to_line e ^ "\n")
 
 (* --- streaming reads --- *)
@@ -500,27 +496,3 @@ let read_raw_batch st ~max =
       end
   done;
   Array.of_list (List.rev !batch)
-
-let fold_channel ic ~init ~f =
-  let st = open_stream ic in
-  let rec go acc =
-    let batch = read_raw_batch st ~max:4096 in
-    if Array.length batch = 0 then Ok acc
-    else begin
-      let rec consume acc i =
-        if i = Array.length batch then go acc
-        else begin
-          let lineno, line = batch.(i) in
-          match of_line ~seq:lineno line with
-          | Ok e -> consume (f acc e) (i + 1)
-          | Error msg -> Error (Printf.sprintf "line %d: %s" lineno msg)
-        end
-      in
-      consume acc 0
-    end
-  in
-  go init
-
-let read_channel ic =
-  let* events = fold_channel ic ~init:[] ~f:(fun acc e -> e :: acc) in
-  Ok (List.rev events)

@@ -27,19 +27,8 @@ val of_line_reference : ?seq:int -> string -> (Event.t, string) result
     for the fast scanner ([of_line] must agree with it on every
     input) and as the fallback for non-canonical lines. *)
 
-val write_channel : out_channel -> Event.t list -> unit
-(** One line per event, flushed. *)
-
 val sink_channel : out_channel -> Event.t -> unit
 (** A tracer sink that streams records to a channel. *)
-
-val read_channel : in_channel -> (Event.t list, string) result
-(** Reads to EOF; fails with a located message on the first bad line.
-    Blank lines and [#]-comment lines are skipped. *)
-
-val fold_channel : in_channel -> init:'a -> f:('a -> Event.t -> 'a) -> ('a, string) result
-(** Streaming fold over records — the analyzer's entry point for large
-    traces (never materializes the list). *)
 
 (** {2 Streaming reads}
 

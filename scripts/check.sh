@@ -182,6 +182,31 @@ fi
 dune exec bin/iocov.exe -- runs diff 7 8 --cross-config --ledger "$tmp/ledger" \
   > /dev/null
 
+echo "== fuzzer and reduction output is pinned =="
+# fuzz feedback and test-suite reduction key plan cell ids; what they
+# print is pinned to the md5s it had when both keyed string tables
+pin() {
+  want=$1
+  shift
+  got=$("$@" | md5sum | cut -d' ' -f1)
+  if [ "$got" != "$want" ]; then
+    echo "error: $* printed md5 $got, expected $want" >&2
+    exit 1
+  fi
+}
+pin e2cef009570d012a9aee1bfe28099a8d dune exec bin/iocov.exe -- fuzz --compare --seed 42
+pin 36c6519d198e576fb1b1bea99b025a39 dune exec bin/iocov.exe -- fuzz --compare --seed 7
+(cd "$tmp" && pin 5568dc4cbb92e6a0fca9729467ad6f67 \
+  "$root/_build/default/bench/main.exe" --only fuzzer --only reduction)
+# a negative budget is a usage error that names the flag
+for cmd in fuzz differential; do
+  if dune exec bin/iocov.exe -- "$cmd" --budget=-1 > /dev/null 2> "$tmp/budget.err"; then
+    echo "error: iocov $cmd accepted a negative --budget" >&2
+    exit 1
+  fi
+  grep -q -- "--budget" "$tmp/budget.err"
+done
+
 echo "== benchmark gate =="
 # the benchmark's own planted-defect self-check, then one short run of
 # each workload: every run must check out correct with no failed

@@ -4,7 +4,7 @@
    Input counts live in one histogram per argument and output counts in
    one per base syscall, keyed by partition values and sorted by
    [Partition.compare]/[compare_output] on the way out.  It classifies
-   calls with [Partition.of_call]/[output_of], never with the plan's
+   calls with [Partition_oracle.of_call]/[output_of], never with the plan's
    slot arithmetic, and renders snapshot text with its own emitter.  A
    mistake in the plan-range queries (say, a missed order exception)
    therefore cannot show up on both sides of a comparison. *)
@@ -57,7 +57,9 @@ let output_hist t base =
 let observe_input_only t call =
   t.calls <- t.calls + 1;
   Histogram.add t.variants (Model.variant_of_call call);
-  List.iter (fun (arg, part) -> Histogram.add (input_hist t arg) part) (Partition.of_call call);
+  List.iter
+    (fun (arg, part) -> Histogram.add (input_hist t arg) part)
+    (Partition_oracle.of_call call);
   match call with
   | Model.Open_call { flags; _ } -> Histogram.add t.flag_sets flags
   | _ -> ()
@@ -65,7 +67,7 @@ let observe_input_only t call =
 let observe t call outcome =
   observe_input_only t call;
   let base = Model.base_of_call call in
-  Histogram.add (output_hist t base) (Partition.output_of base outcome)
+  Histogram.add (output_hist t base) (Partition_oracle.output_of base outcome)
 
 let merge_into ~dst src =
   dst.calls <- dst.calls + src.calls;

@@ -142,6 +142,14 @@ let test_budget_respected () =
   let r = Diff.hunt ~budget:3 ~strategy:Diff.Code_coverage_style Fault.Xattr_ibody_overflow in
   check_bool "at most 3 probes" true (r.Diff.probes_run <= 3)
 
+let test_negative_budget_refused () =
+  Alcotest.check_raises "negative budget"
+    (Invalid_argument "Differential.hunt: budget must be non-negative") (fun () ->
+      ignore
+        (Diff.hunt ~budget:(-2) ~strategy:Diff.Code_coverage_style Fault.Xattr_ibody_overflow));
+  let r = Diff.hunt ~budget:0 ~strategy:Diff.Iocov_guided Fault.Xattr_ibody_overflow in
+  check_int "zero budget runs no probe" 0 r.Diff.probes_run
+
 let test_detection_reports_probe_index () =
   let r = Diff.hunt ~strategy:Diff.Iocov_guided Fault.Write_zero_advances_offset in
   (match r.Diff.first_detection with
@@ -204,6 +212,7 @@ let suites =
         Alcotest.test_case "code-style misses every fault" `Slow
           test_code_style_misses_every_fault;
         Alcotest.test_case "budget respected" `Quick test_budget_respected;
+        Alcotest.test_case "negative budget refused" `Quick test_negative_budget_refused;
         Alcotest.test_case "detection index" `Quick test_detection_reports_probe_index;
         Alcotest.test_case "campaign matrix" `Slow test_campaign_covers_matrix;
         Alcotest.test_case "no false positives" `Quick test_no_false_positives;

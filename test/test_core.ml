@@ -46,7 +46,7 @@ let test_partition_open_flags () =
     Model.open_ ~mode:0o644
       ~flags:(Open_flags.of_flags Open_flags.[ O_WRONLY; O_CREAT; O_TRUNC ]) "/x"
   in
-  let parts = Partition.of_call call in
+  let parts = Partition_oracle.of_call call in
   let flags =
     List.filter_map
       (function Arg_class.Open_flags_arg, Partition.P_flag f -> Some f | _ -> None)
@@ -60,11 +60,13 @@ let test_partition_open_flags () =
 let test_partition_open_mode_only_with_creat () =
   let call = Model.open_ ~mode:0o644 ~flags:(Open_flags.of_flags Open_flags.[ O_RDONLY ]) "/x" in
   check_bool "mode not an input without O_CREAT" false
-    (List.exists (function Arg_class.Open_mode, _ -> true | _ -> false) (Partition.of_call call))
+    (List.exists
+       (function Arg_class.Open_mode, _ -> true | _ -> false)
+       (Partition_oracle.of_call call))
 
 let test_partition_write_boundary () =
   let bucket count =
-    match Partition.of_call (Model.write ~fd:3 ~count ()) with
+    match Partition_oracle.of_call (Model.write ~fd:3 ~count ()) with
     | [ (Arg_class.Write_count, Partition.P_bucket b) ] -> b
     | _ -> Alcotest.fail "unexpected partitions"
   in
@@ -75,7 +77,7 @@ let test_partition_write_boundary () =
 
 let test_partition_pwrite_offset_arg () =
   let parts =
-    Partition.of_call (Model.write ~variant:Model.Sys_pwrite64 ~offset:0 ~fd:3 ~count:10 ())
+    Partition_oracle.of_call (Model.write ~variant:Model.Sys_pwrite64 ~offset:0 ~fd:3 ~count:10 ())
   in
   check_bool "offset zero partition" true
     (List.exists
@@ -83,7 +85,7 @@ let test_partition_pwrite_offset_arg () =
        parts)
 
 let test_partition_lseek () =
-  let parts = Partition.of_call (Model.lseek ~fd:3 ~offset:(-5) ~whence:Whence.SEEK_CUR) in
+  let parts = Partition_oracle.of_call (Model.lseek ~fd:3 ~offset:(-5) ~whence:Whence.SEEK_CUR) in
   check_bool "negative offset partition" true
     (List.exists
        (function Arg_class.Lseek_offset, Partition.P_bucket Log2.Negative -> true | _ -> false)
@@ -94,12 +96,12 @@ let test_partition_lseek () =
        parts)
 
 let test_partition_mode_zero () =
-  let parts = Partition.of_call (Model.chmod ~target:(Model.Path "/x") ~mode:0 ()) in
+  let parts = Partition_oracle.of_call (Model.chmod ~target:(Model.Path "/x") ~mode:0 ()) in
   check_bool "mode 0000 partition" true
     (List.exists (function Arg_class.Chmod_mode, Partition.P_mode_zero -> true | _ -> false) parts)
 
 let test_partition_close_has_none () =
-  check_int "close: identifier-only" 0 (List.length (Partition.of_call (Model.close 3)))
+  check_int "close: identifier-only" 0 (List.length (Partition_oracle.of_call (Model.close 3)))
 
 let test_domains_sizes () =
   check_int "open flags domain" 21
@@ -133,18 +135,18 @@ let test_every_call_partition_in_domain () =
             (Printf.sprintf "%s/%s in domain" (Arg_class.name arg) (Partition.label part))
             true
             (List.exists (Partition.equal part) (Partition.domain arg)))
-        (Partition.of_call call))
+        (Partition_oracle.of_call call))
     calls
 
 let test_output_partitions () =
   check_bool "open success" true
-    (Partition.output_of Model.Open (Model.Ret 3) = Partition.O_ok);
+    (Partition_oracle.output_of Model.Open (Model.Ret 3) = Partition.O_ok);
   check_bool "write zero" true
-    (Partition.output_of Model.Write (Model.Ret 0) = Partition.O_ok_zero);
+    (Partition_oracle.output_of Model.Write (Model.Ret 0) = Partition.O_ok_zero);
   check_bool "write bucket" true
-    (Partition.output_of Model.Write (Model.Ret 4096) = Partition.O_ok_bucket 12);
+    (Partition_oracle.output_of Model.Write (Model.Ret 4096) = Partition.O_ok_bucket 12);
   check_bool "error" true
-    (Partition.output_of Model.Open (Model.Err Errno.ENOENT) = Partition.O_err Errno.ENOENT)
+    (Partition_oracle.output_of Model.Open (Model.Err Errno.ENOENT) = Partition.O_err Errno.ENOENT)
 
 let test_output_domains () =
   (* open: 1 OK + 27 errnos *)

@@ -215,7 +215,7 @@ let test_plan_input_slots_match_of_call () =
         match Plan.cells.(id) with
         | Plan.Cell_input (arg, part) -> via_plan := (arg, part) :: !via_plan
         | _ -> Alcotest.failf "input slot %d is not an input cell" id);
-    let expected = List.sort compare (Partition.of_call call) in
+    let expected = List.sort compare (Partition_oracle.of_call call) in
     let got = List.sort compare !via_plan in
     check_bool
       (Printf.sprintf "input cells agree for %s" (Model.call_to_string call))
@@ -237,7 +237,7 @@ let test_plan_output_cell_matches_output_of () =
             (Printf.sprintf "%s output cell" (Model.base_name base))
             true
             (Plan.cells.(id)
-             = Plan.Cell_output (base, Partition.output_of base outcome)))
+             = Plan.Cell_output (base, Partition_oracle.output_of base outcome)))
         outcomes)
     Model.all_bases
 

@@ -1,5 +1,6 @@
 (* Tests for the future-work extensions: coverage snapshots, the
-   Syzkaller program adapter, and the feedback-comparison fuzzer. *)
+   Syzkaller program adapter, the feedback-comparison fuzzer and
+   test-suite reduction. *)
 
 open Iocov_syscall
 module Coverage = Iocov_core.Coverage
@@ -258,10 +259,61 @@ let test_fuzzer_growth_monotone () =
 let test_fuzzer_partition_feedback_wins () =
   (* the paper's related-work claim, measured: partition-novelty feedback
      covers at least as many partitions as outcome-novelty under the same
-     budget, and strictly more on this seed *)
+     budget, and strictly more on this seed.  The exact corpus sizes and
+     partition counts are pinned: a change to how either feedback keys
+     its observations moves them. *)
   let outcome, partition = Fuzzer.compare_feedbacks ~seed:77 ~budget:1500 () in
   let c r = Fuzzer.covered_partitions r.Fuzzer.coverage in
-  check_bool "guided covers strictly more" true (c partition > c outcome)
+  check_bool "guided covers strictly more" true (c partition > c outcome);
+  check_int "outcome-novelty corpus" 23 outcome.Fuzzer.corpus_size;
+  check_int "outcome-novelty partitions" 138 (c outcome);
+  check_int "partition-novelty corpus" 120 partition.Fuzzer.corpus_size;
+  check_int "partition-novelty partitions" 165 (c partition)
+
+let test_fuzzer_budget () =
+  Alcotest.check_raises "negative budget"
+    (Invalid_argument "Fuzzer.run: budget must be non-negative") (fun () ->
+      ignore (Fuzzer.run ~budget:(-1) ~feedback:Fuzzer.Partition_novelty ()));
+  let r = Fuzzer.run ~budget:0 ~feedback:Fuzzer.Outcome_novelty () in
+  check_int "zero budget runs nothing" 0 r.Fuzzer.executions;
+  check_int "seed corpus only" 4 r.Fuzzer.corpus_size;
+  check_bool "no growth samples" true (r.Fuzzer.growth = [])
+
+(* The bit-set feedbacks against the string-keyed ones they replaced:
+   on random observation streams from test_dense's widest generators,
+   cut into programs of one to four observations, both answer the same
+   for every program.  A feedback that stopped marking at the first new
+   id would call a later program new when the string keys do not. *)
+let rec split_at k = function
+  | x :: rest when k > 0 ->
+    let front, back = split_at (k - 1) rest in
+    (x :: front, back)
+  | l -> ([], l)
+
+let novelty_matches_string_keys =
+  QCheck.Test.make ~count:200 ~name:"bit-set novelty = string-key novelty"
+    QCheck.(pair (int_bound 1_000_000) (int_bound 300))
+    (fun (seed, n) ->
+      let pairs = Test_dense.gen_pairs ~seed n in
+      List.for_all
+        (fun feedback ->
+          let rng = Iocov_util.Prng.create ~seed:(seed + 1) in
+          let novelty = Fuzzer.novelty feedback in
+          let oracle = Partition_oracle.Novelty.create feedback in
+          let rec go i pairs =
+            let k = 1 + Iocov_util.Prng.int rng 4 in
+            match split_at k pairs with
+            | [], _ -> true
+            | program, rest ->
+              let got = Fuzzer.interesting novelty program in
+              let want = Partition_oracle.Novelty.interesting oracle program in
+              if got <> want then
+                QCheck.Test.fail_reportf "%s, program %d: bit set says %b, string keys %b"
+                  (Fuzzer.feedback_name feedback) i got want
+              else go (i + 1) rest
+          in
+          go 0 pairs)
+        [ Fuzzer.Outcome_novelty; Fuzzer.Partition_novelty ])
 
 let test_fuzzer_corpus_grows () =
   let r = Fuzzer.run ~seed:8 ~budget:400 ~feedback:Fuzzer.Partition_novelty () in
@@ -344,6 +396,40 @@ let test_reduction_empty () =
   check_int "nothing chosen" 0 (List.length sel.Reduction.chosen);
   check_int "nothing covered" 0 sel.Reduction.total_covered
 
+let test_reduction_same_names () =
+  (* two tests may share a name (CrashMonkey repeats workload names):
+     picking one must not drop the other *)
+  let small = cov_of [ (Model.write ~fd:3 ~count:8 (), Model.Ret 8) ] in
+  let big = cov_of [ (Model.write ~fd:3 ~count:65536 (), Model.Err Errno.ENOSPC) ] in
+  let sel =
+    Reduction.greedy
+      [ { Reduction.name = "t"; coverage = small }; { Reduction.name = "t"; coverage = big } ]
+  in
+  check_bool "both chosen" true (sel.Reduction.chosen = [ "t"; "t" ]);
+  check_int "all covered" 3 sel.Reduction.covered;
+  check_int "suite covers three" 3 sel.Reduction.total_covered
+
+(* Reduction over plan cell ids against the string-keyed greedy it
+   replaced, on per-test coverages drawn from test_dense's generators.
+   Names are distinct, the only case where dropping by name was
+   sound. *)
+let reduction_matches_string_keys =
+  QCheck.Test.make ~count:200 ~name:"cell-id greedy = string-key greedy"
+    QCheck.(triple (int_bound 1_000_000) (int_bound 12) (int_bound 8))
+    (fun (seed, tests, calls) ->
+      let items =
+        List.init tests (fun i ->
+            let n = 1 + ((seed + i) mod (calls + 1)) in
+            { Reduction.name = Printf.sprintf "t%d" i;
+              coverage = cov_of (Test_dense.gen_pairs ~seed:(seed + i) n) })
+      in
+      let sel = Reduction.greedy items in
+      let chosen, covered, total_covered = Partition_oracle.greedy items in
+      if sel.Reduction.chosen <> chosen then
+        QCheck.Test.fail_reportf "chosen %s, string keys %s"
+          (String.concat " " sel.Reduction.chosen) (String.concat " " chosen)
+      else sel.Reduction.covered = covered && sel.Reduction.total_covered = total_covered)
+
 let test_reduction_deterministic () =
   let items =
     List.init 5 (fun i ->
@@ -380,6 +466,8 @@ let suites =
       [ Alcotest.test_case "deterministic" `Quick test_fuzzer_deterministic;
         Alcotest.test_case "growth monotone" `Quick test_fuzzer_growth_monotone;
         Alcotest.test_case "partition feedback wins" `Slow test_fuzzer_partition_feedback_wins;
+        Alcotest.test_case "budget" `Quick test_fuzzer_budget;
+        QCheck_alcotest.to_alcotest novelty_matches_string_keys;
         Alcotest.test_case "corpus grows" `Quick test_fuzzer_corpus_grows;
         Alcotest.test_case "finds an injected fault" `Slow test_fuzzer_finds_injected_fault;
         Alcotest.test_case "no false crashes" `Quick test_fuzzer_no_crashes_without_faults ] );
@@ -388,4 +476,6 @@ let suites =
         Alcotest.test_case "preserves coverage" `Quick test_reduction_preserves_coverage;
         Alcotest.test_case "greedy order" `Quick test_reduction_greedy_order;
         Alcotest.test_case "empty input" `Quick test_reduction_empty;
-        Alcotest.test_case "deterministic" `Quick test_reduction_deterministic ] ) ]
+        Alcotest.test_case "deterministic" `Quick test_reduction_deterministic;
+        Alcotest.test_case "same-named tests" `Quick test_reduction_same_names;
+        QCheck_alcotest.to_alcotest reduction_matches_string_keys ] ) ]

@@ -31,7 +31,7 @@ let test_offline_equals_online () =
   let offline = Coverage.create () in
   let ic = open_in path in
   let result =
-    Format_io.fold_channel ic ~init:() ~f:(fun () e ->
+    Trace_reader.fold_text ic ~init:() ~f:(fun () e ->
         if Filter.keeps filter e then
           match e.Event.payload with
           | Event.Tracked call -> Coverage.observe offline call e.Event.outcome
@@ -54,7 +54,7 @@ let test_wrong_mount_filters_everything () =
   let ic = open_in path in
   let kept =
     Result.get_ok
-      (Format_io.fold_channel ic ~init:0 ~f:(fun acc e ->
+      (Trace_reader.fold_text ic ~init:0 ~f:(fun acc e ->
            if Filter.keeps filter e then acc + 1 else acc))
   in
   close_in ic;
@@ -71,7 +71,7 @@ let test_trace_contains_aux_records () =
   let ic = open_in path in
   let tracked, aux =
     Result.get_ok
-      (Format_io.fold_channel ic ~init:(0, 0) ~f:(fun (t, a) e ->
+      (Trace_reader.fold_text ic ~init:(0, 0) ~f:(fun (t, a) e ->
            if Event.is_tracked e then (t + 1, a) else (t, a + 1)))
   in
   close_in ic;

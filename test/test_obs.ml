@@ -381,7 +381,7 @@ let test_pipeline_counters_deterministic () =
 (* Observing meters nothing; the run's owner credits the accumulator
    once with [meter_counts].  That one batch must equal what per-update
    increments would have produced: one call and one variant update per
-   observation, one input update per [Partition.of_call] pair, one
+   observation, one input update per [Partition_oracle.of_call] pair, one
    output update per full observation and one flag-set update per
    open. *)
 let test_coverage_metering_batched_exact () =
@@ -414,7 +414,7 @@ let test_coverage_metering_batched_exact () =
   in
   let input_updates =
     List.fold_left
-      (fun acc (c, _) -> acc + List.length (Partition.of_call c))
+      (fun acc (c, _) -> acc + List.length (Partition_oracle.of_call c))
       0 stream
   in
   let opens =

@@ -173,10 +173,7 @@ let test_replay_text_channel () =
   with_temp_file (fun path ->
       Out_channel.with_open_text path (fun oc ->
           List.iter (Format_io.sink_channel oc) events);
-      let ic = open_in_bin path in
-      let result = Replay.analyze_channel ~batch:128 ~filter ic in
-      close_in ic;
-      match result with
+      match Replay.analyze_file ~batch:128 ~filter path with
       | Error msg -> Alcotest.failf "text replay failed: %s" msg
       | Ok o ->
         check_bool "text coverage identical" true (matches_oracle ref_cov o.Replay.coverage);
@@ -192,10 +189,7 @@ let test_replay_binary_channel () =
       List.iter (Binary_io.sink w) events;
       Binary_io.flush w;
       close_out oc;
-      let ic = open_in_bin path in
-      let result = Replay.analyze_channel ~batch:128 ~filter ic in
-      close_in ic;
-      match result with
+      match Replay.analyze_file ~batch:128 ~filter path with
       | Error msg -> Alcotest.failf "binary replay failed: %s" msg
       | Ok o ->
         check_bool "binary coverage identical" true (matches_oracle ref_cov o.Replay.coverage);
@@ -214,14 +208,11 @@ let test_replay_text_error_line () =
             events);
       let sequential_err =
         let ic = open_in_bin path in
-        let r = Format_io.fold_channel ic ~init:() ~f:(fun () _ -> ()) in
+        let r = Trace_reader.fold_text ic ~init:() ~f:(fun () _ -> ()) in
         close_in ic;
         match r with Ok () -> Alcotest.fail "expected a parse error" | Error m -> m
       in
-      let ic = open_in_bin path in
-      let result = Replay.analyze_channel ~batch:8 ~filter:(Filter.mount_point "/mnt/test") ic in
-      close_in ic;
-      match result with
+      match Replay.analyze_file ~batch:8 ~filter:(Filter.mount_point "/mnt/test") path with
       | Ok _ -> Alcotest.fail "expected a parse error"
       | Error msg -> check_string "error agrees" sequential_err msg)
 
@@ -262,8 +253,8 @@ let test_keep_all_counters_match_per_event () =
      Metrics.Counter.value no_match_c)
   in
   let k0, h0, m0 = read () in
-  (* [fold] is the metered per-event path; [keeps] is pure by design *)
-  ignore (Filter.fold filter ~init:() ~f:(fun () _ -> ()) events);
+  (* [sink] is the metered per-event path; [keeps] is pure by design *)
+  List.iter (Filter.sink filter ignore) events;
   let k1, h1, m1 = read () in
   ignore (Filter.keep_all filter events);
   let k2, h2, m2 = read () in

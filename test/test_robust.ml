@@ -546,10 +546,7 @@ let test_lenient_strict_identical_on_clean () =
       write_binary path events;
       List.iter
         (fun ingest ->
-          let ic = open_in_bin path in
-          let result = Replay.analyze_channel ~batch:128 ~ingest ~filter ic in
-          close_in ic;
-          match result with
+          match Replay.analyze_file ~batch:128 ~ingest ~filter path with
           | Error msg -> Alcotest.failf "replay failed: %s" msg
           | Ok o ->
             let label = match ingest with Replay.Strict -> "strict" | _ -> "lenient" in
@@ -571,19 +568,11 @@ let test_lenient_text_skips_bad_lines () =
               Format_io.sink_channel oc e)
             events);
       (* strict: fails with the first offending line *)
-      let ic = open_in_bin path in
-      let strict = Replay.analyze_channel ~filter ic in
-      close_in ic;
-      (match strict with
+      (match Replay.analyze_file ~filter path with
        | Ok _ -> Alcotest.fail "strict accepted bad text lines"
        | Error msg -> check_string "first bad line" "line 31" (String.sub msg 0 7));
       (* lenient: skips all three, coverage unharmed *)
-      let ic = open_in_bin path in
-      let lenient =
-        Replay.analyze_channel ~ingest:(Replay.Lenient Anomaly.Unlimited) ~filter ic
-      in
-      close_in ic;
-      match lenient with
+      match Replay.analyze_file ~ingest:(Replay.Lenient Anomaly.Unlimited) ~filter path with
       | Error msg -> Alcotest.failf "lenient text replay failed: %s" msg
       | Ok o ->
         check_int "three lines skipped" 3 o.Replay.completeness.Anomaly.records_skipped;

@@ -280,10 +280,10 @@ let test_channel_roundtrip () =
   let recorded = List.rev !events in
   let path = Filename.temp_file "iocov_test" ".trace" in
   let oc = open_out path in
-  Format_io.write_channel oc recorded;
+  Trace_reader.write_text oc recorded;
   close_out oc;
   let ic = open_in path in
-  let read_back = Result.get_ok (Format_io.read_channel ic) in
+  let read_back = Result.get_ok (Trace_reader.read_text ic) in
   close_in ic;
   Sys.remove path;
   check_int "all records back" (List.length recorded) (List.length read_back);
@@ -298,8 +298,10 @@ let test_fold_skips_comments () =
   output_string oc "[1] pid=1 comm=\"t\" close(fd=3) -> err:EBADF\n";
   close_out oc;
   let ic = open_in path in
-  let n = Result.get_ok (Format_io.fold_channel ic ~init:0 ~f:(fun acc _ -> acc + 1)) in
+  let lines = Format_io.read_raw_batch (Format_io.open_stream ic) ~max:16 in
   close_in ic;
+  let n = Array.length lines in
+  check_int "numbered past the skipped lines" 3 (fst lines.(0));
   Sys.remove path;
   check_int "one record" 1 n
 
@@ -512,7 +514,7 @@ let binary_roundtrip events =
   Binary_io.flush w;
   close_out oc;
   let ic = open_in_bin path in
-  let back = Binary_io.read_channel ic in
+  let back = Trace_reader.read_binary ic in
   close_in ic;
   Sys.remove path;
   back
@@ -539,7 +541,7 @@ let test_binary_smaller_than_text () =
   Binary_io.flush w;
   close_out oc;
   let oc = open_out txt in
-  Format_io.write_channel oc events;
+  Trace_reader.write_text oc events;
   close_out oc;
   let size f = (Unix.stat f).Unix.st_size in
   let b = size bin and t = size txt in
@@ -558,7 +560,7 @@ let test_binary_detects_magic () =
   let ic = open_in_bin bin in
   check_bool "binary detected" true (Binary_io.is_binary_trace ic);
   (* detection must not consume the stream *)
-  check_bool "still decodable" true (Result.is_ok (Binary_io.read_channel ic));
+  check_bool "still decodable" true (Result.is_ok (Trace_reader.read_binary ic));
   close_in ic;
   Sys.remove bin;
   let txt = Filename.temp_file "iocov_txt" ".trace" in
@@ -586,7 +588,7 @@ let test_binary_rejects_corruption () =
   output_string oc (String.sub data 0 (String.length data - 3));
   close_out oc;
   let ic = open_in_bin cut in
-  check_bool "truncation detected" true (Result.is_error (Binary_io.read_channel ic));
+  check_bool "truncation detected" true (Result.is_error (Trace_reader.read_binary ic));
   close_in ic;
   Sys.remove cut;
   (* wrong magic *)
@@ -595,7 +597,7 @@ let test_binary_rejects_corruption () =
   output_string oc "NOPE!";
   close_out oc;
   let ic = open_in_bin bad in
-  check_bool "bad magic rejected" true (Result.is_error (Binary_io.read_channel ic));
+  check_bool "bad magic rejected" true (Result.is_error (Trace_reader.read_binary ic));
   close_in ic;
   Sys.remove bad
 
@@ -652,16 +654,34 @@ let test_filter_bad_pattern () =
   | Ok _ -> Alcotest.fail "expected failure"
   | Error msg -> check_bool "names the pattern" true (String.length msg > 0)
 
-let test_filter_fold_stats () =
+(* How many records [Filter.sink] forwards and how many it drops. *)
+let sink_counts f events =
+  let kept = ref 0 in
+  List.iter (Filter.sink f (fun _ -> incr kept)) events;
+  (!kept, List.length events - !kept)
+
+(* [sink] is the metered per-record path: every decision lands in one
+   [iocov_filter_events_total] counter. *)
+let test_filter_sink_stats () =
+  let module Metrics = Iocov_obs.Metrics in
+  let counter result =
+    Metrics.Counter.value
+      (Metrics.counter Metrics.default "iocov_filter_events_total"
+         ~labels:[ ("result", result) ])
+  in
+  let read () = List.map counter [ "kept"; "dropped_no_hint"; "dropped_no_match" ] in
   let f = Filter.mount_point "/mnt/test" in
   let events =
     [ mk_event (Some "/mnt/test/a"); mk_event (Some "/etc/passwd"); mk_event None;
       mk_event (Some "/mnt/test") ]
   in
-  let count, stats = Filter.fold f ~init:0 ~f:(fun acc _ -> acc + 1) events in
-  check_int "kept" 2 count;
-  check_int "stats kept" 2 stats.Filter.kept;
-  check_int "stats dropped" 2 stats.Filter.dropped
+  let before = read () in
+  let kept, dropped = sink_counts f events in
+  let after = read () in
+  check_int "kept" 2 kept;
+  check_int "dropped" 2 dropped;
+  check_bool "metered kept, no-hint, no-match" true
+    (List.map2 ( - ) after before = [ 2; 1; 1 ])
 
 (* The root mount keeps every record that has a hint and still drops
    the ones without; a trailing slash changes nothing. *)
@@ -675,9 +695,9 @@ let test_filter_root_and_trailing_slash () =
   let hinted = List.length (List.filter (fun e -> e.Event.path_hint <> None) events) in
   check_bool "some records lack a hint" true (hinted < List.length events);
   let root = Filter.mount_point "/" in
-  let kept, stats = Filter.fold root ~init:0 ~f:(fun n _ -> n + 1) events in
+  let kept, dropped = sink_counts root events in
   check_int "root keeps every hinted record" hinted kept;
-  check_int "root drops the hintless" (List.length events - hinted) stats.Filter.dropped;
+  check_int "root drops the hintless" (List.length events - hinted) dropped;
   let bare = Filter.mount_point "/mnt/test" and slashed = Filter.mount_point "/mnt/test/" in
   check_bool "/mnt/test/ decides like /mnt/test" true
     (List.for_all (fun e -> Filter.keeps bare e = Filter.keeps slashed e) events);
@@ -774,7 +794,7 @@ let suites =
         Alcotest.test_case "trailing slash" `Quick test_filter_trailing_slash_normalized;
         Alcotest.test_case "multiple patterns" `Quick test_filter_multiple_patterns;
         Alcotest.test_case "bad pattern" `Quick test_filter_bad_pattern;
-        Alcotest.test_case "fold stats" `Quick test_filter_fold_stats;
+        Alcotest.test_case "sink stats" `Quick test_filter_sink_stats;
         Alcotest.test_case "metachars escaped" `Quick test_filter_regex_metachars_escaped;
         Alcotest.test_case "root mount and trailing slash" `Quick
           test_filter_root_and_trailing_slash;
