@@ -51,7 +51,7 @@ let () =
         tcd-ablation|partition-ablation|variant-ablation|remaining|ltp|reduction|fuzzer|\
         perf|robustness|obs|format|serve|crash)");
       ("--format-bench", Arg.Unit (fun () -> only := "format" :: !only),
-       "shorthand for --only format (the v3-compactness and scanner-equivalence gate; \
+       "shorthand for --only format (the v3-compactness and text/v3 equivalence gate; \
         exits non-zero on failure)");
       ("--serve-bench", Arg.Unit (fun () -> only := "serve" :: !only),
        "shorthand for --only serve (E16, multi-tenant mixed ingest/query workload; \
@@ -639,8 +639,6 @@ let perf_benches () =
           Coverage.observe coverage write_call (Model.Ret 4096)));
       Test.make ~name:"trace: parse one record (text)" (Staged.stage (fun () ->
           ignore (Iocov_trace.Format_io.of_line sample_line)));
-      Test.make ~name:"trace: parse one record (text, reference)" (Staged.stage (fun () ->
-          ignore (Iocov_trace.Format_io.of_line_reference sample_line)));
       Test.make ~name:"filter: regex search on a hint" (Staged.stage (fun () ->
           ignore (Iocov_regex.Engine.search regex "/mnt/test/dir/file")));
       Test.make ~name:"filter: mount-point test on a hint" (Staged.stage (fun () ->
@@ -756,7 +754,7 @@ let perf_benches () =
     scan_ns (scan_ns /. fast_ns);
   let body =
     Printf.sprintf
-      "{\n  \"schema\": \"iocov-bench-pipeline/5\",\n  \"seed\": %d,\n  \"benches\": [\n%s\n  \
+      "{\n  \"schema\": \"iocov-bench-pipeline/6\",\n  \"seed\": %d,\n  \"benches\": [\n%s\n  \
        ],\n  \"sequential_replay\": { \"events\": %d, \"elapsed_s\": %.4f, \"events_per_s\": \
        %.0f },\n  \"pipeline_stages\": [\n%s\n  ],\n  \"filter_search\": { \"pattern\": \"%s\", \
        \"fast_path_ns_per_search\": %.1f, \"scan_ns_per_search\": %.1f, \
@@ -978,7 +976,7 @@ let e13_robustness () =
 let format_max_v3_bytes = 581_164
 
 let format_bench () =
-  heading "FMT" "Format gate: v3 compactness, cross-format and scanner equivalence";
+  heading "FMT" "Format gate: v3 compactness and cross-format equivalence";
   let n = 20_000 in
   let events = synth_events n in
   let filter = Filter.mount_point "/mnt/test" in
@@ -1024,30 +1022,12 @@ let format_bench () =
       (pipe_run ~stages:[ Stage.filter filter ] (Source.file path)).Sink.coverage
   in
   if snap v3 <> snap txt then fail "v3 snapshot diverges from text";
-  (* scanner differential: fast and reference agree on every line *)
-  let diverged = ref 0 in
-  List.iter
-    (fun e ->
-      let line = Iocov_trace.Format_io.to_line e in
-      match
-        (Iocov_trace.Format_io.of_line line, Iocov_trace.Format_io.of_line_reference line)
-      with
-      | Ok x, Ok y
-        when Iocov_trace.Format_io.to_line x = Iocov_trace.Format_io.to_line y ->
-        ()
-      | Error _, Error _ -> ()
-      | _ -> incr diverged)
-    events;
-  if !diverged > 0 then fail "scanner diverges from reference on %d/%d lines" !diverged n;
-  (* informational rates *)
+  (* informational rate *)
   let lines = List.map Iocov_trace.Format_io.to_line events in
-  let parse_ns f =
-    let (), dt = timed_wall (fun () -> List.iter (fun l -> ignore (f l)) lines) in
-    1e9 *. dt /. float_of_int n
+  let (), dt =
+    timed_wall (fun () -> List.iter (fun l -> ignore (Iocov_trace.Format_io.of_line l)) lines)
   in
-  Printf.printf "  text parse: fast %.0f ns/rec, reference %.0f ns/rec\n"
-    (parse_ns (fun l -> Iocov_trace.Format_io.of_line l))
-    (parse_ns (fun l -> Iocov_trace.Format_io.of_line_reference l));
+  Printf.printf "  text parse: %.0f ns/rec\n" (1e9 *. dt /. float_of_int n);
   let ic = open_in_bin v3 in
   Fun.protect
     ~finally:(fun () -> close_in_noerr ic)

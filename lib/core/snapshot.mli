@@ -44,5 +44,7 @@ val of_string : string -> (Coverage.t, string) result
 
 val equal : Coverage.t -> Coverage.t -> bool
 (** Equality over every counter a snapshot stores (call count, plan
-    cells, flag sets) — the round-trip invariant
-    ([equal c (of_string (to_string c))]). *)
+    cells, flag sets): the round-trip invariant
+    [equal c (of_string (to_string c))] holds for every coverage, raw
+    flag masks included, since a [flagset] line prints its mask with
+    {!Iocov_syscall.Open_flags.to_string}, which keeps every bit. *)

@@ -70,37 +70,32 @@ let serve_ingest_binary hub ~tenant ~mount ic =
                                 discarded: %s" tenant msg));
           Error msg))
 
+(* Lines come through [Format_io]'s reader, so trimming, comment lines
+   and line numbers are those of [iocov analyze]; a batch with a refused
+   line is not committed. *)
+let rec parse_lines lines i acc =
+  if i = Array.length lines then Ok (List.rev acc)
+  else
+    let lineno, line = lines.(i) in
+    match Format_io.of_line ~seq:lineno line with
+    | Ok e -> parse_lines lines (i + 1) (e :: acc)
+    | Error msg -> Error (Printf.sprintf "line %d: %s" lineno msg)
+
 let serve_ingest_text hub ~tenant ~mount ~batch ic =
   let session = Hub.open_session hub ~tenant ?mount () in
   Fun.protect
     ~finally:(fun () -> Hub.close_session session)
     (fun () ->
-      let pending = ref [] and n_pending = ref 0 and seq = ref 0 in
-      let commit () =
-        if !n_pending > 0 then begin
-          Hub.ingest_events session (List.rev !pending);
-          pending := [];
-          n_pending := 0
-        end
-      in
+      let stream = Format_io.open_stream ic in
       let rec loop () =
-        match In_channel.input_line ic with
-        | None ->
-          commit ();
-          Ok (ingest_summary session tenant)
-        | Some line ->
-          let trimmed = String.trim line in
-          if trimmed = "" || trimmed.[0] = '#' then loop ()
-          else begin
-            incr seq;
-            match Format_io.of_line ~seq:!seq line with
-            | Error msg -> Error (Printf.sprintf "line %d: %s" !seq msg)
-            | Ok e ->
-              pending := e :: !pending;
-              incr n_pending;
-              if !n_pending >= batch then commit ();
-              loop ()
-          end
+        match Format_io.read_raw_batch stream ~max:batch with
+        | [||] -> Ok (ingest_summary session tenant)
+        | lines -> (
+          match parse_lines lines 0 [] with
+          | Error _ as e -> e
+          | Ok events ->
+            Hub.ingest_events session events;
+            loop ())
       in
       loop ())
 

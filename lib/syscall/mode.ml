@@ -72,16 +72,6 @@ let valid t = t land lnot 0o7777 = 0
 
 let to_octal_string t = Printf.sprintf "0o%o" t
 
-let of_octal_string s =
-  let body =
-    if String.length s > 2 && String.sub s 0 2 = "0o" then Some (String.sub s 2 (String.length s - 2))
-    else None
-  in
-  match body with
-  | None -> None
-  | Some digits ->
-    (try Some (int_of_string ("0o" ^ digits)) with Failure _ -> None)
-
 let shift = function `Owner -> 6 | `Group -> 3 | `Other -> 0
 let readable_by t who = (t lsr shift who) land 0o4 <> 0
 let writable_by t who = (t lsr shift who) land 0o2 <> 0

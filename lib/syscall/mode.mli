@@ -50,8 +50,6 @@ val valid : t -> bool
 val to_octal_string : t -> string
 (** E.g. ["0o644"]. *)
 
-val of_octal_string : string -> t option
-
 val readable_by : t -> [ `Owner | `Group | `Other ] -> bool
 val writable_by : t -> [ `Owner | `Group | `Other ] -> bool
 val executable_by : t -> [ `Owner | `Group | `Other ] -> bool

@@ -373,199 +373,9 @@ let call_to_string call =
   in
   Printf.sprintf "%s(%s)" name (String.concat ", " fields)
 
-(* Split "k=v, k=v" at top level (commas inside quoted strings do not
-   split). *)
-let split_fields s =
-  let fields = ref [] in
-  let buf = Buffer.create 32 in
-  let in_quote = ref false in
-  let escaped = ref false in
-  String.iter
-    (fun c ->
-      if !escaped then begin
-        Buffer.add_char buf c;
-        escaped := false
-      end
-      else
-        match c with
-        | '\\' when !in_quote ->
-          Buffer.add_char buf c;
-          escaped := true
-        | '"' ->
-          Buffer.add_char buf c;
-          in_quote := not !in_quote
-        | ',' when not !in_quote ->
-          fields := Buffer.contents buf :: !fields;
-          Buffer.clear buf
-        | c -> Buffer.add_char buf c)
-    s;
-  if Buffer.length buf > 0 then fields := Buffer.contents buf :: !fields;
-  List.rev_map String.trim !fields
-
-let parse_field s =
-  match String.index_opt s '=' with
-  | None -> Error (Printf.sprintf "malformed field %S" s)
-  | Some i ->
-    Ok (String.sub s 0 i, String.sub s (i + 1) (String.length s - i - 1))
-
-let unquote s =
-  try Ok (Scanf.sscanf s "%S%!" (fun x -> x))
-  with Scanf.Scan_failure _ | Failure _ | End_of_file ->
-    Error (Printf.sprintf "malformed string %s" s)
-
-let parse_int_field s =
-  match int_of_string_opt s with
-  | Some n -> Ok n
-  | None -> Error (Printf.sprintf "malformed integer %S" s)
-
-let ( let* ) = Result.bind
-
-let field fields key =
-  match List.assoc_opt key fields with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "missing field %S" key)
-
-let opt_field fields key = List.assoc_opt key fields
-
-let target_of_fields fields =
-  match (opt_field fields "path", opt_field fields "fd") with
-  | Some p, None ->
-    let* p = unquote p in
-    Ok (Path p)
-  | None, Some fd ->
-    let* fd = parse_int_field fd in
-    Ok (Fd fd)
-  | _ -> Error "expected exactly one of path/fd"
-
-let call_of_string line =
-  let line = String.trim line in
-  match String.index_opt line '(' with
-  | None -> Error "missing '('"
-  | Some lparen ->
-    if String.length line = 0 || line.[String.length line - 1] <> ')' then
-      Error "missing ')'"
-    else begin
-      let name = String.sub line 0 lparen in
-      let body = String.sub line (lparen + 1) (String.length line - lparen - 2) in
-      match variant_of_name name with
-      | None -> Error (Printf.sprintf "unknown syscall %S" name)
-      | Some variant ->
-        let* fields =
-          List.fold_left
-            (fun acc f ->
-              let* acc = acc in
-              let* kv = parse_field f in
-              Ok (kv :: acc))
-            (Ok []) (split_fields body)
-        in
-        let fields = List.rev fields in
-        (try
-           match base_of_variant variant with
-           | Open ->
-             let* path = Result.bind (field fields "path") unquote in
-             let* flags_s = field fields "flags" in
-             let* flags =
-               match Open_flags.of_string flags_s with
-               | Some f -> Ok f
-               | None -> Error (Printf.sprintf "bad flags %S" flags_s)
-             in
-             let* mode_s = field fields "mode" in
-             let* mode =
-               match Mode.of_octal_string mode_s with
-               | Some m -> Ok m
-               | None -> Error (Printf.sprintf "bad mode %S" mode_s)
-             in
-             Ok (Open_call { variant; path; flags; mode })
-           | Read | Write ->
-             let* fd = Result.bind (field fields "fd") parse_int_field in
-             let* count = Result.bind (field fields "count") parse_int_field in
-             let* offset =
-               match opt_field fields "offset" with
-               | None -> Ok None
-               | Some o ->
-                 let* o = parse_int_field o in
-                 Ok (Some o)
-             in
-             if base_of_variant variant = Read then
-               Ok (read ~variant ?offset ~fd ~count ())
-             else Ok (write ~variant ?offset ~fd ~count ())
-           | Lseek ->
-             let* fd = Result.bind (field fields "fd") parse_int_field in
-             let* offset = Result.bind (field fields "offset") parse_int_field in
-             let* whence_s = field fields "whence" in
-             let* whence =
-               match Whence.of_string whence_s with
-               | Some w -> Ok w
-               | None -> Error (Printf.sprintf "bad whence %S" whence_s)
-             in
-             Ok (lseek ~fd ~offset ~whence)
-           | Truncate ->
-             let* target = target_of_fields fields in
-             let* length = Result.bind (field fields "length") parse_int_field in
-             Ok (truncate ~variant ~target ~length ())
-           | Mkdir ->
-             let* path = Result.bind (field fields "path") unquote in
-             let* mode_s = field fields "mode" in
-             let* mode =
-               match Mode.of_octal_string mode_s with
-               | Some m -> Ok m
-               | None -> Error (Printf.sprintf "bad mode %S" mode_s)
-             in
-             Ok (Mkdir_call { variant; path; mode })
-           | Chmod ->
-             let* target = target_of_fields fields in
-             let* mode_s = field fields "mode" in
-             let* mode =
-               match Mode.of_octal_string mode_s with
-               | Some m -> Ok m
-               | None -> Error (Printf.sprintf "bad mode %S" mode_s)
-             in
-             Ok (chmod ~variant ~target ~mode ())
-           | Close ->
-             let* fd = Result.bind (field fields "fd") parse_int_field in
-             Ok (close fd)
-           | Chdir ->
-             let* target = target_of_fields fields in
-             Ok (chdir target)
-           | Setxattr ->
-             let* target = target_of_fields fields in
-             let* name = Result.bind (field fields "name") unquote in
-             let* size = Result.bind (field fields "size") parse_int_field in
-             let* xflags_s = field fields "xflags" in
-             let* flags =
-               match Xattr_flag.of_string xflags_s with
-               | Some f -> Ok f
-               | None -> Error (Printf.sprintf "bad xattr flags %S" xflags_s)
-             in
-             Ok (setxattr ~variant ~flags ~target ~name ~size ())
-           | Getxattr ->
-             let* target = target_of_fields fields in
-             let* name = Result.bind (field fields "name") unquote in
-             let* size = Result.bind (field fields "size") parse_int_field in
-             Ok (getxattr ~variant ~target ~name ~size ())
-         with Invalid_argument msg -> Error msg)
-    end
-
 let outcome_to_string = function
   | Ret n -> Printf.sprintf "ok:%d" n
   | Err e -> Printf.sprintf "err:%s" (Errno.to_string e)
-
-let outcome_of_string s =
-  match String.index_opt s ':' with
-  | None -> Error (Printf.sprintf "malformed outcome %S" s)
-  | Some i ->
-    let tag = String.sub s 0 i in
-    let rest = String.sub s (i + 1) (String.length s - i - 1) in
-    (match tag with
-     | "ok" ->
-       (match int_of_string_opt rest with
-        | Some n -> Ok (Ret n)
-        | None -> Error (Printf.sprintf "malformed return value %S" rest))
-     | "err" ->
-       (match Errno.of_string rest with
-        | Some e -> Ok (Err e)
-        | None -> Error (Printf.sprintf "unknown errno %S" rest))
-     | _ -> Error (Printf.sprintf "malformed outcome %S" s))
 
 let pp_call ppf c = Format.pp_print_string ppf (call_to_string c)
 let pp_outcome ppf o = Format.pp_print_string ppf (outcome_to_string o)

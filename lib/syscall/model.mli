@@ -156,14 +156,12 @@ val returns_byte_count : base -> bool
 
 (** {2 Serialization}
 
-    A compact single-line form used by the trace format:
-    [name(key=value, ...)], with strings double-quoted and
-    backslash-escaped. *)
+    A compact single-line form used by the text trace format:
+    [name(key=value, ...)], with strings written by [%S].  Its one
+    reader is [Iocov_trace.Format_io.of_line]. *)
 
 val call_to_string : call -> string
-val call_of_string : string -> (call, string) result
 val outcome_to_string : outcome -> string
-val outcome_of_string : string -> (outcome, string) result
 
 val pp_call : Format.formatter -> call -> unit
 val pp_outcome : Format.formatter -> outcome -> unit

@@ -160,20 +160,36 @@ let has t f =
 let readable t = access_mode t <> O_WRONLY
 let writable t = access_mode t <> O_RDONLY
 
-let to_string t = String.concat "|" (List.map flag_name (decompose t))
+(* A top-level loop, so that printing a mask allocates nothing beyond
+   its text. *)
+let rec bits_of acc = function [] -> acc | f :: rest -> bits_of (acc lor bit f) rest
+
+(* Every name [decompose] reports stands for bits the mask has, so the
+   bits no name reproduces are [t lxor] the names' bits. *)
+let to_string t =
+  let flags = decompose t in
+  let names = String.concat "|" (List.map flag_name flags) in
+  let unnamed = t lxor bits_of 0 flags in
+  if unnamed = 0 then names else Printf.sprintf "%s|0x%x" names unnamed
+
+(* "0x" and lowercase hex digits, read as [%x] prints them: the 63 bits
+   unsigned, which is how [int_of_string] reads a 0x literal. *)
+let of_hex s =
+  let digits = String.sub s 2 (String.length s - 2) in
+  if digits <> "" && String.for_all (function '0' .. '9' | 'a' .. 'f' -> true | _ -> false) digits
+  then int_of_string_opt s
+  else None
 
 let of_string s =
-  if s = "0" then Some 0
-  else begin
-    let parts = String.split_on_char '|' s in
-    let rec go acc = function
-      | [] -> Some acc
-      | name :: rest ->
-        (match flag_of_name name with
-         | Some f -> go (acc lor bit f) rest
-         | None -> None)
-    in
-    go 0 parts
-  end
+  let rec go acc = function
+    | [] -> Some acc
+    | [ last ] when String.starts_with ~prefix:"0x" last ->
+      Option.map (fun unnamed -> acc lor unnamed) (of_hex last)
+    | name :: rest ->
+      (match flag_of_name name with
+       | Some f -> go (acc lor bit f) rest
+       | None -> None)
+  in
+  go 0 (String.split_on_char '|' s)
 
 let count_flags t = List.length (decompose t)

@@ -73,10 +73,15 @@ val writable : t -> bool
 (** Access mode allows writing ([O_WRONLY] or [O_RDWR]). *)
 
 val to_string : t -> string
-(** E.g. ["O_WRONLY|O_CREAT|O_TRUNC"]. *)
+(** The names of {!decompose}, e.g. ["O_WRONLY|O_CREAT|O_TRUNC"], then
+    [|0x…] (lowercase hex, as [%x] prints it) for any bits those names
+    do not reproduce: access mode 3 prints ["O_RDWR|0x1"], and a bit
+    no flag names, such as [0x40000000], is kept the same way.  A mask
+    the names alone reproduce prints no suffix. *)
 
 val of_string : string -> t option
-(** Inverse of {!to_string}; also accepts ["0"] for a bare [O_RDONLY]. *)
+(** Inverse of {!to_string} on every mask: [of_string (to_string m) =
+    Some m]. *)
 
 val count_flags : t -> int
 (** Number of domain flags in the set — Table 1's column index

@@ -15,137 +15,60 @@ let to_line (e : Event.t) =
     (Model.outcome_to_string e.outcome)
     hint_part
 
-let ( let* ) = Result.bind
+(* --- the scanner ---
 
-(* Parse the fixed prefix "[ts] pid=N comm=S " and return the rest. *)
-let parse_prefix line =
-  try
-    Scanf.sscanf line "[%d] pid=%d comm=%S %n" (fun ts pid comm n ->
-        Ok (ts, pid, comm, String.sub line n (String.length line - n)))
-  with Scanf.Scan_failure msg | Failure msg -> Error ("bad record prefix: " ^ msg)
-     | End_of_file -> Error "truncated record"
+   One left-to-right pass over exactly the grammar [to_line] writes (see
+   format_io.mli): no [Scanf], no regex, no intermediate field list.  A
+   deviation raises [Syntax] with the byte offset where it was seen, and
+   [of_line] turns that into the line's one error. *)
 
-(* The payload part ends at the last " -> "; everything after is the
-   outcome and optional hint. *)
-let split_arrow s =
-  let marker = " -> " in
-  let rec find_last from acc =
-    match String.index_from_opt s from '-' with
-    | None -> acc
-    | Some i ->
-      if
-        i >= 1 && i + 2 < String.length s
-        && String.sub s (i - 1) (String.length marker) = marker
-      then find_last (i + 1) (Some (i - 1))
-      else find_last (i + 1) acc
-  in
-  match find_last 0 None with
-  | None -> Error "missing \" -> \" separator"
-  | Some i ->
-    Ok
-      ( String.sub s 0 i,
-        String.sub s (i + String.length marker) (String.length s - i - String.length marker)
-      )
-
-let parse_outcome_and_hint s =
-  let s = String.trim s in
-  match String.index_opt s ' ' with
-  | None ->
-    let* outcome = Model.outcome_of_string s in
-    Ok (outcome, None)
-  | Some i ->
-    let outcome_s = String.sub s 0 i in
-    let rest = String.trim (String.sub s i (String.length s - i)) in
-    let* outcome = Model.outcome_of_string outcome_s in
-    if String.length rest >= 6 && String.sub rest 0 5 = "hint=" then begin
-      let quoted = String.sub rest 5 (String.length rest - 5) in
-      try Ok (outcome, Some (Scanf.sscanf quoted "%S%!" (fun x -> x)))
-      with Scanf.Scan_failure _ | Failure _ | End_of_file -> Error "malformed hint"
-    end
-    else Error (Printf.sprintf "unexpected trailing %S" rest)
-
-let parse_payload s =
-  let s = String.trim s in
-  if String.length s > 0 && s.[0] = '!' then begin
-    let body = String.sub s 1 (String.length s - 1) in
-    match String.index_opt body '(' with
-    | None -> Error "malformed aux record"
-    | Some i ->
-      if body.[String.length body - 1] <> ')' then Error "malformed aux record"
-      else
-        Ok
-          (Event.Aux
-             {
-               name = String.sub body 0 i;
-               detail = String.sub body (i + 1) (String.length body - i - 2);
-             })
-  end
-  else
-    let* call = Model.call_of_string s in
-    Ok (Event.Tracked call)
-
-let of_line_reference ?(seq = 0) line =
-  let* ts, pid, comm, rest = parse_prefix line in
-  let* payload_s, outcome_s = split_arrow rest in
-  let* payload = parse_payload payload_s in
-  let* outcome, path_hint = parse_outcome_and_hint outcome_s in
-  Ok { Event.seq; timestamp_ns = ts; pid; comm; payload; outcome; path_hint }
-
-(* --- the fast scanner ---
-
-   [to_line] emits one fixed shape per record; the scanner above this
-   comment block parses exactly that shape in a single left-to-right
-   pass — no [Scanf], no regex, no intermediate field list.  Anything
-   that deviates from the canonical emission (reordered fields, extra
-   whitespace, exotic escapes) raises [Bail] and the line is re-parsed
-   by the reference pipeline, which also produces the error messages.
-   The one soundness subtlety: the reference splits payload from
-   outcome at the {e last} [" -> "], so a hint whose text contains
-   [" -> "] parses differently (the reference rejects it).  The scanner
-   bails on such hints to keep [of_line] extensionally equal to
-   [of_line_reference]. *)
-
-exception Bail
+exception Syntax of int * string
 
 type cursor = { cs : string; mutable cp : int }
 
-let bail () = raise Bail
+let fail_at pos msg = raise (Syntax (pos, msg))
+let expected c what = fail_at c.cp ("expected " ^ what)
 
 let peek c = if c.cp < String.length c.cs then String.unsafe_get c.cs c.cp else '\000'
 
+let expected_lit c l = expected c (Printf.sprintf "%S" l)
+
 let chr c ch =
   if c.cp < String.length c.cs && String.unsafe_get c.cs c.cp = ch then c.cp <- c.cp + 1
-  else bail ()
+  else expected_lit c (String.make 1 ch)
 
 let lit c l =
   let n = String.length l in
-  if c.cp + n > String.length c.cs then bail ();
+  if c.cp + n > String.length c.cs then expected_lit c l;
   for i = 0 to n - 1 do
-    if String.unsafe_get c.cs (c.cp + i) <> String.unsafe_get l i then bail ()
+    if String.unsafe_get c.cs (c.cp + i) <> String.unsafe_get l i then expected_lit c l
   done;
   c.cp <- c.cp + n
 
-(* Decimal integer, at most 18 digits so the accumulator cannot wrap
-   (the reference's [int_of_string] would range-check; canonical lines
-   never get near either limit). *)
+let is_digit ch = ch >= '0' && ch <= '9'
+
+(* Decimal [%d] over the whole int range.  The value accumulates
+   negated, so [min_int] fits; past 18 digits each step is checked, and
+   an overflow is an error, never a wrap. *)
 let int_ c =
   let len = String.length c.cs in
-  let neg = c.cp < len && String.unsafe_get c.cs c.cp = '-' in
+  let neg = peek c = '-' in
   if neg then c.cp <- c.cp + 1;
   let start = c.cp in
   let v = ref 0 in
-  while
-    c.cp < len
-    &&
-    let d = String.unsafe_get c.cs c.cp in
-    d >= '0' && d <= '9'
-  do
-    v := (!v * 10) + (Char.code (String.unsafe_get c.cs c.cp) - 48);
+  while c.cp < len && is_digit (String.unsafe_get c.cs c.cp) do
+    let d = Char.code (String.unsafe_get c.cs c.cp) - 48 in
+    if c.cp - start >= 18 && (!v < min_int / 10 || !v * 10 < min_int + d) then
+      fail_at start "integer out of range";
+    v := (!v * 10) - d;
     c.cp <- c.cp + 1
   done;
-  if c.cp = start || c.cp - start > 18 then bail ();
-  if neg then - !v else !v
+  if c.cp = start then expected c "a decimal integer";
+  if neg then !v
+  else if !v = min_int then fail_at start "integer out of range"
+  else - !v
 
+(* Octal as [%o] prints it: the 63 bits unsigned, so up to 21 digits. *)
 let octal c =
   lit c "0o";
   let len = String.length c.cs in
@@ -157,16 +80,16 @@ let octal c =
     let d = String.unsafe_get c.cs c.cp in
     d >= '0' && d <= '7'
   do
-    v := (!v * 8) + (Char.code (String.unsafe_get c.cs c.cp) - 48);
+    if !v lsr 60 <> 0 then fail_at start "octal out of range";
+    v := (!v lsl 3) lor (Char.code (String.unsafe_get c.cs c.cp) - 48);
     c.cp <- c.cp + 1
   done;
-  if c.cp = start || c.cp - start > 20 then bail ();
+  if c.cp = start then expected c "an octal digit";
   !v
 
-(* An OCaml [%S] literal.  The common case — no escapes — is a bare
-   substring copy; escaped strings decode through a buffer.  Only the
-   escapes [%S] actually emits are handled (backslash, quote, n/t/r/b,
-   and \ddd); anything else bails. *)
+(* A [%S] literal: [%S] escapes backslash, quote, n/t/r/b, and every
+   other byte outside 32..126 as \ddd; nothing else is an escape.  The
+   common case, no escapes, is a bare substring copy. *)
 let quoted c =
   chr c '"';
   let s = c.cs in
@@ -176,7 +99,7 @@ let quoted c =
   while !i < len && String.unsafe_get s !i <> '"' && String.unsafe_get s !i <> '\\' do
     incr i
   done;
-  if !i >= len then bail ();
+  if !i >= len then fail_at (start - 1) "unterminated string";
   if String.unsafe_get s !i = '"' then begin
     c.cp <- !i + 1;
     String.sub s start (!i - start)
@@ -185,108 +108,93 @@ let quoted c =
     let buf = Buffer.create (len - start) in
     Buffer.add_substring buf s start (!i - start);
     let j = ref !i in
-    let fin = ref (-1) in
-    while !fin < 0 do
-      if !j >= len then bail ();
-      match String.unsafe_get s !j with
-      | '"' -> fin := !j
-      | '\\' ->
-        if !j + 1 >= len then bail ();
-        incr j;
-        (match String.unsafe_get s !j with
-         | '\\' ->
-           Buffer.add_char buf '\\';
-           incr j
-         | '"' ->
-           Buffer.add_char buf '"';
-           incr j
-         | '\'' ->
-           Buffer.add_char buf '\'';
-           incr j
-         | 'n' ->
-           Buffer.add_char buf '\n';
-           incr j
-         | 't' ->
-           Buffer.add_char buf '\t';
-           incr j
-         | 'r' ->
-           Buffer.add_char buf '\r';
-           incr j
-         | 'b' ->
-           Buffer.add_char buf '\b';
-           incr j
-         | '0' .. '9' as d1 ->
-           if !j + 2 >= len then bail ();
-           let d2 = String.unsafe_get s (!j + 1) and d3 = String.unsafe_get s (!j + 2) in
-           if not (d2 >= '0' && d2 <= '9' && d3 >= '0' && d3 <= '9') then bail ();
-           let code =
-             ((Char.code d1 - 48) * 100) + ((Char.code d2 - 48) * 10) + (Char.code d3 - 48)
-           in
-           if code > 255 then bail ();
-           Buffer.add_char buf (Char.chr code);
-           j := !j + 3
-         | _ -> bail ())
-      | ch ->
+    while !j < len && String.unsafe_get s !j <> '"' do
+      let ch = String.unsafe_get s !j in
+      if ch <> '\\' then begin
         Buffer.add_char buf ch;
         incr j
+      end
+      else begin
+        let esc = !j in
+        let digit k = esc + k < len && is_digit (String.unsafe_get s (esc + k)) in
+        let code =
+          match if esc + 1 < len then String.unsafe_get s (esc + 1) else '\000' with
+          | ('\\' | '"') as ch -> Char.code ch
+          | 'n' -> 10
+          | 't' -> 9
+          | 'r' -> 13
+          | 'b' -> 8
+          | _ when digit 1 && digit 2 && digit 3 ->
+            let d k = Char.code (String.unsafe_get s (esc + k)) - 48 in
+            (100 * d 1) + (10 * d 2) + d 3
+          | _ -> -1
+        in
+        if code < 0 || code > 255 then fail_at esc "bad escape";
+        Buffer.add_char buf (Char.chr code);
+        j := if digit 1 then esc + 4 else esc + 2
+      end
     done;
-    c.cp <- !fin + 1;
+    if !j >= len then fail_at (start - 1) "unterminated string";
+    c.cp <- !j + 1;
     Buffer.contents buf
   end
 
-let is_enum_char ch = (ch >= 'A' && ch <= 'Z') || (ch >= '0' && ch <= '9') || ch = '_' || ch = '|'
+let is_token_char ch =
+  (ch >= 'A' && ch <= 'Z') || (ch >= 'a' && ch <= 'z') || is_digit ch || ch = '_' || ch = '|'
 
-let enum_token c =
+let token c =
   let len = String.length c.cs in
   let start = c.cp in
-  while c.cp < len && is_enum_char (String.unsafe_get c.cs c.cp) do
+  while c.cp < len && is_token_char (String.unsafe_get c.cs c.cp) do
     c.cp <- c.cp + 1
   done;
   String.sub c.cs start (c.cp - start)
 
 (* Name lookups off the hot path's per-record [List.find_opt]:
-   variants and errnos hash, flag combinations memoize (a trace uses a
-   handful of distinct combinations, not the power set).  The tables
-   are built when the module initialises and only read afterwards, and
-   the memo is an immutable map swapped atomically, so any number of
-   domains or threads may parse at once.  Two parsers adding at the
-   same moment can drop one entry; it is recomputed on the next miss. *)
+   variants and errnos hash, flag sets memoize by token (a trace uses a
+   handful of distinct sets, not the power set).  The memo is capped:
+   each raw mask prints its own token, so an uncapped memo would grow
+   by one entry per distinct mask for as long as a serve daemon runs.
+   The tables are built when the module initialises and only read
+   afterwards, and the memo is an immutable value swapped atomically,
+   so any number of domains or threads may parse at once.  Two parsers
+   adding at the same moment can drop one entry; it is recomputed on
+   the next miss. *)
 let table name_of values =
   let h = Hashtbl.create 64 in
   List.iter (fun v -> Hashtbl.replace h (name_of v) v) values;
   h
 
-let variant_tbl = table Model.variant_name Model.all_variants
-let errno_tbl = table Errno.to_string Errno.all
+let find_variant = Hashtbl.find_opt (table Model.variant_name Model.all_variants)
+let find_errno = Hashtbl.find_opt (table Errno.to_string Errno.all)
+
+let lookup c what find =
+  let start = c.cp in
+  match find (token c) with
+  | Some v -> v
+  | None -> fail_at start ("expected " ^ what)
 
 module String_map = Map.Make (String)
 
-let flags_memo : Open_flags.t String_map.t Atomic.t = Atomic.make String_map.empty
+type memo = { entries : int; map : Open_flags.t String_map.t }
+
+let flags_memo_cap = 256
+let flags_memo = Atomic.make { entries = 0; map = String_map.empty }
 
 let scan_flags c =
-  let tok = enum_token c in
+  let start = c.cp in
+  let tok = token c in
   let memo = Atomic.get flags_memo in
-  match String_map.find_opt tok memo with
+  match String_map.find_opt tok memo.map with
   | Some f -> f
   | None -> (
     match Open_flags.of_string tok with
     | Some f ->
-      Atomic.set flags_memo (String_map.add tok f memo);
+      if memo.entries < flags_memo_cap then
+        Atomic.set flags_memo
+          { entries = memo.entries + 1; map = String_map.add tok f memo.map };
       f
-    | None -> bail ())
-
-let scan_name c =
-  let len = String.length c.cs in
-  let start = c.cp in
-  while
-    c.cp < len
-    &&
-    let ch = String.unsafe_get c.cs c.cp in
-    (ch >= 'a' && ch <= 'z') || (ch >= '0' && ch <= '9') || ch = '_'
-  do
-    c.cp <- c.cp + 1
-  done;
-  String.sub c.cs start (c.cp - start)
+    | None -> fail_at start "expected an open flag set")
 
 let scan_target c =
   if peek c = 'p' then begin
@@ -299,7 +207,9 @@ let scan_target c =
   end
 
 (* One branch per base, fields in [Model.call_to_string] order. *)
-let scan_call c variant =
+let scan_call c =
+  let variant = lookup c "a syscall name" find_variant in
+  chr c '(';
   let call =
     match Model.base_of_variant variant with
     | Model.Open ->
@@ -330,7 +240,7 @@ let scan_call c variant =
       lit c ", offset=";
       let offset = int_ c in
       lit c ", whence=";
-      let whence = match Whence.of_string (enum_token c) with Some w -> w | None -> bail () in
+      let whence = lookup c "a whence name" Whence.of_string in
       Model.lseek ~fd ~offset ~whence
     | Model.Truncate ->
       let target = scan_target c in
@@ -360,7 +270,7 @@ let scan_call c variant =
       lit c ", size=";
       let size = int_ c in
       lit c ", xflags=";
-      let flags = match Xattr_flag.of_string (enum_token c) with Some f -> f | None -> bail () in
+      let flags = lookup c "an xattr flag" Xattr_flag.of_string in
       Model.setxattr ~variant ~flags ~target ~name ~size ()
     | Model.Getxattr ->
       let target = scan_target c in
@@ -373,45 +283,67 @@ let scan_call c variant =
   chr c ')';
   call
 
-(* Aux payload: "!name(detail)".  The detail is raw text, so its right
-   edge is the first [") -> "]; if the line then fails to finish as a
-   canonical outcome, the scanner bails and the reference's
-   last-arrow split takes over. *)
-let scan_aux c =
+(* The outcome and optional hint, which must end the line. *)
+let scan_tail c ~seq ~ts ~pid ~comm payload =
+  let outcome =
+    match peek c with
+    | 'o' ->
+      lit c "ok:";
+      Model.Ret (int_ c)
+    | 'e' ->
+      lit c "err:";
+      Model.Err (lookup c "an errno name" find_errno)
+    | _ -> expected c "\"ok:\" or \"err:\""
+  in
+  let path_hint =
+    if c.cp = String.length c.cs then None
+    else begin
+      lit c " hint=";
+      let h = quoted c in
+      if c.cp <> String.length c.cs then expected c "end of line";
+      Some h
+    end
+  in
+  { Event.seq; timestamp_ns = ts; pid; comm; payload; outcome; path_hint }
+
+(* Aux payload "!name(detail)".  Both are raw text: the name ends at the
+   first '(', and the detail at the first ") -> " after which the rest
+   of the line reads as an outcome and optional hint.  [to_line]'s
+   output always splits there, since a wrong split would have to read
+   a hint's opening quote as a closing one. *)
+let scan_aux c ~seq ~ts ~pid ~comm =
   chr c '!';
   let s = c.cs in
-  match String.index_from_opt s c.cp '(' with
-  | None -> bail ()
-  | Some lp ->
-    let name = String.sub s c.cp (lp - c.cp) in
-    let len = String.length s in
-    let rec find from =
-      match String.index_from_opt s from ')' with
-      | None -> bail ()
-      | Some rp ->
-        if
-          rp + 5 <= len
-          && String.unsafe_get s (rp + 1) = ' '
-          && String.unsafe_get s (rp + 2) = '-'
-          && String.unsafe_get s (rp + 3) = '>'
-          && String.unsafe_get s (rp + 4) = ' '
-        then rp
-        else find (rp + 1)
-    in
-    let rp = find (lp + 1) in
-    c.cp <- rp + 5;
-    Event.Aux { name; detail = String.sub s (lp + 1) (rp - lp - 1) }
-
-let contains_arrow s =
-  let n = String.length s in
-  let rec go i =
-    i + 4 <= n
-    && ((s.[i] = ' ' && s.[i + 1] = '-' && s.[i + 2] = '>' && s.[i + 3] = ' ') || go (i + 1))
+  let len = String.length s in
+  let lp =
+    match String.index_from_opt s c.cp '(' with Some lp -> lp | None -> expected c "\"(\""
   in
-  go 0
+  let name = String.sub s c.cp (lp - c.cp) in
+  let rec close_arrow from =
+    match String.index_from_opt s from ')' with
+    | None -> None
+    | Some rp ->
+      if
+        rp + 5 <= len
+        && s.[rp + 1] = ' ' && s.[rp + 2] = '-' && s.[rp + 3] = '>' && s.[rp + 4] = ' '
+      then Some rp
+      else close_arrow (rp + 1)
+  in
+  let rec split = function
+    | None ->
+      c.cp <- lp + 1;
+      expected c "\") -> \""
+    | Some rp -> (
+      c.cp <- rp + 5;
+      let payload = Event.Aux { name; detail = String.sub s (lp + 1) (rp - lp - 1) } in
+      match scan_tail c ~seq ~ts ~pid ~comm payload with
+      | e -> e
+      | exception (Syntax _ as err) -> (
+        match close_arrow (rp + 1) with None -> raise err | later -> split later))
+  in
+  split (close_arrow (lp + 1))
 
-let of_line_fast ~seq line =
-  let c = { cs = line; cp = 0 } in
+let scan ~seq c =
   chr c '[';
   let ts = int_ c in
   lit c "] pid=";
@@ -419,52 +351,21 @@ let of_line_fast ~seq line =
   lit c " comm=";
   let comm = quoted c in
   chr c ' ';
-  let payload =
-    if peek c = '!' then scan_aux c
-    else begin
-      let name = scan_name c in
-      let variant =
-        match Hashtbl.find_opt variant_tbl name with
-        | Some v -> v
-        | None -> bail ()
-      in
-      chr c '(';
-      let call = scan_call c variant in
-      lit c " -> ";
-      Event.Tracked call
-    end
-  in
-  let outcome =
-    if peek c = 'o' then begin
-      lit c "ok:";
-      Model.Ret (int_ c)
-    end
-    else begin
-      lit c "err:";
-      match Hashtbl.find_opt errno_tbl (enum_token c) with
-      | Some e -> Model.Err e
-      | None -> bail ()
-    end
-  in
-  let path_hint =
-    if c.cp = String.length c.cs then None
-    else begin
-      lit c " hint=";
-      let h = quoted c in
-      if c.cp <> String.length c.cs then bail ();
-      if contains_arrow h then bail ();
-      Some h
-    end
-  in
-  { Event.seq; timestamp_ns = ts; pid; comm; payload; outcome; path_hint }
+  if peek c = '!' then scan_aux c ~seq ~ts ~pid ~comm
+  else begin
+    let call = scan_call c in
+    lit c " -> ";
+    scan_tail c ~seq ~ts ~pid ~comm (Event.Tracked call)
+  end
 
+(* Columns count bytes from 1.  A smart constructor's range check is
+   refused at the column where the call's fields ended. *)
 let of_line ?(seq = 0) line =
-  match of_line_fast ~seq line with
+  let c = { cs = line; cp = 0 } in
+  match scan ~seq c with
   | e -> Ok e
-  | exception Bail -> of_line_reference ~seq line
-  (* Smart constructors range-check their arguments; the reference
-     wraps that check into its error result, so re-parse there. *)
-  | exception Invalid_argument _ -> of_line_reference ~seq line
+  | exception Syntax (pos, msg) -> Error (Printf.sprintf "col %d: %s" (pos + 1) msg)
+  | exception Invalid_argument msg -> Error (Printf.sprintf "col %d: %s" (c.cp + 1) msg)
 
 let sink_channel oc e = output_string oc (to_line e ^ "\n")
 

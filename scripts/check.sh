@@ -15,11 +15,39 @@ dune build
 echo "== dune runtest =="
 dune runtest
 
+# pin MD5 CMD...: CMD's stdout must hash to MD5
+pin() {
+  want=$1
+  shift
+  got=$("$@" | md5sum | cut -d' ' -f1)
+  if [ "$got" != "$want" ]; then
+    echo "error: $* printed md5 $got, expected $want" >&2
+    exit 1
+  fi
+}
+
 echo "== trace format gate =="
-# fails if the v3 trace grows past its byte bound, or the text/v3 or
-# scanner differential diverges; run from $tmp, like every bench step,
-# so nothing it writes lands in the checkout
+# fails if the v3 trace grows past its byte bound, or the text/v3
+# snapshot differential diverges (the scanner's differential against
+# its Scanf oracle runs in dune runtest); run from $tmp, like every
+# bench step, so nothing it writes lands in the checkout
 (cd "$tmp" && "$root/_build/default/bench/main.exe" --format-bench > /dev/null)
+
+echo "== suite text traces are pinned =="
+# every byte the text writer emits for the three suites at two seeds;
+# a mask that the flag names reproduce prints without a |0x suffix
+for spec in xfstests:42:e365218c9dec74864b37a5b1e522c6eb \
+  xfstests:7:ecade54c05f93ea5f2620cf925ed4940 \
+  crashmonkey:42:c768e52a17852c98ad5f4dd39fc81733 \
+  crashmonkey:7:cdf4427c399ab323d9b884a65ced8136 \
+  ltp:42:6f6d16d469be82f285b2b3e6c7efaf8b \
+  ltp:7:aa05125888b700aebf7a2970b7550430; do
+  suite=${spec%%:*}
+  rest=${spec#*:}
+  dune exec bin/iocov.exe -- trace "$suite" --seed "${rest%%:*}" -o "$tmp/pinned.trace" \
+    > /dev/null
+  pin "${rest#*:}" cat "$tmp/pinned.trace"
+done
 
 echo "== flight-recorder CLI smoke =="
 dune exec bin/iocov.exe -- trace xfstests --binary -o "$tmp/t.bin" --seed 7 \
@@ -142,6 +170,28 @@ dune exec bin/iocov.exe -- runs diff 1 4 --ledger "$tmp/ledger" \
   | grep -q "identical"
 dune exec bin/iocov.exe -- runs list --last 2 --ledger "$tmp/ledger" \
   | grep -q "alice"
+# a text tenant: the same trace as text, one record indented, goes
+# through the line reader analyze uses, so its record must equal the
+# analyze of t.bin; a ledger of its own keeps the run ids above and
+# below valid
+dune exec bin/iocov.exe -- trace xfstests --seed 7 --scale 0.05 -o "$tmp/t.txt" \
+  > /dev/null
+awk 'NR == 2 { $0 = "  " $0 } { print }' "$tmp/t.txt" > "$tmp/t-indented.txt"
+dune exec bin/iocov.exe -- analyze "$tmp/t.bin" --ledger "$tmp/serve-text" > /dev/null
+sock="$tmp/iocov-text.sock"
+dune exec bin/iocov.exe -- serve --socket "$sock" --ledger "$tmp/serve-text" \
+  > "$tmp/serve-text.out" 2>&1 &
+serve_pid=$!
+for _ in $(seq 1 100); do
+  [ -S "$sock" ] && break
+  sleep 0.1
+done
+[ -S "$sock" ]
+dune exec bin/iocov.exe -- ingest --socket "$sock" --tenant carol "$tmp/t-indented.txt" \
+  > /dev/null
+dune exec bin/iocov.exe -- query --socket "$sock" shutdown > /dev/null
+wait "$serve_pid"
+dune exec bin/iocov.exe -- runs diff 1 2 --ledger "$tmp/serve-text" | grep -q "identical"
 
 echo "== crash oracle gate =="
 # both differential directions: a clean run must report zero
@@ -185,15 +235,6 @@ dune exec bin/iocov.exe -- runs diff 7 8 --cross-config --ledger "$tmp/ledger" \
 echo "== fuzzer and reduction output is pinned =="
 # fuzz feedback and test-suite reduction key plan cell ids; what they
 # print is pinned to the md5s it had when both keyed string tables
-pin() {
-  want=$1
-  shift
-  got=$("$@" | md5sum | cut -d' ' -f1)
-  if [ "$got" != "$want" ]; then
-    echo "error: $* printed md5 $got, expected $want" >&2
-    exit 1
-  fi
-}
 pin e2cef009570d012a9aee1bfe28099a8d dune exec bin/iocov.exe -- fuzz --compare --seed 42
 pin 36c6519d198e576fb1b1bea99b025a39 dune exec bin/iocov.exe -- fuzz --compare --seed 7
 (cd "$tmp" && pin 5568dc4cbb92e6a0fca9729467ad6f67 \

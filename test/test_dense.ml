@@ -379,21 +379,6 @@ let apply_oracle t = function
   | Crash (m, o, n) -> Oracle.add_crash t m o n
   | Flag_set (mask, n) -> Oracle.add_flag_set t mask n
 
-(* A snapshot keys a flag set by its text, which drops unmodeled bits
-   and reads access mode 3 as O_RDWR, so a reload folds masks that
-   print alike into one: what the oracle looks like after a reload. *)
-let reloaded_oracle oracle =
-  let o = Oracle.create () in
-  Oracle.merge_into ~dst:o oracle;
-  Histogram.clear o.Oracle.flag_sets;
-  List.iter
-    (fun (mask, n) ->
-      match Open_flags.of_string (Open_flags.to_string mask) with
-      | Some printed -> Oracle.add_flag_set o printed n
-      | None -> Alcotest.failf "flag set %d does not print" mask)
-    (Oracle.open_flag_sets oracle);
-  o
-
 let merged_parts_prop =
   QCheck.Test.make ~count:150 ~name:"random streams, merges and reload agree with the oracle"
     QCheck.(triple (int_bound 1_000_000) (int_bound 400) (int_bound 4))
@@ -416,7 +401,7 @@ let merged_parts_prop =
       match Snapshot.of_string (Snapshot.to_string dst) with
       | Error msg -> QCheck.Test.fail_reportf "reload refused: %s" msg
       | Ok reloaded ->
-        agree_with_oracle ~tag:"reloaded" (reloaded_oracle oracle) reloaded;
+        agree_with_oracle ~tag:"reloaded" oracle reloaded;
         true)
 
 (* --- the pipeline differential: the engine's accumulator against a

@@ -530,6 +530,193 @@ let damaged_roads_prop =
         [ ("event path", road staged); ("kill/resume", road resumed); ("serve", served) ];
       true)
 
+(* Every road over raw input: v3 traces drawn over each field's whole
+   writable range.  Flag masks and modes take any non-negative value
+   (the v3 writer refuses negatives), so access mode 3 and bits no flag
+   names occur; counts and sizes reach [max_int], and fds, offsets,
+   lengths, returns, timestamps and pids reach [min_int] and [max_int];
+   every errno lands on every base; comm, path, hint and
+   xattr name carry arbitrary bytes, " -> " included.  No filter, so
+   every record counts.  Seven roads must give one digest. *)
+
+let raw_int =
+  QCheck.Gen.(oneof [ int; oneofl [ min_int; max_int; 0; -1 ]; int_range (-300) 300 ])
+
+let raw_nonneg =
+  QCheck.Gen.(
+    oneof [ map (fun n -> n land max_int) int; oneofl [ 0; 3; max_int ]; int_bound 0o77777777 ])
+
+let raw_bytes =
+  QCheck.Gen.(
+    let any = string_size ~gen:char (int_range 0 8) in
+    oneof
+      [ any; map2 (fun a b -> a ^ " -> " ^ b) any any; oneofl [ "/mnt/a -> b"; "x) -> err:EIO" ] ])
+
+let raw_target =
+  QCheck.Gen.(
+    oneof [ map (fun p -> Iocov_syscall.Model.Path p) raw_bytes;
+            map (fun fd -> Iocov_syscall.Model.Fd fd) raw_int ])
+
+let raw_call =
+  let open Iocov_syscall in
+  let module M = Model in
+  QCheck.Gen.(
+    let* path = raw_bytes and* target = raw_target and* fd = raw_int and* n = raw_nonneg
+    and* i = raw_int and* mode = raw_nonneg and* name = raw_bytes in
+    let path_variant = function M.Path _ -> true | M.Fd _ -> false in
+    oneof
+      [ map (fun variant -> M.open_ ~variant ~flags:n ~mode path)
+          (oneofl M.[ Sys_open; Sys_openat; Sys_creat; Sys_openat2 ]);
+        map
+          (fun (variant, offset) -> M.read ~variant ?offset ~fd ~count:n ())
+          (oneofl M.[ (Sys_read, None); (Sys_readv, None); (Sys_pread64, Some i) ]);
+        map
+          (fun (variant, offset) -> M.write ~variant ?offset ~fd ~count:n ())
+          (oneofl M.[ (Sys_write, None); (Sys_writev, None); (Sys_pwrite64, Some i) ]);
+        map (fun whence -> M.lseek ~fd ~offset:i ~whence) (oneofl Whence.all);
+        return (M.truncate ~target ~length:i ());
+        map (fun variant -> M.mkdir ~variant ~mode path) (oneofl M.[ Sys_mkdir; Sys_mkdirat ]);
+        map
+          (fun at ->
+            let variant = if path_variant target && at then Some M.Sys_fchmodat else None in
+            M.chmod ?variant ~target ~mode ())
+          bool;
+        return (M.close fd);
+        return (M.chdir target);
+        map2
+          (fun l flags ->
+            let variant = if path_variant target && l then Some M.Sys_lsetxattr else None in
+            M.setxattr ?variant ~flags ~target ~name ~size:n ())
+          bool (oneofl Xattr_flag.all);
+        map
+          (fun l ->
+            let variant = if path_variant target && l then Some M.Sys_lgetxattr else None in
+            M.getxattr ?variant ~target ~name ~size:n ())
+          bool ])
+
+(* Aux names and details are written raw, so they draw from text that
+   stays on one line: the detail may hold ") -> ". *)
+let raw_aux =
+  QCheck.Gen.(
+    let* name = oneofl [ "fsync"; "sync"; "rename" ] in
+    let* detail =
+      oneofl [ ""; "fd=3"; "a) -> b"; "x) -> ok:0"; "(y) -> err:EIO hint=\"z\"" ]
+    in
+    return (Event.Aux { name; detail }))
+
+let raw_event =
+  let open Iocov_syscall in
+  QCheck.Gen.(
+    let* timestamp_ns = raw_int and* pid = raw_int and* comm = raw_bytes in
+    let* payload = frequency [ (6, map (fun c -> Event.Tracked c) raw_call); (1, raw_aux) ] in
+    let* outcome =
+      oneof [ map (fun n -> Model.Ret n) raw_int; map (fun e -> Model.Err e) (oneofl Errno.all) ]
+    in
+    let* path_hint = opt raw_bytes in
+    return { Event.seq = 0; timestamp_ns; pid; comm; payload; outcome; path_hint })
+
+let raw_case_gen =
+  QCheck.Gen.(pair (list_size (int_range 1 40) raw_event) (float_bound_inclusive 1.0))
+
+let print_raw_case (events, kill) =
+  Printf.sprintf "kill=%.3f\n%s" kill (String.concat "\n" (List.map Format_io.to_line events))
+
+(* The roads and their digests, first the fused v3 replay.  A road that
+   fails gives its error in place of a digest. *)
+let raw_roads events ~kill =
+  let digest = Ledger.digest in
+  let ok what = function Ok x -> x | Error msg -> failwith (what ^ ": " ^ msg) in
+  let hub_digest hub = Option.get (Hub.digest hub ~tenant:"t") in
+  with_temp_file @@ fun text ->
+  with_temp_file @@ fun v3 ->
+  with_temp_file @@ fun ckpt ->
+  Out_channel.with_open_bin v3 (fun oc ->
+      let w = Binary_io.writer oc in
+      List.iter (Binary_io.sink w) events;
+      Binary_io.flush w);
+  Out_channel.with_open_bin text (fun oc -> List.iter (Format_io.sink_channel oc) events);
+  let fused () = (ok "fused replay" (Replay.analyze_file v3)).Replay.coverage in
+  let resumed () =
+    let limit = int_of_float (kill *. float_of_int (List.length events)) in
+    ignore
+      (ok "killed run"
+         (Replay.analyze_file ~limit ~checkpoint:{ Replay.ckpt_path = ckpt; ckpt_every = 1 } v3));
+    let ck = ok "checkpoint" (Checkpoint.load ckpt) in
+    digest (ok "resumed run" (Replay.analyze_file ~resume:(ckpt, ck) v3)).Replay.coverage
+  in
+  let stepped () =
+    let hub = Hub.create () in
+    In_channel.with_open_bin v3 (fun ic ->
+        let st = ok "open_stream" (Binary_io.open_stream ic) in
+        let s = Hub.open_session hub ~tenant:"t" () in
+        let rec drain () = if ok "ingest_step" (Hub.ingest_step s st) > 0 then drain () in
+        drain ();
+        Hub.close_session s);
+    hub_digest hub
+  in
+  let served_text () =
+    let hub = Hub.create () in
+    In_channel.with_open_bin text (fun ic ->
+        let stream = Format_io.open_stream ic in
+        let s = Hub.open_session hub ~tenant:"t" () in
+        let rec drain () =
+          match Format_io.read_raw_batch stream ~max:7 with
+          | [||] -> ()
+          | lines ->
+            Hub.ingest_events s
+              (Array.to_list
+                 (Array.map
+                    (fun (lineno, line) -> ok "serve text" (Format_io.of_line ~seq:lineno line))
+                    lines));
+            drain ()
+        in
+        drain ();
+        Hub.close_session s);
+    hub_digest hub
+  in
+  List.map
+    (fun (road, run) -> (road, try run () with Failure msg -> "failed: " ^ msg))
+    [ ("fused replay", fun () -> digest (fused ()));
+      ("event path", fun () -> digest (Replay.analyze_events events).Replay.coverage);
+      ("kill/resume", resumed);
+      ("Hub.ingest_step", stepped);
+      ( "text replay",
+        fun () -> digest (ok "text replay" (Replay.analyze_file text)).Replay.coverage );
+      ("serve text", served_text);
+      ( "snapshot reload",
+        fun () -> digest (ok "reload" (Snapshot.of_string (Snapshot.to_string (fused ())))) ) ]
+
+let raw_roads_prop =
+  QCheck.Test.make ~name:"all roads over raw input" ~count:200
+    (QCheck.make ~print:print_raw_case raw_case_gen)
+    (fun (events, kill) ->
+      match raw_roads events ~kill with
+      | (_, expected) :: roads ->
+        let differ = List.filter (fun (_, d) -> d <> expected) roads in
+        if differ <> [] then
+          QCheck.Test.fail_reportf "fused replay digest %s; %s" expected
+            (String.concat "; " (List.map (fun (road, d) -> road ^ " " ^ d) differ));
+        true
+      | [] -> false)
+
+(* Four opens with raw masks 2, 3, 2, 3: masks 2 and 3 once printed
+   alike, so a reload folded two flag sets into one. *)
+let test_raw_masks_one_digest () =
+  let events =
+    List.mapi
+      (fun i flags ->
+        let path = if i = 3 then "/mnt/a -> b" else "/mnt/a" in
+        { Event.seq = 0; timestamp_ns = i; pid = 1; comm = "syz";
+          payload = Event.Tracked (Iocov_syscall.Model.open_ ~flags path);
+          outcome = Iocov_syscall.Model.Ret 3; path_hint = Some path })
+      [ 2; 3; 2; 3 ]
+  in
+  match raw_roads events ~kill:0.5 with
+  | (_, expected) :: roads ->
+    Alcotest.(check string) "fused replay" "efea6d42" expected;
+    List.iter (fun (road, d) -> Alcotest.(check string) road expected d) roads
+  | [] -> Alcotest.fail "no roads"
+
 (* --- pinned digests ---
 
    [pipe.roads] only checks that the roads agree with one another; a VFS
@@ -634,7 +821,9 @@ let suites =
         Alcotest.test_case "v1/v2 trace refused" `Quick test_old_format_refused ] );
     ( "pipe.roads",
       [ QCheck_alcotest.to_alcotest all_roads_prop;
-        QCheck_alcotest.to_alcotest damaged_roads_prop ] );
+        QCheck_alcotest.to_alcotest damaged_roads_prop;
+        QCheck_alcotest.to_alcotest raw_roads_prop;
+        Alcotest.test_case "raw masks, one digest" `Quick test_raw_masks_one_digest ] );
     ( "pipe.pinned",
       [ Alcotest.test_case "suite digests at three lattice points" `Quick
           test_pinned_suites;

@@ -82,7 +82,23 @@ let test_flags_string_roundtrip () =
   (match Open_flags.of_string (Open_flags.to_string mask) with
    | Some mask' -> check_int "mask roundtrip" mask mask'
    | None -> Alcotest.fail "no parse");
-  check_bool "bad name" true (Open_flags.of_string "O_BOGUS" = None)
+  check_bool "bad name" true (Open_flags.of_string "O_BOGUS" = None);
+  (* bits the names do not reproduce print as a hex suffix *)
+  check_string "modeled" "O_WRONLY|O_CREAT" (Open_flags.to_string 0o101);
+  check_string "access mode 3" "O_RDWR|0x1" (Open_flags.to_string 3);
+  check_string "unmodeled bit" "O_RDWR|0x40000000" (Open_flags.to_string 0x40000002);
+  check_string "bit 62" "O_RDONLY|0x4000000000000000" (Open_flags.to_string min_int);
+  List.iter
+    (fun bad -> check_bool bad true (Open_flags.of_string bad = None))
+    [ "O_RDWR|0x"; "O_RDWR|0X1"; "O_RDWR|0x1G"; "O_RDWR|0x8000000000000000";
+      "O_RDWR|0x1|O_CREAT"; "0"; "" ]
+
+(* [of_string] inverts [to_string] on every mask, raw bits included. *)
+let flags_text_roundtrip_prop =
+  QCheck.Test.make ~name:"flag text round-trips every mask" ~count:2000
+    (QCheck.make ~print:(Printf.sprintf "0x%x")
+       QCheck.Gen.(oneof [ int_bound 0o77777777; int_bound 0x3FFFFFFF; int ]))
+    (fun mask -> Open_flags.of_string (Open_flags.to_string mask) = Some mask)
 
 let test_flags_count () =
   check_int "bare rdonly counts 1" 1 (Open_flags.count_flags 0);
@@ -136,7 +152,7 @@ let test_mode_valid () =
   check_bool "out of range" false (Mode.valid 0o200000)
 
 let test_mode_octal_roundtrip () =
-  match Mode.of_octal_string (Mode.to_octal_string 0o1755) with
+  match Text_oracle.of_octal_string (Mode.to_octal_string 0o1755) with
   | Some m -> check_int "roundtrip" 0o1755 m
   | None -> Alcotest.fail "no parse"
 
@@ -279,11 +295,14 @@ let sample_calls =
     getxattr ~variant:Sys_lgetxattr ~target:(Path "/l") ~name:"user.x" ~size:4096 ();
     getxattr ~target:(Fd 3) ~name:"user.k" ~size:64 () ]
 
+(* The call and outcome parsers below are the [Scanf] oracle in
+   test/text_oracle.ml; [Format_io.of_line] is checked against it in
+   test_trace. *)
 let test_call_roundtrip () =
   List.iter
     (fun call ->
       let line = Model.call_to_string call in
-      match Model.call_of_string line with
+      match Text_oracle.call_of_string line with
       | Ok call' -> check_string "roundtrip" line (Model.call_to_string call')
       | Error msg -> Alcotest.failf "parse failed for %s: %s" line msg)
     sample_calls
@@ -296,7 +315,7 @@ let test_call_covers_all_variants () =
 let test_call_parse_errors () =
   List.iter
     (fun line ->
-      match Model.call_of_string line with
+      match Text_oracle.call_of_string line with
       | Ok _ -> Alcotest.failf "expected failure for %S" line
       | Error _ -> ())
     [ "nonsense"; "frob(fd=3)"; "open(path=\"/a\")"; "read(fd=x, count=1)";
@@ -306,7 +325,7 @@ let test_outcome_roundtrip () =
   List.iter
     (fun o ->
       let s = Model.outcome_to_string o in
-      match Model.outcome_of_string s with
+      match Text_oracle.outcome_of_string s with
       | Ok o' -> check_string "outcome roundtrip" s (Model.outcome_to_string o')
       | Error msg -> Alcotest.failf "outcome parse failed for %s: %s" s msg)
     [ Model.Ret 0; Model.Ret 3; Model.Ret max_int; Model.Err Errno.ENOENT;
@@ -315,7 +334,7 @@ let test_outcome_roundtrip () =
 let test_outcome_parse_errors () =
   List.iter
     (fun s ->
-      match Model.outcome_of_string s with
+      match Text_oracle.outcome_of_string s with
       | Ok _ -> Alcotest.failf "expected failure for %S" s
       | Error _ -> ())
     [ "nope"; "ok:x"; "err:EBOGUS"; "" ]
@@ -348,11 +367,17 @@ let gen_call =
         path int;
       map2 (fun p n -> Model.getxattr ~target:(Model.Path p) ~name:n ~size:64 ()) path name ]
 
+(* Compared as values, not through the text: the generator draws raw
+   flag masks (access mode 3, bits 2-5), which the text once dropped
+   while printing alike. *)
 let call_roundtrip_prop =
   QCheck.Test.make ~name:"random call serialization roundtrip" ~count:500
-    (QCheck.make gen_call) (fun call ->
-      match Model.call_of_string (Model.call_to_string call) with
-      | Ok call' -> Model.call_to_string call' = Model.call_to_string call
+    (QCheck.make ~print:Model.call_to_string gen_call) (fun call ->
+      let line = Printf.sprintf "[1] pid=1 comm=\"p\" %s -> ok:0" (Model.call_to_string call) in
+      Text_oracle.call_of_string (Model.call_to_string call) = Ok call
+      &&
+      match Iocov_trace.Format_io.of_line line with
+      | Ok e -> e.Iocov_trace.Event.payload = Iocov_trace.Event.Tracked call
       | Error _ -> false)
 
 let suites =
@@ -377,6 +402,7 @@ let suites =
         Alcotest.test_case "string roundtrip" `Quick test_flags_string_roundtrip;
         Alcotest.test_case "count_flags" `Quick test_flags_count;
         QCheck_alcotest.to_alcotest flags_decompose_roundtrip_prop;
+        QCheck_alcotest.to_alcotest flags_text_roundtrip_prop;
         QCheck_alcotest.to_alcotest flags_has_matches_decompose_prop ] );
     ( "syscall.mode",
       [ Alcotest.test_case "decompose 0644" `Quick test_mode_decompose;

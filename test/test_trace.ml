@@ -228,6 +228,9 @@ let test_kind_counters_domain_safe () =
 
 (* --- text format --- *)
 
+(* Events compare as values; [seq] is the reader's line number. *)
+let same_event (a : Event.t) (b : Event.t) = { a with Event.seq = 0 } = { b with Event.seq = 0 }
+
 let sample_event payload outcome hint =
   { Event.seq = 1; timestamp_ns = 12345; pid = 7; comm = "xfstests"; payload;
     outcome; path_hint = hint }
@@ -260,14 +263,22 @@ let test_line_roundtrip_no_hint () =
   | Ok e' -> check_bool "no hint" true (e'.Event.path_hint = None)
   | Error msg -> Alcotest.failf "parse failed: %s" msg
 
+(* A refused line is an error that names the byte column, never an
+   exception. *)
+let check_refused line =
+  match Format_io.of_line line with
+  | Ok _ -> Alcotest.failf "expected failure: %S" line
+  | Error msg ->
+    if not (String.starts_with ~prefix:"col " msg) then
+      Alcotest.failf "error for %S names no column: %s" line msg
+
 let test_line_errors () =
-  List.iter
-    (fun line ->
-      match Format_io.of_line line with
-      | Ok _ -> Alcotest.failf "expected failure: %S" line
-      | Error _ -> ())
+  List.iter check_refused
     [ ""; "garbage"; "[1] pid=1 comm=\"x\" nonsense";
-      "[x] pid=1 comm=\"a\" close(fd=1) -> ok:0" ]
+      "[x] pid=1 comm=\"a\" close(fd=1) -> ok:0" ];
+  match Format_io.of_line "[1] pid=1 comm=\"t\" open(path=\"/a\") -> ok:3" with
+  | Error msg -> check_string "column and expectation" "col 34: expected \", flags=\"" msg
+  | Ok _ -> Alcotest.fail "open without flags accepted"
 
 let test_channel_roundtrip () =
   let tracer, events = traced_setup () in
@@ -326,7 +337,7 @@ let event_roundtrip_prop =
   in
   QCheck.Test.make ~name:"event line roundtrip" ~count:300 (QCheck.make gen) (fun e ->
       match Format_io.of_line (Format_io.to_line e) with
-      | Ok e' -> Format_io.to_line e' = Format_io.to_line e
+      | Ok e' -> same_event e e'
       | Error _ -> false)
 
 (* --- binary format --- *)
@@ -357,32 +368,43 @@ let record_workload () =
           ~name:"user.k" ~size:0 ()));
   List.rev !events
 
-(* --- fast scanner vs reference parser --- *)
+(* --- the scanner against the Scanf oracle --- *)
 
-(* [of_line] is the single-pass scanner with a fallback to the
-   reference pipeline; it must be extensionally equal to
-   [of_line_reference] — same accepted lines, same events, and failures
-   on the same inputs. *)
+let contains_arrow s =
+  let n = String.length s in
+  let rec go i = i + 4 <= n && (String.sub s i 4 = " -> " || go (i + 1)) in
+  go 0
+
+(* [Format_io.of_line] against the [Scanf] oracle in test/text_oracle.ml
+   on a line [to_line] could write: same events, or both refuse.  The
+   one disagreement allowed is the oracle's: it splits the payload from
+   the outcome at the last " -> ", so it refuses a hint that contains
+   one, which the scanner reads. *)
+let scanner_agrees line =
+  match (Format_io.of_line line, Text_oracle.of_line line) with
+  | Ok a, Ok b -> same_event a b
+  | Error _, Error _ -> true
+  | Ok a, Error _ -> (
+    match a.Event.path_hint with
+    | Some h -> contains_arrow h
+    | None -> false)
+  | Error _, Ok _ -> false
+
 let check_scanner_agrees line =
-  match (Format_io.of_line line, Format_io.of_line_reference line) with
-  | Ok a, Ok b ->
-    check_string
-      (Printf.sprintf "agree on %S" line)
-      (Format_io.to_line b) (Format_io.to_line a)
-  | Error _, Error _ -> ()
-  | Ok _, Error msg -> Alcotest.failf "fast accepted, reference rejected %S: %s" line msg
-  | Error msg, Ok _ -> Alcotest.failf "fast rejected, reference accepted %S: %s" line msg
+  if not (scanner_agrees line) then
+    Alcotest.failf "scanner and oracle disagree on %S: %s / %s" line
+      (match Format_io.of_line line with Ok _ -> "accepted" | Error m -> m)
+      (match Text_oracle.of_line line with Ok _ -> "accepted" | Error m -> m)
 
 let test_scanner_canonical_shapes () =
   (* every call shape the tracer can emit, plus aux and hint variants *)
   let events = record_workload () in
   check_bool "workload covers shapes" true (List.length events >= 10);
   List.iter (fun e -> check_scanner_agrees (Format_io.to_line e)) events;
-  (* round-trip sanity: the scanner reproduces the canonical line *)
   List.iter
     (fun e ->
       match Format_io.of_line (Format_io.to_line e) with
-      | Ok e' -> check_string "scanner round-trip" (Format_io.to_line e) (Format_io.to_line e')
+      | Ok e' -> check_bool "scanner round-trip" true (same_event e e')
       | Error msg -> Alcotest.failf "scanner rejected canonical line: %s" msg)
     events
 
@@ -409,8 +431,17 @@ let test_scanner_concurrent_parse () =
           non_access)
       non_access
   in
+  (* 300 raw masks: more distinct flag tokens than the memo keeps *)
+  let raw =
+    List.init 300 (fun k ->
+        Format_io.to_line
+          (sample_event
+             (Iocov_trace.Event.Tracked
+                (Model.open_ ~flags:(3 lor (k lsl 30)) ~mode:0o600 "/mnt/test/r"))
+             (Model.Ret 3) None))
+  in
   let lines =
-    Array.of_list (opens @ List.map Format_io.to_line (record_workload ()))
+    Array.of_list (opens @ raw @ List.map Format_io.to_line (record_workload ()))
   in
   let parse_all () =
     Array.map
@@ -445,46 +476,97 @@ let test_scanner_concurrent_parse () =
         expected)
     results
 
+(* Lines [to_line] writes in its less common shapes: the scanner reads
+   each, and agrees with the oracle. *)
 let test_scanner_noncanonical_agrees () =
-  List.iter check_scanner_agrees
-    [ (* reordered fields: reference accepts, scanner must defer *)
-      "[1] pid=1 comm=\"t\" read(count=4, fd=3) -> ok:4";
-      (* liberal whitespace the reference's Scanf tolerates *)
-      "[1]  pid=1 comm=\"t\" close(fd=1) -> ok:0";
-      "[1] pid=1 comm=\"t\" close(fd=1) -> ok:0 ";
-      (* underscored integers: int_of_string accepts them *)
-      "[1] pid=1 comm=\"t\" close(fd=1_0) -> ok:0";
-      "[1] pid=1 comm=\"t\" chmod(path=\"/a\", mode=0o6_44) -> ok:0";
-      (* duplicate field: the reference keeps the first *)
-      "[1] pid=1 comm=\"t\" close(fd=1, fd=2) -> ok:0";
-      (* a hint containing the arrow breaks the reference's last-arrow
-         split; the scanner must agree, not silently succeed *)
-      "[1] pid=1 comm=\"t\" close(fd=1) -> ok:0 hint=\"x -> y\"";
-      (* aux payloads with hostile details *)
+  List.iter
+    (fun line ->
+      if Result.is_error (Format_io.of_line line) then Alcotest.failf "refused %S" line;
+      check_scanner_agrees line)
+    [ (* aux payloads with hostile details *)
       "[1] pid=1 comm=\"t\" !fsync(fd=3 (dup)) -> ok:0";
       "[1] pid=1 comm=\"t\" !note(a -> b) -> ok:0";
       "[1] pid=1 comm=\"t\" !note(a) -> b) -> ok:0";
       (* escapes in strings *)
       "[1] pid=1 comm=\"a\\\"b\\n\\t\\\\\" close(fd=1) -> ok:0";
       "[1] pid=1 comm=\"t\" chdir(path=\"/m\\001nt\") -> ok:0 hint=\"/m\\001nt\"";
-      (* malformed tails *)
-      "[1] pid=1 comm=\"t\" close(fd=1) -> ok:x";
+      (* negative numbers *)
+      "[-5] pid=-3 comm=\"t\" lseek(fd=3, offset=-2, whence=SEEK_HOLE) -> err:EINVAL";
+      "[1] pid=1 comm=\"t\" pread64(fd=3, count=4, offset=-9) -> err:EINVAL" ];
+  let detail_of line =
+    match Format_io.of_line line with
+    | Ok { Event.payload = Event.Aux { detail; _ }; _ } -> detail
+    | _ -> Alcotest.failf "aux record refused: %S" line
+  in
+  (* the detail ends at the first ") -> " that leaves a valid tail *)
+  check_string "detail" "a) -> b" (detail_of "[1] pid=1 comm=\"t\" !note(a) -> b) -> ok:0");
+  check_string "hint holding ) -> " "fd=3"
+    (detail_of "[1] pid=1 comm=\"t\" !fsync(fd=3) -> ok:0 hint=\"x) -> err:EIO\"");
+  (* the oracle's last-arrow split refuses a hint with an arrow in it;
+     the scanner reads it *)
+  let line = "[1] pid=1 comm=\"t\" close(fd=1) -> ok:0 hint=\"x -> y\"" in
+  check_bool "oracle refuses" true (Result.is_error (Text_oracle.of_line line));
+  match Format_io.of_line line with
+  | Ok e -> check_bool "hint" true (e.Event.path_hint = Some "x -> y")
+  | Error msg -> Alcotest.failf "hint with an arrow refused: %s" msg
+
+(* Shapes [to_line] never writes.  The oracle accepted the first group,
+   the scanner refuses every line with a column. *)
+let test_scanner_noncanonical_refused () =
+  let accepted_by_oracle =
+    [ (* reordered and duplicate fields *)
+      "[1] pid=1 comm=\"t\" read(count=4, fd=3) -> ok:4";
+      "[1] pid=1 comm=\"t\" close(fd=1, fd=2) -> ok:0";
+      (* doubled and trailing spaces (the line reader trims the ends) *)
+      "[1]  pid=1 comm=\"t\" close(fd=1) -> ok:0";
+      "[1] pid=1 comm=\"t\" close(fd=1) -> ok:0 ";
+      (* [int_of_string] syntax: underscores, hex, a plus sign *)
+      "[1] pid=1 comm=\"t\" close(fd=1_0) -> ok:0";
+      "[1] pid=1 comm=\"t\" chmod(path=\"/a\", mode=0o6_44) -> ok:0";
+      "[1] pid=1 comm=\"t\" close(fd=0x10) -> ok:0";
+      "[+1] pid=1 comm=\"t\" close(fd=1) -> ok:0";
+      (* escapes [%S] never writes *)
+      "[1] pid=1 comm=\"\\x41\" close(fd=1) -> ok:0";
+      "[1] pid=1 comm=\"\\'\" close(fd=1) -> ok:0" ]
+  in
+  List.iter
+    (fun line ->
+      if Result.is_error (Text_oracle.of_line line) then
+        Alcotest.failf "oracle refuses %S" line;
+      check_refused line)
+    accepted_by_oracle;
+  List.iter check_refused
+    [ "[1] pid=1 comm=\"t\" close(fd=1) -> ok:x";
       "[1] pid=1 comm=\"t\" close(fd=1) -> err:EWHAT";
       "[1] pid=1 comm=\"t\" close(fd=1) -> ok:0 junk";
       "[1] pid=1 comm=\"t\" open(path=\"/a\", flags=O_RDONLY) -> ok:3";
       "[1] pid=1 comm=\"t\" frobnicate(fd=1) -> ok:0";
       "[1] pid=1 comm=\"t\" close(fd=1)";
-      "[-5] pid=-3 comm=\"t\" lseek(fd=3, offset=-2, whence=SEEK_HOLE) -> err:EINVAL" ]
+      "[1] pid=1 comm=\"t\" pread64(fd=3, count=4) -> ok:0";
+      "[1] pid=1 comm=\"t\" close(fd=4611686018427387904) -> ok:0";
+      "[1] pid=1 comm=\"t\" mkdir(path=\"/a\", mode=0o1000000000000000000000) -> ok:0";
+      "[1] pid=1 comm=\"t\" close(fd=1) -> ok:0 hint=\"a\\256\"";
+      "[1] pid=1 comm=\"t\" !note -> ok:0" ]
 
 let scanner_agreement_prop =
-  (* arbitrary bytes in every string position: escape decoding, bail
-     heuristics, and the fallback must stay aligned with the oracle *)
+  (* arbitrary bytes in every string position, raw flag masks and modes:
+     escape decoding and the flag suffix must stay aligned with the
+     oracle *)
   let gen =
     QCheck.Gen.(
       let any_string = string_size ~gen:(map Char.chr (int_range 0 255)) (int_range 0 12) in
       let* comm = any_string in
       let* path = any_string in
+      let* name = any_string in
       let* hint = opt any_string in
+      let* flags = oneof [ int_bound 0o77777777; map abs int ] in
+      let* mode = oneof [ int_bound 0o7777; map abs int ] in
+      let* call =
+        oneofl
+          [ Model.chdir (Model.Path path);
+            Model.open_ ~flags ~mode path;
+            Model.setxattr ~target:(Model.Path path) ~name ~size:mode () ]
+      in
       let* err = bool in
       return
         {
@@ -492,19 +574,47 @@ let scanner_agreement_prop =
           timestamp_ns = 7;
           pid = 9;
           comm;
-          payload = Event.Tracked (Model.chdir (Model.Path path));
+          payload = Event.Tracked call;
           outcome = (if err then Model.Err Errno.ENOENT else Model.Ret 0);
           path_hint = hint;
         })
   in
-  QCheck.Test.make ~name:"scanner agrees with reference" ~count:500 (QCheck.make gen)
+  QCheck.Test.make ~name:"scanner agrees with reference" ~count:500
+    (QCheck.make ~print:Format_io.to_line gen)
     (fun e ->
       let line = Format_io.to_line e in
-      match (Format_io.of_line line, Format_io.of_line_reference line) with
-      | Ok a, Ok b -> Format_io.to_line a = Format_io.to_line b
-      | Error _, Error _ -> true
-      | _ -> false)
+      scanner_agrees line
+      && match Format_io.of_line line with Ok e' -> same_event e e' | Error _ -> false)
 
+(* Damaged lines: random byte edits to canonical lines of every shape.
+   The scanner returns a value for each, never raises, and every
+   refusal names a column. *)
+let scanner_damage_prop =
+  let lines = Array.of_list (List.map Format_io.to_line (record_workload ())) in
+  let gen =
+    QCheck.Gen.(
+      let* line = oneofa lines in
+      let* edits = list_size (int_range 1 4) (triple (int_bound 2) nat char) in
+      return
+        (List.fold_left
+           (fun l (kind, at, ch) ->
+             let n = String.length l in
+             let i = if n = 0 then 0 else at mod n in
+             match kind with
+             | 0 when n > 0 -> String.mapi (fun j c -> if j = i then ch else c) l
+             | 1 -> String.sub l 0 i ^ String.make 1 ch ^ String.sub l i (n - i)
+             | _ when n > 0 -> String.sub l 0 i ^ String.sub l (i + 1) (n - i - 1)
+             | _ -> l)
+           line edits))
+  in
+  QCheck.Test.make ~name:"damaged lines are refused by column" ~count:1000
+    (QCheck.make ~print:(Printf.sprintf "%S") gen)
+    (fun line ->
+      match Format_io.of_line line with
+      | Ok _ -> true
+      | Error msg ->
+        String.starts_with ~prefix:"col " msg
+        && not (String.ends_with ~suffix:"index out of bounds" msg))
 
 let binary_roundtrip events =
   let path = Filename.temp_file "iocov_bin" ".trace" in
@@ -524,11 +634,7 @@ let test_binary_roundtrip () =
   match binary_roundtrip events with
   | Ok back ->
     check_int "count preserved" (List.length events) (List.length back);
-    List.iter2
-      (fun a b ->
-        (* compare through the text form, which covers every field *)
-        check_string "record identical" (Format_io.to_line a) (Format_io.to_line b))
-      events back
+    List.iter2 (fun a b -> check_bool "record identical" true (same_event a b)) events back
   | Error msg -> Alcotest.failf "decode failed: %s" msg
 
 let test_binary_smaller_than_text () =
@@ -781,8 +887,11 @@ let suites =
       [ Alcotest.test_case "canonical shapes" `Quick test_scanner_canonical_shapes;
         Alcotest.test_case "non-canonical lines agree" `Quick
           test_scanner_noncanonical_agrees;
+        Alcotest.test_case "non-canonical lines refused" `Quick
+          test_scanner_noncanonical_refused;
         Alcotest.test_case "concurrent parses agree" `Quick test_scanner_concurrent_parse;
-        QCheck_alcotest.to_alcotest scanner_agreement_prop ] );
+        QCheck_alcotest.to_alcotest scanner_agreement_prop;
+        QCheck_alcotest.to_alcotest scanner_damage_prop ] );
     ( "trace.binary",
       [ Alcotest.test_case "roundtrip equals text form" `Quick test_binary_roundtrip;
         Alcotest.test_case "compactness" `Quick test_binary_smaller_than_text;
